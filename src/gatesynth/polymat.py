@@ -275,18 +275,6 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_eval(p: Polynomial, x, t=None) -> complex:
-    return p.eval(x, t)
-
-
 class PolyMatrix:
     """Square matrix of polynomials, stored as exponent -> coefficient matrix.
 
@@ -468,10 +456,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim}, ring={self.ring}, terms={len(self.coeffs)})"
-
-
-def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a @ b
 
 
 def pm_commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

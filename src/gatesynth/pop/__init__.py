@@ -4,6 +4,7 @@ from gatesynth.pop.minimize import (
     SynthesisResult,
     ball_scan_minimum,
     minimize_global,
+    relaxation_setup,
 )
 from gatesynth.pop.polish import PolishDivergenceError, newton_polish
 from gatesynth.pop.relax import MomentRelaxation, extract_minimizer, moment_relax
@@ -20,5 +21,6 @@ __all__ = [
     "minimize_global",
     "moment_relax",
     "newton_polish",
+    "relaxation_setup",
     "sdp_solve",
 ]

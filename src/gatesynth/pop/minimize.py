@@ -1,9 +1,10 @@
 """Global minimization of the synthesis objective over a control ball.
 
-Pipeline: moment relaxation -> interior-point SDP -> rank-1 extraction ->
-Newton polish, escalating the relaxation order when extraction fails and
-falling back to deterministic multi-start polish as a last resort.  The SDP
-bound is retained in every outcome as the certificate reference.
+Pipeline: one moment relaxation at the base order -> interior-point SDP ->
+Newton polish from the first-order moments.  The SDP yields the certified
+lower bound, and the gap ``value - bound`` certifies the polished point.
+Deterministic multi-start polish runs only when that polish diverges or the
+gap exceeds ``GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from scipy.stats import qmc
 from gatesynth.polymat import Polynomial
 from gatesynth.pop.polish import PolishDivergenceError, newton_polish
 from gatesynth.pop.relax import extract_minimizer, moment_relax
-from gatesynth.pop.sdp import SDPProblem, SDPSolution, sdp_solve
+from gatesynth.pop.sdp import SDPSolution, sdp_solve
 
-MAX_ORDER = 5
 MULTISTART_SEED = 0xC0FFEE
 MULTISTART_COUNT = 32
-TRACE_EPS = 1e-5
+GAP_TOL = 1e-4
 
 
 @dataclass
@@ -40,6 +40,27 @@ class SynthesisResult:
     @property
     def gap(self) -> float:
         return self.value - self.bound
+
+
+def relaxation_setup(
+    p: Polynomial, radius: float | None = None, order: int | None = None
+) -> tuple[Polynomial, float, float, int]:
+    """Scaled objective, scale, ball radius and relaxation order for p.
+
+    The SDP sees p divided by its largest coefficient magnitude (moments are
+    scale-invariant).  The radius defaults to 1.05 sqrt(m) and the order to
+    the base order ceil(deg/2).
+    """
+    if radius is None:
+        radius = math.sqrt(p.ring.controls) * 1.05
+    deg = p.degree()
+    if order is None:
+        order = max(1, (deg + 1) // 2)
+    if 2 * order < deg:
+        raise ValueError(f"relaxation order {order} too small for degree {deg}")
+    coeffs = p.real_coeff_dict().values()
+    scale = max((abs(c) for c in coeffs), default=1.0) or 1.0
+    return p * (1.0 / scale), scale, radius, order
 
 
 def _certified_bound(relax, sol, scale: float) -> float:
@@ -59,23 +80,6 @@ def _certified_bound(relax, sol, scale: float) -> float:
         - sol.primal_value
         - math.sqrt(ksq) * sol.primal_residual
     )
-
-
-def _trace_resolve(prob: SDPProblem, relax, eps: float = TRACE_EPS):
-    """Same relaxation with a small trace term added to the moment objective.
-
-    The interior-point iterate lands in the analytic center of the optimal
-    face, which is far from rank one whenever the face is not a single point
-    (the objective is itself a sum of squares, so this is the common case).
-    Minimizing L_y(p) + eps * tr M_d(y) collapses the face toward a point
-    mass.  The perturbed bound is never used; only the moment vector is.
-    """
-    delta = np.zeros_like(prob.b)
-    for be in relax.basis:
-        idx = relax.moment_index[tuple(2 * e for e in be)]
-        if idx >= 0:
-            delta[idx] -= eps
-    return SDPProblem(prob.block_sizes, prob.c_blocks, prob.a_blocks, prob.b + delta)
 
 
 def _multistart_points(m: int, radius: float) -> np.ndarray:
@@ -99,102 +103,74 @@ def _merge_candidates(p: Polynomial, cands: list[np.ndarray]):
     return best[1], best[2]
 
 
+def _first_moments(relax, y: np.ndarray) -> np.ndarray:
+    """Mean of the moment vector: y[e_k] for each control k."""
+    unit = np.eye(relax.n_vars, dtype=int)
+    return np.array([y[relax.moment_index[tuple(e)]] for e in unit])
+
+
 def minimize_global(
     p: Polynomial,
     radius: float | None = None,
     order: int | None = None,
     polish: bool = True,
 ) -> SynthesisResult:
-    """Certified global minimum of a real polynomial over the radius ball."""
-    coeffs = p.real_coeff_dict()
-    m = p.ring.controls
-    if radius is None:
-        radius = math.sqrt(m) * 1.05
-    deg = p.degree()
-    d0 = order if order is not None else max(1, (deg + 1) // 2)
-    if 2 * d0 < deg:
-        raise ValueError(f"relaxation order {d0} too small for degree {deg}")
+    """Certified global minimum of a real polynomial over the radius ball.
 
-    # scale so the SDP sees O(1) data; moments are scale-invariant
-    scale = max((abs(c) for c in coeffs.values()), default=1.0)
-    if scale == 0.0:
-        scale = 1.0
-    p_scaled = p * (1.0 / scale)
-
-    timings: dict[str, float] = {"relax": 0.0, "solve": 0.0, "extract": 0.0}
-    best_bound = -math.inf
-    best_order = d0
-    last_sol = None
-    x_hat = None
-    for d in range(d0, MAX_ORDER + 1):
-        t0 = time.perf_counter()
-        prob, relax = moment_relax(p_scaled, radius, d)
-        t1 = time.perf_counter()
-        sol = sdp_solve(prob)
-        t2 = time.perf_counter()
-        timings["relax"] += t1 - t0
-        timings["solve"] += t2 - t1
-        last_sol = sol
-        if sol.status in ("optimal", "stalled", "max_iterations"):
-            bound = _certified_bound(relax, sol, scale)
-            if bound > best_bound:
-                best_bound = bound
-                best_order = d
-            t3 = time.perf_counter()
-            x_hat = extract_minimizer(relax, sol.y)
-            if x_hat is None:
-                sol_t = sdp_solve(_trace_resolve(prob, relax))
-                if sol_t.status in ("optimal", "stalled", "max_iterations"):
-                    x_hat = extract_minimizer(relax, sol_t.y)
-            timings["extract"] += time.perf_counter() - t3
-            if x_hat is not None:
-                break
-        if sol.status in ("numerical_failure", "suspected_infeasible"):
-            break
-
-    if x_hat is not None:
-        status = "rank-1"
-        if polish:
-            t0 = time.perf_counter()
-            try:
-                x_hat = newton_polish(p, x_hat, radius)
-            except PolishDivergenceError:
-                pass
-            timings["polish"] = time.perf_counter() - t0
-        value = p.eval(x_hat).real
-        return SynthesisResult(
-            x=x_hat,
-            value=value,
-            bound=best_bound,
-            status=status,
-            order=best_order,
-            radius=radius,
-            timings=timings,
-            sdp=last_sol,
-        )
-
-    # extraction never succeeded: deterministic multi-start polish
+    One SDP at ``order`` (default ceil(deg/2)) gives the bound, and its
+    first-order moments start one Newton polish.  The status is ``rank-1``
+    when that moment matrix is numerically rank one, else ``polished``.  The
+    multi-start runs only when the polish diverges or the gap exceeds
+    ``GAP_TOL``; its points compete with the moment start on value.
+    """
+    p_scaled, scale, radius, d = relaxation_setup(p, radius, order)
     t0 = time.perf_counter()
-    cands = []
-    for x0 in _multistart_points(m, radius):
+    prob, relax = moment_relax(p_scaled, radius, d)
+    t1 = time.perf_counter()
+    sol = sdp_solve(prob)
+    t2 = time.perf_counter()
+    timings = {"relax": t1 - t0, "solve": t2 - t1, "extract": 0.0, "polish": 0.0}
+
+    bound = -math.inf
+    x_start = None
+    status = "failed"
+    if sol.status in ("optimal", "stalled", "max_iterations"):
+        bound = _certified_bound(relax, sol, scale)
+        rank1 = extract_minimizer(relax, sol.y) is not None
+        status = "rank-1" if rank1 else "polished"
+        x_start = _first_moments(relax, sol.y)
+        timings["extract"] = time.perf_counter() - t2
+
+    t0 = time.perf_counter()
+    if x_start is not None and polish:
         try:
-            cands.append(newton_polish(p, x0, radius))
+            x_start = newton_polish(p, x_start, radius)
         except PolishDivergenceError:
-            continue
+            x_start = None
+    cands = [] if x_start is None else [x_start]
     x_best, value = _merge_candidates(p, cands)
+    if x_best is None or value - bound > GAP_TOL:
+        # the moment start is not certified: deterministic multi-start
+        for x0 in _multistart_points(p.ring.controls, radius):
+            try:
+                cands.append(newton_polish(p, x0, radius))
+            except PolishDivergenceError:
+                continue
+        x_best, value = _merge_candidates(p, cands)
+        if x_best is not x_start:
+            status = "polished"
     timings["polish"] = time.perf_counter() - t0
-    status = "polished" if x_best is not None else "failed"
-    if best_bound == -math.inf:
+    if x_best is None or bound == -math.inf:
         status = "failed"
     return SynthesisResult(
         x=x_best,
         value=value,
-        bound=best_bound,
+        bound=bound,
         status=status,
-        order=best_order,
+        order=d,
         radius=radius,
         timings=timings,
-        sdp=last_sol,
+        sdp=sol,
     )
 
 

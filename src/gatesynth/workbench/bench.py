@@ -19,7 +19,7 @@ from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_l
 from gatesynth.numerics import expm_antihermitian, propagate_reference
 from gatesynth.objective import build_objective, infidelity
 from gatesynth.polymat import PolyMatrix, pm_eval
-from gatesynth.pop import minimize_global, moment_relax, sdp_solve
+from gatesynth.pop import minimize_global, moment_relax, relaxation_setup, sdp_solve
 from gatesynth.workbench.targets import gen_target, trial_rng
 
 OK_STATUSES = ("rank-1", "polished")
@@ -268,14 +268,11 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
             omega = pm_eval(generator, x_star)
             objective = build_objective(generator, omega)
             build_ms = 1e3 * (time.perf_counter() - t0)
-            coeffs = objective.real_coeff_dict()
-            scale = max(abs(c) for c in coeffs.values()) or 1.0
-            radius = cfg.radius or float(np.sqrt(spec.m)) * 1.05
-            degree = max(sum(e) for e in coeffs)
-            order = cfg.relax_order or max(1, (degree + 1) // 2)
             t0 = time.perf_counter()
             try:
-                prob, _ = moment_relax(objective * (1.0 / scale), radius, order)
+                scaled, _, radius, order = relaxation_setup(
+                    objective, cfg.radius, cfg.relax_order)
+                prob, _ = moment_relax(scaled, radius, order)
                 sol = sdp_solve(prob)
                 status = sol.status
             except Exception as exc:  # same per-trial isolation as fidelity

@@ -1,5 +1,7 @@
 """Tests for the moment relaxation pipeline and the embedded SDP solver."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from gatesynth.pop import (
     newton_polish,
     sdp_solve,
 )
+from gatesynth.pop import minimize as minimize_mod
+from gatesynth.pop.minimize import GAP_TOL
 from gatesynth.pop.polish import gradient_polys, hessian_polys
 from gatesynth.pop.relax import monomials_up_to
 
@@ -343,16 +347,51 @@ def test_extraction_soundness_pre_polish():
 
 
 def test_multistart_merge_deterministic():
-    # quartic with two symmetric wells: the same well must win every run
+    # quartic with two symmetric wells: the first moment sits on the local
+    # maximum at 0, so only the gap-gated multistart reaches a well, and the
+    # same well must win every run
     r = Ring(1)
     x = Polynomial.variable(r, 0)
     p = (x * x - 1.0) * (x * x - 1.0)
-    picks = {float(np.round(minimize_global(p).x[0], 6)) for _ in range(3)}
+    results = [minimize_global(p) for _ in range(3)]
+    picks = {float(np.round(res.x[0], 6)) for res in results}
     assert len(picks) == 1
+    assert all(res.gap <= GAP_TOL for res in results)
 
 
-def test_timings_recorded():
+def test_timings_recorded(monkeypatch):
+    # one SDP at the base order, and its time is booked under "solve" only
+    calls = []
+
+    def counting_solve(prob):
+        t0 = time.perf_counter()
+        sol = sdp_solve(prob)
+        calls.append(time.perf_counter() - t0)
+        return sol
+
+    monkeypatch.setattr(minimize_mod, "sdp_solve", counting_solve)
     obj, _ = planted_instance(9)
     res = minimize_global(obj)
+    assert len(calls) == 1
+    assert res.order == (obj.degree() + 1) // 2
+    assert set(res.timings) == {"relax", "solve", "extract", "polish"}
     assert res.timings["relax"] > 0
-    assert res.timings["solve"] > 0
+    assert res.timings["solve"] >= calls[0]
+    assert res.timings["extract"] < calls[0]
+
+
+def test_single_relaxation_at_five_controls(monkeypatch):
+    # a wider control vector must not escalate: one order-2 relaxation
+    relaxations = []
+
+    def recording_relax(p, radius, order):
+        prob, relax = moment_relax(p, radius, order)
+        relaxations.append((order, prob.block_sizes))
+        return prob, relax
+
+    monkeypatch.setattr(minimize_mod, "moment_relax", recording_relax)
+    obj, _ = planted_instance(0, m=5, horizon=0.5)
+    res = minimize_global(obj)
+    assert relaxations == [(2, (21, 6))]
+    assert res.order == 2
+    assert res.gap >= -1e-8
