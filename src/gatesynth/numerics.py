@@ -120,27 +120,8 @@ def propagate_reference(spec: ProblemSpec, x, steps: int = DEFAULT_STEPS) -> np.
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value by power iteration on M†M."""
-    m = np.asarray(m, dtype=complex)
-    scale = np.abs(m).max(initial=0.0)
-    if scale == 0.0:
-        return 0.0
-    gram_rhs = m.conj().T
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=m.shape[1]) + 1j * rng.normal(size=m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(100000):
-        w = gram_rhs @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_sigma = np.sqrt(nw)
-        if abs(new_sigma - sigma) <= 1e-10 * max(new_sigma, 1e-30):
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    """Largest singular value (LAPACK SVD)."""
+    return float(np.linalg.norm(m, 2))
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):

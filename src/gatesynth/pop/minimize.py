@@ -2,9 +2,9 @@
 
 Pipeline: one moment relaxation at the base order -> interior-point SDP ->
 Newton polish from the first-order moments.  The SDP yields the certified
-lower bound, and the gap ``value - bound`` certifies the polished point.
-Deterministic multi-start polish runs only when that polish diverges or the
-gap exceeds ``GAP_TOL``.
+lower bound; the moment point and its polish are the candidates, and the gap
+``value - bound`` certifies the best of them.  Deterministic multi-start
+polish runs only when that gap exceeds ``GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ def _merge_candidates(p: Polynomial, cands: list[np.ndarray]):
     return best[1], best[2]
 
 
-def _first_moments(relax, y: np.ndarray) -> np.ndarray:
-    """Mean of the moment vector: y[e_k] for each control k."""
-    unit = np.eye(relax.n_vars, dtype=int)
-    return np.array([y[relax.moment_index[tuple(e)]] for e in unit])
-
-
 def minimize_global(
     p: Polynomial,
     radius: float | None = None,
@@ -118,10 +112,11 @@ def minimize_global(
     """Certified global minimum of a real polynomial over the radius ball.
 
     One SDP at ``order`` (default ceil(deg/2)) gives the bound, and its
-    first-order moments start one Newton polish.  The status is ``rank-1``
-    when that moment matrix is numerically rank one, else ``polished``.  The
-    multi-start runs only when the polish diverges or the gap exceeds
-    ``GAP_TOL``; its points compete with the moment start on value.
+    first-order moments start one Newton polish; the unpolished moment point
+    stays a candidate next to the polished one.  The status is ``rank-1``
+    when that moment matrix is numerically rank one, else ``polished``, and
+    ``failed`` when the SDP fails.  The multi-start runs only when the best
+    candidate's gap exceeds ``GAP_TOL``; its points compete on value.
     """
     p_scaled, scale, radius, d = relaxation_setup(p, radius, order)
     t0 = time.perf_counter()
@@ -138,29 +133,32 @@ def minimize_global(
         bound = _certified_bound(relax, sol, scale)
         rank1 = extract_minimizer(relax, sol.y) is not None
         status = "rank-1" if rank1 else "polished"
-        x_start = _first_moments(relax, sol.y)
+        x_start = relax.first_moments(sol.y)
         timings["extract"] = time.perf_counter() - t2
 
     t0 = time.perf_counter()
-    if x_start is not None and polish:
-        try:
-            x_start = newton_polish(p, x_start, radius)
-        except PolishDivergenceError:
-            x_start = None
-    cands = [] if x_start is None else [x_start]
+    cands = []
+    if x_start is not None:
+        cands.append(x_start)
+        if polish:
+            try:
+                cands.append(newton_polish(p, x_start, radius))
+            except PolishDivergenceError:
+                pass
+    moment_cands = list(cands)
     x_best, value = _merge_candidates(p, cands)
     if x_best is None or value - bound > GAP_TOL:
-        # the moment start is not certified: deterministic multi-start
+        # the moment candidates are not certified: deterministic multi-start
         for x0 in _multistart_points(p.ring.controls, radius):
             try:
                 cands.append(newton_polish(p, x0, radius))
             except PolishDivergenceError:
                 continue
         x_best, value = _merge_candidates(p, cands)
-        if x_best is not x_start:
+        if all(x_best is not c for c in moment_cands):
             status = "polished"
     timings["polish"] = time.perf_counter() - t0
-    if x_best is None or bound == -math.inf:
+    if bound == -math.inf:
         status = "failed"
     return SynthesisResult(
         x=x_best,

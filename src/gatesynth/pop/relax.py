@@ -71,6 +71,11 @@ class MomentRelaxation:
                 y[idx] = float(np.prod(x**np.array(e)))
         return y
 
+    def first_moments(self, y: np.ndarray) -> np.ndarray:
+        """Mean of the moment vector: y[e_k] for each control k."""
+        unit = np.eye(self.n_vars, dtype=int)
+        return np.array([y[self.moment_index[tuple(e)]] for e in unit])
+
 
 def moment_relax(
     p: Polynomial, radius: float, order: int
@@ -154,8 +159,4 @@ def extract_minimizer(relax: MomentRelaxation, y: np.ndarray):
     svals = np.linalg.svd(mm, compute_uv=False)
     if svals[0] <= 0 or svals[1] / svals[0] >= RANK1_TOL:
         return None
-    x = np.empty(relax.n_vars)
-    unit = np.eye(relax.n_vars, dtype=int)
-    for k in range(relax.n_vars):
-        x[k] = y[relax.moment_index[tuple(unit[k])]]
-    return x
+    return relax.first_moments(y)

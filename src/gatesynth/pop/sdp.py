@@ -24,7 +24,7 @@ class SDPProblem:
 
     ``c_blocks`` is one symmetric matrix per block; ``a_blocks[k]`` stacks the
     k-th block of every constraint matrix as an (n_constraints, s_k, s_k)
-    array; ``b`` is the right-hand side.
+    array; ``b`` is the right-hand side, with at least one constraint.
     """
 
     block_sizes: tuple[int, ...]
@@ -40,6 +40,8 @@ class SDPProblem:
         if b.ndim != 1:
             raise ValueError("b must be a vector")
         p = b.shape[0]
+        if p == 0:
+            raise ValueError("at least one constraint is required")
         cs, As = [], []
         for k, s in enumerate(sizes):
             c = np.asarray(self.c_blocks[k], dtype=float)
@@ -52,9 +54,7 @@ class SDPProblem:
                 )
             if np.linalg.norm(c - c.T) > 1e-12 * (1 + np.abs(c).max()):
                 raise ValueError(f"cost block {k} is not symmetric")
-            if a.size and np.abs(a - np.swapaxes(a, 1, 2)).max() > 1e-12 * (
-                1 + np.abs(a).max()
-            ):
+            if np.abs(a - np.swapaxes(a, 1, 2)).max() > 1e-12 * (1 + np.abs(a).max()):
                 raise ValueError(f"constraint stack {k} is not symmetric")
             cs.append(0.5 * (c + c.T))
             As.append(0.5 * (a + np.swapaxes(a, 1, 2)))
@@ -121,39 +121,39 @@ def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _initial_point(prob: SDPProblem):
-    p = prob.n_constraints
-    a_norms = np.ones(p)
-    for a in prob.a_blocks:
-        if a.size:
-            a_norms += np.sum(a * a, axis=(1, 2))
+def _initial_point(sizes, c_blocks, a_blocks, b):
+    """Scaled identities.  The stacks have unit Frobenius norm, so no stack
+    term can raise eta above its floor of 1."""
+    a_norms = np.ones(b.shape[0])
+    for a in a_blocks:
+        a_norms += np.sum(a * a, axis=(1, 2))
     a_norms = np.sqrt(a_norms)
-    xi = max(1.0, float(np.max((1.0 + np.abs(prob.b)) / a_norms)) if p else 1.0)
-    eta = 1.0 + max(
-        (float(np.linalg.norm(c)) for c in prob.c_blocks), default=1.0
-    )
-    for a in prob.a_blocks:
-        if a.size:
-            eta = max(eta, float(np.sqrt(np.max(np.sum(a * a, axis=(1, 2))))))
-    x0 = [xi * np.sqrt(s) * np.eye(s) for s in prob.block_sizes]
-    z0 = [eta * np.sqrt(s) * np.eye(s) for s in prob.block_sizes]
-    y0 = np.zeros(p)
-    return x0, y0, z0
+    xi = max(1.0, float(np.max((1.0 + np.abs(b)) / a_norms)))
+    eta = 1.0 + max(float(np.linalg.norm(c)) for c in c_blocks)
+    x0 = [xi * np.sqrt(s) * np.eye(s) for s in sizes]
+    z0 = [eta * np.sqrt(s) * np.eye(s) for s in sizes]
+    return x0, np.zeros(b.shape[0]), z0
 
 
 def _apply_adjoint(a_blocks, y):
     """sum_i y_i A_i per block."""
-    return [np.tensordot(y, a, axes=(0, 0)) if a.size else np.zeros(a.shape[1:])
-            for a in a_blocks]
+    return [np.tensordot(y, a, axes=(0, 0)) for a in a_blocks]
 
 
 def _apply_forward(a_blocks, x_blocks):
     """vector of <A_i, X> across blocks."""
-    out = None
-    for a, x in zip(a_blocks, x_blocks):
-        v = np.tensordot(a, x, axes=([1, 2], [0, 1])) if a.size else 0.0
-        out = v if out is None else out + v
-    return out
+    return sum(
+        np.tensordot(a, x, axes=([1, 2], [0, 1])) for a, x in zip(a_blocks, x_blocks)
+    )
+
+
+def _gram(a_blocks, s_blocks):
+    """Symmetrised M_ij = sum_k <A_i, S_k A_j S_k>."""
+    m = 0.0
+    for a, s in zip(a_blocks, s_blocks):
+        sas = np.einsum("ij,njk,kl->nil", s, a, s, optimize=True)
+        m = m + np.einsum("nij,mij->nm", a, sas, optimize=True)
+    return 0.5 * (m + m.T)
 
 
 def sdp_solve(
@@ -167,35 +167,31 @@ def sdp_solve(
     near convergence), "max_iterations", "numerical_failure", or
     "suspected_infeasible"; the final iterate is always attached.
     """
-    p = prob.n_constraints
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     nblk = len(prob.block_sizes)
     ntot = prob.total_dim
 
     # normalize constraints to unit Frobenius norm for a better-scaled Schur
     # complement; the reported y is mapped back to the original scaling
-    norms = np.zeros(p)
-    for a in prob.a_blocks:
-        if a.size:
-            norms += np.sum(a * a, axis=(1, 2))
-    norms = np.sqrt(norms)
-    if p and norms.min() == 0.0:
+    c_blocks = prob.c_blocks
+    norms = np.sqrt(sum(np.sum(a * a, axis=(1, 2)) for a in prob.a_blocks))
+    if norms.min() == 0.0:
         raise ValueError("a constraint matrix is identically zero")
-    a_blocks = tuple(a / norms[:, None, None] if a.size else a for a in prob.a_blocks)
-    b = prob.b / norms if p else prob.b
-    scaled = SDPProblem(prob.block_sizes, prob.c_blocks, a_blocks, b)
+    a_blocks = tuple(a / norms[:, None, None] for a in prob.a_blocks)
+    b = prob.b / norms
 
-    x, y, z = _initial_point(scaled)
+    x, y, z = _initial_point(prob.block_sizes, c_blocks, a_blocks, b)
 
     def residuals():
-        rp = b - _apply_forward(a_blocks, x) if p else np.zeros(0)
+        rp = b - _apply_forward(a_blocks, x)
         ady = _apply_adjoint(a_blocks, y)
-        rd = [scaled.c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
+        rd = [c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
         return rp, rd
 
     def current_values():
-        pv = sum(float(np.tensordot(scaled.c_blocks[k], x[k])) for k in range(nblk))
-        dv = float(b @ y) if p else 0.0
-        return pv, dv
+        pv = sum(float(np.tensordot(c_blocks[k], x[k])) for k in range(nblk))
+        return pv, float(b @ y)
 
     # the loop keeps iterating past the target while quality still improves,
     # and the best iterate seen is what gets returned; the extra sharpness
@@ -203,7 +199,6 @@ def sdp_solve(
     ended_by = "max_iterations"
     best = None
     patience = 0
-    it = 0
     for it in range(1, max_iter + 1):
         rp, rd = residuals()
         pv, dv = current_values()
@@ -211,7 +206,7 @@ def sdp_solve(
         gap_rel = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
         rp_norm = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
         rd_norm = max(
-            float(np.linalg.norm(rd[k])) / (1.0 + float(np.linalg.norm(scaled.c_blocks[k])))
+            float(np.linalg.norm(rd[k])) / (1.0 + float(np.linalg.norm(c_blocks[k])))
             for k in range(nblk)
         )
         quality = max(gap_rel, rp_norm, rd_norm)
@@ -231,7 +226,7 @@ def sdp_solve(
         if quality <= 1e-12:
             ended_by = "floor"
             break
-        if patience >= 5 or (best is not None and quality > 100 * best[0]):
+        if patience >= 5 or quality > 100 * best[0]:
             ended_by = "stall"
             break
 
@@ -245,17 +240,7 @@ def sdp_solve(
                 zinv.append((vz / wz) @ vz.T)
 
             # Schur complement M_ij = sum_k <A_i, W A_j W> (SPD)
-            m_schur = np.zeros((p, p))
-            wa = []
-            for k in range(nblk):
-                a = a_blocks[k]
-                if not a.size:
-                    wa.append(a)
-                    continue
-                waw = np.einsum("ij,njk,kl->nil", w[k], a, w[k], optimize=True)
-                wa.append(waw)
-                m_schur += np.einsum("nij,mij->nm", a, waw, optimize=True)
-            m_schur = 0.5 * (m_schur + m_schur.T)
+            m_schur = _gram(a_blocks, w)
             # tiny diagonal lift keeps the factorization stable near the optimum
             lifted = m_schur.copy()
             lifted[np.diag_indices_from(lifted)] += 1e-14 * (
@@ -277,8 +262,6 @@ def sdp_solve(
                 # rhs_i = b_i - sigma_mu <A_i, Z^-1> + <A_i, W rd W>
                 rhs = b.copy()
                 for k in range(nblk):
-                    if not a_blocks[k].size:
-                        continue
                     rhs -= sigma_mu * np.tensordot(
                         a_blocks[k], zinv[k], axes=([1, 2], [0, 1])
                     )
@@ -297,12 +280,8 @@ def sdp_solve(
                 return dx, dy, dz
 
             def step_lengths(dx, dz):
-                ap = min(
-                    (_max_step(x[k], dx[k]) for k in range(nblk)), default=np.inf
-                )
-                ad = min(
-                    (_max_step(z[k], dz[k]) for k in range(nblk)), default=np.inf
-                )
+                ap = min(_max_step(x[k], dx[k]) for k in range(nblk))
+                ad = min(_max_step(z[k], dz[k]) for k in range(nblk))
                 return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
 
             # predictor
@@ -317,61 +296,36 @@ def sdp_solve(
             dx, dy, dz = solve_direction(sigma * mu)
             ap, ad = step_lengths(dx, dz)
             if ap <= 1e-14 or ad <= 1e-14:
-                # pure centering sometimes un-sticks a blocked iterate
-                dx, dy, dz = solve_direction(mu)
-                ap, ad = step_lengths(dx, dz)
-            if ap <= 1e-14 or ad <= 1e-14:
                 ended_by = "stall"
                 break
             for k in range(nblk):
                 x[k] = _sym(x[k] + ap * dx[k])
                 z[k] = _sym(z[k] + ad * dz[k])
             y = y + ad * dy
-            if p and float(b @ y) > 1e12 * (1.0 + float(np.linalg.norm(b))):
+            if float(b @ y) > 1e12 * (1.0 + float(np.linalg.norm(b))):
                 ended_by = "infeasible"
                 break
         except np.linalg.LinAlgError:
             ended_by = "stall"
             break
 
-    if best is not None:
-        _, gap_rel, rp_norm, rd_norm, x, y, z = best
-    else:
-        rp, rd = residuals()
-        gap_rel = rp_norm = rd_norm = np.inf
+    _, gap_rel, rp_norm, rd_norm, x, y, z = best
 
-    # feasibility restoration: project X onto A(X) = b, preferring the
-    # X-weighted metric (corrections then live mostly in the well-scaled
-    # eigenspace of X and rarely break definiteness); accepted only when
-    # every block stays PSD, which removes the primal residual from the
-    # certificate downstream
-    if p and best is not None:
-        rp0 = b - _apply_forward(a_blocks, x)
-        for metric in ("x", "identity"):
-            gram = np.zeros((p, p))
-            for k, a in enumerate(a_blocks):
-                if not a.size:
-                    continue
-                if metric == "x":
-                    axa = np.einsum("ij,njk,kl->nil", x[k], a, x[k], optimize=True)
-                else:
-                    axa = a
-                gram += np.einsum("nij,mij->nm", a, axa, optimize=True)
-            gram = 0.5 * (gram + gram.T)
-            gram[np.diag_indices_from(gram)] += 1e-16 * (
-                1.0 + np.abs(np.diag(gram)).max()
-            )
-            try:
-                wcorr = np.linalg.solve(gram, rp0)
-            except np.linalg.LinAlgError:
-                continue
-            corr = _apply_adjoint(a_blocks, wcorr)
-            if metric == "x":
-                corr = [_sym(x[k] @ corr[k] @ x[k]) for k in range(nblk)]
-            x_corr = [_sym(x[k] + corr[k]) for k in range(nblk)]
-            if all(np.linalg.eigvalsh(xc).min() >= 0 for xc in x_corr):
-                x = x_corr
-                break
+    # feasibility restoration: project X onto A(X) = b in the X-weighted
+    # metric (corrections then live mostly in the well-scaled eigenspace of
+    # X); accepted only when every block stays PSD, which removes the primal
+    # residual from the certificate downstream
+    gram = _gram(a_blocks, x)
+    gram[np.diag_indices_from(gram)] += 1e-16 * (1.0 + np.abs(np.diag(gram)).max())
+    try:
+        wcorr = np.linalg.solve(gram, b - _apply_forward(a_blocks, x))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        corr = _apply_adjoint(a_blocks, wcorr)
+        x_corr = [_sym(x[k] + _sym(x[k] @ corr[k] @ x[k])) for k in range(nblk)]
+        if all(np.linalg.eigvalsh(xc).min() >= 0 for xc in x_corr):
+            x = x_corr
     if ended_by == "infeasible":
         status = "suspected_infeasible"
     elif gap_rel <= tol and rp_norm <= 10 * tol and rd_norm <= 10 * tol:
@@ -385,17 +339,16 @@ def sdp_solve(
 
     pv, dv = current_values()
     rp, rd = residuals()
-    y_out = y / norms if p else y
     # residuals are reported against the caller's (unnormalized) constraints
     return SDPSolution(
         status=status,
         primal_value=pv,
         dual_value=dv,
         gap=abs(pv - dv) / (1.0 + abs(pv) + abs(dv)),
-        y=y_out,
+        y=y / norms,
         x_blocks=[xk.copy() for xk in x],
         z_blocks=[zk.copy() for zk in z],
         iterations=it,
-        primal_residual=float(np.linalg.norm(rp * norms)) if p else 0.0,
+        primal_residual=float(np.linalg.norm(rp * norms)),
         dual_residual=max(float(np.linalg.norm(r)) for r in rd),
     )

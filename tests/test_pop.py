@@ -69,6 +69,17 @@ def test_sdp_rejects_zero_constraint():
         sdp_solve(prob)
 
 
+def test_sdp_rejects_no_constraints():
+    with pytest.raises(ValueError):
+        SDPProblem((2,), (np.eye(2),), (np.zeros((0, 2, 2)),), np.zeros(0))
+
+
+def test_sdp_rejects_nonpositive_max_iter():
+    prob = SDPProblem((2,), (np.eye(2),), (np.eye(2)[None],), np.array([1.0]))
+    with pytest.raises(ValueError):
+        sdp_solve(prob, max_iter=0)
+
+
 def test_sdp_validates_shapes():
     with pytest.raises(ValueError):
         SDPProblem((2,), (np.eye(3),), (np.zeros((1, 2, 2)),), np.array([1.0]))
@@ -395,3 +406,6 @@ def test_single_relaxation_at_five_controls(monkeypatch):
     assert relaxations == [(2, (21, 6))]
     assert res.order == 2
     assert res.gap >= -1e-8
+    # the polish diverges in this flat valley; the moment point is certified
+    assert res.status != "failed"
+    assert res.gap <= GAP_TOL
