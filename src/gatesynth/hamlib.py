@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
+from gatesynth.magnus import hermitian_pair
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -25,18 +25,7 @@ class SystemPair:
     label: str = field(default="")
 
     def __post_init__(self):
-        h0 = np.array(self.h0, dtype=complex)
-        hc = np.array(self.hc, dtype=complex)
-        if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-            raise ValueError("h0 must be square")
-        if hc.shape != h0.shape:
-            raise ValueError("h0 and hc must have equal shape")
-        for name, h in (("h0", h0), ("hc", hc)):
-            defect = np.linalg.norm(h - h.conj().T)
-            if defect > HERMITICITY_TOL:
-                raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
-        h0.setflags(write=False)
-        hc.setflags(write=False)
+        h0, hc = hermitian_pair(self.h0, self.hc)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "hc", hc)
 

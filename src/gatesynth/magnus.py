@@ -19,6 +19,27 @@ from gatesynth.polymat import PolyMatrix, Ring, pm_commutator, simplex_integrate
 HERMITICITY_TOL = 1e-12
 
 
+def hermitian_pair(h0, hc) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only complex copies of a drift and a control operator.
+
+    Both must be square, of equal shape, finite and Hermitian.
+    """
+    h0 = np.array(h0, dtype=complex)
+    hc = np.array(hc, dtype=complex)
+    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+        raise ValueError("h0 must be square")
+    if hc.shape != h0.shape:
+        raise ValueError("h0 and hc must have equal shape")
+    for name, h in (("h0", h0), ("hc", hc)):
+        if not np.isfinite(h).all():
+            raise ValueError(f"{name} has non-finite entries")
+        defect = np.linalg.norm(h - h.conj().T)
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
+        h.setflags(write=False)
+    return h0, hc
+
+
 @dataclass(frozen=True)
 class PolyControl:
     """Envelope E(t) = sum_k x_k t^k with m monomial basis functions."""
@@ -45,8 +66,8 @@ class PiecewiseControl:
 class ProblemSpec:
     """Driven two-operator system over a fixed horizon.
 
-    ``h0`` and ``hc`` must be Hermitian of equal dimension; ``horizon`` is the
-    total evolution time T > 0.
+    ``h0`` and ``hc`` must be finite and Hermitian of equal dimension;
+    ``horizon`` is the total evolution time, finite and positive.
     """
 
     h0: np.ndarray
@@ -56,20 +77,9 @@ class ProblemSpec:
     label: str = field(default="")
 
     def __post_init__(self):
-        h0 = np.array(self.h0, dtype=complex)
-        hc = np.array(self.hc, dtype=complex)
-        if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-            raise ValueError("h0 must be square")
-        if hc.shape != h0.shape:
-            raise ValueError("h0 and hc must have equal shape")
-        for name, h in (("h0", h0), ("hc", hc)):
-            defect = np.linalg.norm(h - h.conj().T)
-            if defect > HERMITICITY_TOL:
-                raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        h0.setflags(write=False)
-        hc.setflags(write=False)
+        h0, hc = hermitian_pair(self.h0, self.hc)
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and positive")
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "hc", hc)
 

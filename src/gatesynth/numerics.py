@@ -17,6 +17,8 @@ STEP_DOUBLING_TOL = 1e-10
 # 4096 steps leave a doubling defect of 3-7e-10 for the three-level system at
 # T=0.5 inside the convergence region; 16384 brings it under the tolerance.
 DEFAULT_STEPS = 16384
+# interval halvings adaptive Simpson may make before it gives up
+SIMPSON_MAX_DEPTH = 40
 
 
 class PropagationError(RuntimeError):
@@ -142,13 +144,13 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     ) + _adaptive_simpson(f, mid, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 40):
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):
     """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance."""
     fa, fb = f(a), f(b)
     mid = 0.5 * (a + b)
     fm = f(mid)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, SIMPSON_MAX_DEPTH)
 
 
 def action_integral(spec: ProblemSpec, x) -> float:

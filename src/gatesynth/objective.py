@@ -8,8 +8,6 @@ polynomial objective whose zeros are exact generator matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from gatesynth.polymat import Polynomial, PolyMatrix, frobenius_sq
@@ -23,20 +21,20 @@ class BranchAmbiguityError(ValueError):
     """An eigenphase sits on the logarithm branch cut."""
 
 
-def _check_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
     return u
 
 
-def principal_log(u: np.ndarray, branch_margin: float = BRANCH_MARGIN) -> np.ndarray:
+def principal_log(u: np.ndarray) -> np.ndarray:
     """Anti-Hermitian principal logarithm of a unitary.
 
-    Eigenphases are taken in (-pi, pi]; any phase within ``branch_margin`` of
+    Eigenphases are taken in (-pi, pi]; any phase within ``BRANCH_MARGIN`` of
     the cut at pi raises :class:`BranchAmbiguityError`.  Eigenvectors of
     near-degenerate eigenvalue clusters are re-orthonormalized so the result
     is anti-Hermitian up to roundoff, then symmetrized exactly.
@@ -45,10 +43,10 @@ def principal_log(u: np.ndarray, branch_margin: float = BRANCH_MARGIN) -> np.nda
     d = u.shape[0]
     w, v = np.linalg.eig(u)
     theta = np.angle(w)
-    if np.any(np.abs(theta) > np.pi - branch_margin):
+    if np.any(np.abs(theta) > np.pi - BRANCH_MARGIN):
         worst = float(np.abs(theta).max())
         raise BranchAmbiguityError(
-            f"eigenphase magnitude {worst:.12f} within {branch_margin:g} of the "
+            f"eigenphase magnitude {worst:.12f} within {BRANCH_MARGIN:g} of the "
             "branch cut at pi"
         )
     # orthonormalize within clusters of nearby eigenvalues; a plain eig of a
@@ -69,43 +67,6 @@ def principal_log(u: np.ndarray, branch_margin: float = BRANCH_MARGIN) -> np.nda
         start = stop
     omega = (v * (1j * theta)[None, :]) @ v.conj().T
     return 0.5 * (omega - omega.conj().T)
-
-
-@dataclass(frozen=True, eq=False)
-class TargetGate:
-    """A target unitary together with its principal generator."""
-
-    unitary: np.ndarray
-    generator: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        u = _check_unitary(np.array(self.unitary, dtype=complex))
-        gen = self.generator
-        if gen is None:
-            gen = principal_log(u)
-        else:
-            gen = np.array(gen, dtype=complex)
-            from gatesynth.numerics import expm_antihermitian
-
-            defect = np.linalg.norm(expm_antihermitian(gen) - u)
-            if defect > UNITARITY_TOL:
-                raise ValueError(
-                    f"generator does not exponentiate to the unitary: {defect:.3e}"
-                )
-            if np.linalg.norm(gen, 2) >= np.pi:
-                raise ValueError("generator spectral norm must stay below pi")
-        u.setflags(write=False)
-        gen.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "generator", gen)
-
-    @property
-    def dim(self) -> int:
-        return self.unitary.shape[0]
-
-    @property
-    def generator_norm(self) -> float:
-        return float(np.linalg.norm(self.generator, 2))
 
 
 def build_objective(g: PolyMatrix, omega: np.ndarray) -> Polynomial:

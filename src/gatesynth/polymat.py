@@ -18,6 +18,8 @@ import numpy as np
 # coefficient produced here is a small-denominator rational times a Hamiltonian
 # entry, orders of magnitude above the threshold.
 PRUNE_EPS = 1e-14
+# Largest imaginary residue a coefficient may carry when read as real.
+IMAG_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,6 @@ class Polynomial:
         e[slot] = 1
         return cls(ring, {tuple(e): coeff})
 
-    @classmethod
-    def monomial(cls, ring: Ring, exponents, coeff: complex = 1.0) -> "Polynomial":
-        return cls(ring, {tuple(exponents): coeff})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -125,13 +123,13 @@ class Polynomial:
         """Terms in graded lexicographic order (deterministic iteration)."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def real_coeff_dict(self, imag_tol: float = 1e-13) -> dict[tuple[int, ...], float]:
+    def real_coeff_dict(self) -> dict[tuple[int, ...], float]:
         """Term map with coefficients coerced to real; error on large residues."""
         out = {}
         for e, c in self.terms.items():
-            if abs(c.imag) > imag_tol:
+            if abs(c.imag) > IMAG_TOL:
                 raise ValueError(
-                    f"coefficient {c} of {e} has imaginary residue above {imag_tol}"
+                    f"coefficient {c} of {e} has imaginary residue above {IMAG_TOL}"
                 )
             out[e] = c.real
         return out
@@ -365,14 +363,6 @@ class PolyMatrix:
 
     def sorted_coeffs(self):
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def filter_degree(self, total: int) -> "PolyMatrix":
-        """Keep only terms whose total degree equals ``total``."""
-        return PolyMatrix(
-            self.ring,
-            self.dim,
-            {e: m for e, m in self.coeffs.items() if sum(e) == total},
-        )
 
     # -- arithmetic --------------------------------------------------------
 

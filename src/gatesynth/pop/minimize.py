@@ -107,7 +107,6 @@ def minimize_global(
     p: Polynomial,
     radius: float | None = None,
     order: int | None = None,
-    polish: bool = True,
 ) -> SynthesisResult:
     """Certified global minimum of a real polynomial over the radius ball.
 
@@ -140,11 +139,10 @@ def minimize_global(
     cands = []
     if x_start is not None:
         cands.append(x_start)
-        if polish:
-            try:
-                cands.append(newton_polish(p, x_start, radius))
-            except PolishDivergenceError:
-                pass
+        try:
+            cands.append(newton_polish(p, x_start, radius))
+        except PolishDivergenceError:
+            pass
     moment_cands = list(cands)
     x_best, value = _merge_candidates(p, cands)
     if x_best is None or value - bound > GAP_TOL:

@@ -31,10 +31,9 @@ def newton_polish(
     p: Polynomial,
     x0: np.ndarray,
     radius: float,
-    grad_tol: float = GRAD_TOL,
     max_steps: int = MAX_STEPS,
 ) -> np.ndarray:
-    """Drive the gradient of p below grad_tol starting from x0.
+    """Drive the gradient of p below ``GRAD_TOL`` starting from x0.
 
     Newton steps use the exact Hessian with a Levenberg-style diagonal shift
     whenever it is not positive definite, and backtracking on the value.
@@ -65,7 +64,7 @@ def newton_polish(
     fx = p.eval(x).real
     for _ in range(max_steps):
         g = gval(x)
-        if np.linalg.norm(g) <= grad_tol:
+        if np.linalg.norm(g) <= GRAD_TOL:
             return x
         h = hval(x)
         shift = 0.0

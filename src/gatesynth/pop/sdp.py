@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-8
+# relative duality gap (and residual scale) at which a solve is "optimal"
+TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 STEP_FRACTION = 0.98
 
@@ -158,10 +159,9 @@ def _gram(a_blocks, s_blocks):
 
 def sdp_solve(
     prob: SDPProblem,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SDPSolution:
-    """Path-following solve to relative duality gap ``tol``.
+    """Path-following solve to relative duality gap ``TOL``.
 
     Status is "optimal", "stalled" (steps collapsed with the iterate already
     near convergence), "max_iterations", "numerical_failure", or
@@ -328,11 +328,11 @@ def sdp_solve(
             x = x_corr
     if ended_by == "infeasible":
         status = "suspected_infeasible"
-    elif gap_rel <= tol and rp_norm <= 10 * tol and rd_norm <= 10 * tol:
+    elif gap_rel <= TOL and rp_norm <= 10 * TOL and rd_norm <= 10 * TOL:
         status = "optimal"
     elif ended_by == "max_iterations":
         status = "max_iterations"
-    elif gap_rel <= 100 * tol and rp_norm <= 100 * tol and rd_norm <= 100 * tol:
+    elif gap_rel <= 100 * TOL and rp_norm <= 100 * TOL and rd_norm <= 100 * TOL:
         status = "stalled"
     else:
         status = "numerical_failure"

@@ -108,16 +108,12 @@ class TimingRecord:
     solve_ms: float
 
 
-def make_spec(cfg: BenchConfig) -> ProblemSpec:
-    if cfg.system == "ibmq3":
-        pair = ibmq3()
-    else:
-        pair = build_ising(cfg.qubits, cfg.coupling)
-    if cfg.control == "poly":
-        model = PolyControl(cfg.control_dim)
-    else:
-        model = PiecewiseControl(cfg.control_dim)
-    return ProblemSpec(pair.h0, pair.hc, cfg.horizon, model, label=pair.label)
+def make_spec(system: str, qubits: int, coupling: float, control: str,
+              control_dim: int, horizon: float) -> ProblemSpec:
+    """Problem on a built-in system; ``qubits`` and ``coupling`` size the Ising chain."""
+    pair = ibmq3() if system == "ibmq3" else build_ising(qubits, coupling)
+    model = PolyControl if control == "poly" else PiecewiseControl
+    return ProblemSpec(pair.h0, pair.hc, horizon, model(control_dim), label=pair.label)
 
 
 def build_bench_generator(spec: ProblemSpec, order: int) -> PolyMatrix:
@@ -194,7 +190,8 @@ def run_fidelity_bench(cfg: BenchConfig, progress=None):
     Returns (records, summary).  Summary quantiles treat failed trials as
     infidelity 1.0 so they cannot silently improve the distribution.
     """
-    spec = make_spec(cfg)
+    spec = make_spec(cfg.system, cfg.qubits, cfg.coupling, cfg.control,
+                     cfg.control_dim, cfg.horizon)
     t0 = time.perf_counter()
     generator = build_bench_generator(spec, cfg.order)
     generator_build_ms = 1e3 * (time.perf_counter() - t0)

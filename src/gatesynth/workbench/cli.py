@@ -1,5 +1,8 @@
 """Command-line interface for synthesis runs and benchmarks.
 
+Each subcommand declares only the flags it reads.  ``--problem`` replaces
+the system flags; giving both is a configuration error.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 when at least one
 trial in a batch failed (the batch artifact is still written).
 """
@@ -34,70 +37,38 @@ EXIT_CONFIG = 2
 EXIT_TRIAL = 3
 
 
-def _add_common(sp):
-    sp.add_argument("--system", choices=("ibmq3", "ising"), default="ibmq3")
-    sp.add_argument("--qubits", type=int, default=2)
-    sp.add_argument("--coupling", type=float, default=1.0)
-    sp.add_argument("--horizon", type=float, default=0.5)
-    sp.add_argument("--control-dim", type=int, default=3)
-    sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--relax-order", type=int, default=None)
-    sp.add_argument("--ball", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--quiet", action="store_true")
+class _SystemFlag(argparse.Action):
+    """Stores the value and notes the flag, so ``--problem`` can reject it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.system_flags = (*namespace.system_flags, self.option_strings[0])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gatesynth",
-        description="Symbolic gate synthesis with certified global optimization.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synth", help="solve one continuous-control problem")
-    _add_common(sp)
-    sp.add_argument("--problem", default=None, help="JSON problem file")
-    sp.add_argument("--trial", type=int, default=0, help="target stream index")
-
-    sp = sub.add_parser("synth-pw", help="solve one piecewise-constant problem")
-    _add_common(sp)
-    sp.add_argument("--problem", default=None, help="JSON problem file")
-    sp.add_argument("--trial", type=int, default=0, help="target stream index")
-
-    sp = sub.add_parser("bench-fidelity", help="planted-target recovery batch")
-    _add_common(sp)
-    sp.add_argument("--control", choices=("poly", "piecewise"), default="poly")
-
-    sp = sub.add_parser("bench-timing", help="build/solve timing over Ising sizes")
-    _add_common(sp)
-    sp.add_argument("--min-qubits", type=int, default=2)
-    sp.add_argument("--max-qubits", type=int, default=6)
-
-    sp = sub.add_parser("target-gen", help="emit planted targets as JSON")
-    _add_common(sp)
-    sp.add_argument("--problem", default=None, help="JSON problem file")
-
-    sp = sub.add_parser("gbchd-report", help="compare the two product-log expansions")
-    _add_common(sp)
-    sp.add_argument("--samples", type=int, default=8)
-    sp.set_defaults(control_dim=2)
-
-    return parser
-
-
-def _resolve_order(args, piecewise: bool) -> int:
-    if args.order is not None:
-        return args.order
-    return 4 if piecewise else 3
-
-
-def _resolve_trials(args, piecewise: bool) -> int:
-    if args.trials is not None:
-        return args.trials
-    return 20 if piecewise else 50
+FLAGS = {
+    "--system": dict(choices=("ibmq3", "ising"), default="ibmq3", action=_SystemFlag),
+    "--qubits": dict(type=int, default=2, action=_SystemFlag),
+    "--coupling": dict(type=float, default=1.0, action=_SystemFlag),
+    "--horizon": dict(type=float, default=0.5, action=_SystemFlag),
+    "--control-dim": dict(type=int, default=3, action=_SystemFlag),
+    "--problem": dict(default=None, help="JSON problem file; replaces the system flags"),
+    "--order": dict(type=int, default=None),
+    "--seed": dict(type=int, default=0),
+    "--relax-order": dict(type=int, default=None),
+    "--ball": dict(type=float, default=None),
+    "--trial": dict(type=int, default=0, help="target stream index"),
+    "--trials": dict(type=int, default=None),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--quiet": dict(action="store_true"),
+    "--control": dict(choices=("poly", "piecewise"), default="poly"),
+    "--min-qubits": dict(type=int, default=2),
+    "--max-qubits": dict(type=int, default=6),
+    "--samples": dict(type=int, default=8),
+    "--out": dict(default=None),
+}
+SYSTEM = ("--system", "--qubits", "--coupling", "--horizon", "--control-dim")
+SOLVE = ("--order", "--seed", "--relax-order", "--ball")
+BATCH = ("--trials", "--format", "--quiet")
 
 
 def _emit(text: str, out_path):
@@ -120,43 +91,36 @@ def _progress_printer(quiet: bool):
     return show
 
 
-def _spec_from_args(args, piecewise: bool) -> ProblemSpec:
+def _order(args, piecewise: bool) -> int:
+    """``--order``, else grade 4 for piecewise and Magnus order 3 for poly."""
+    if args.order is not None:
+        return args.order
+    return 4 if piecewise else 3
+
+
+def _spec(args, control: str) -> ProblemSpec:
+    """The run's problem: the ``--problem`` file, else the system flags."""
     problem = getattr(args, "problem", None)
-    if problem:
-        spec = load_problem(problem)
-        if piecewise and not spec.is_piecewise():
-            raise ProblemFileError(
-                "synth-pw requires a piecewise control model in the problem file"
-            )
-        return spec
-    cfg = BenchConfig(
-        system=args.system,
-        qubits=args.qubits,
-        coupling=args.coupling,
-        control="piecewise" if piecewise else "poly",
-        control_dim=args.control_dim,
-        order=_resolve_order(args, piecewise),
-        horizon=args.horizon,
-        trials=1,
-        base_seed=args.seed,
-    )
-    return make_spec(cfg)
+    if problem is None:
+        return make_spec(args.system, args.qubits, args.coupling, control,
+                         args.control_dim, args.horizon)
+    if args.system_flags:
+        given = ", ".join(dict.fromkeys(args.system_flags))
+        raise ValueError(f"--problem replaces the system flags; drop {given}")
+    spec = load_problem(problem)
+    if control == "piecewise" and not spec.is_piecewise():
+        raise ProblemFileError(
+            "synth-pw requires a piecewise control model in the problem file"
+        )
+    return spec
 
 
-def _handle_synth(args, piecewise: bool) -> int:
-    spec = _spec_from_args(args, piecewise)
-    order = _resolve_order(args, piecewise or spec.is_piecewise())
-    cfg = BenchConfig(
-        system=args.system,
-        control="piecewise" if spec.is_piecewise() else "poly",
-        control_dim=spec.m,
-        order=order,
-        horizon=spec.horizon,
-        trials=1,
-        base_seed=args.seed,
-        relax_order=args.relax_order,
-        radius=args.ball,
-    )
+def _handle_synth(args, control: str) -> int:
+    spec = _spec(args, control)
+    order = _order(args, spec.is_piecewise())
+    # run_trial reads only the target seed and the relaxation settings
+    cfg = BenchConfig(trials=1, base_seed=args.seed,
+                      relax_order=args.relax_order, radius=args.ball)
     generator = build_bench_generator(spec, order)
     record = run_trial(spec, generator, cfg, args.trial)
     payload = records_to_json([record])[0]
@@ -167,6 +131,20 @@ def _handle_synth(args, piecewise: bool) -> int:
     return EXIT_OK if record.ok else EXIT_TRIAL
 
 
+def _emit_batch(args, records, summary, to_csv) -> int:
+    if args.format == "json":
+        body = json.dumps(
+            {"records": records_to_json(records), "summary": summary},
+            indent=2, sort_keys=True,
+        )
+    else:
+        body = to_csv(records)
+    _emit(body, args.out)
+    stream = sys.stdout if args.out else sys.stderr
+    print(json.dumps(summary, sort_keys=True), file=stream)
+    return EXIT_TRIAL if summary["failed"] else EXIT_OK
+
+
 def _handle_bench_fidelity(args) -> int:
     piecewise = args.control == "piecewise"
     cfg = BenchConfig(
@@ -175,25 +153,15 @@ def _handle_bench_fidelity(args) -> int:
         coupling=args.coupling,
         control=args.control,
         control_dim=args.control_dim,
-        order=_resolve_order(args, piecewise),
+        order=_order(args, piecewise),
         horizon=args.horizon,
-        trials=_resolve_trials(args, piecewise),
+        trials=args.trials if args.trials is not None else (20 if piecewise else 50),
         base_seed=args.seed,
         relax_order=args.relax_order,
         radius=args.ball,
     )
     records, summary = run_fidelity_bench(cfg, progress=_progress_printer(args.quiet))
-    if args.format == "json":
-        body = json.dumps(
-            {"records": records_to_json(records), "summary": summary},
-            indent=2, sort_keys=True,
-        )
-    else:
-        body = fidelity_csv(records)
-    _emit(body, args.out)
-    stream = sys.stdout if args.out else sys.stderr
-    print(json.dumps(summary, sort_keys=True), file=stream)
-    return EXIT_TRIAL if summary["failed"] else EXIT_OK
+    return _emit_batch(args, records, summary, fidelity_csv)
 
 
 def _handle_bench_timing(args) -> int:
@@ -202,9 +170,9 @@ def _handle_bench_timing(args) -> int:
         qubits=args.min_qubits,
         coupling=args.coupling,
         control_dim=args.control_dim,
-        order=_resolve_order(args, False),
+        order=args.order,
         horizon=args.horizon,
-        trials=args.trials if args.trials is not None else 5,
+        trials=args.trials,
         base_seed=args.seed,
         relax_order=args.relax_order,
         radius=args.ball,
@@ -213,26 +181,15 @@ def _handle_bench_timing(args) -> int:
         cfg, n_min=args.min_qubits, n_max=args.max_qubits,
         progress=_progress_printer(args.quiet),
     )
-    if args.format == "json":
-        body = json.dumps(
-            {"records": records_to_json(records), "summary": summary},
-            indent=2, sort_keys=True,
-        )
-    else:
-        body = timing_csv(records)
-    _emit(body, args.out)
-    stream = sys.stdout if args.out else sys.stderr
-    print(json.dumps(summary, sort_keys=True), file=stream)
-    return EXIT_TRIAL if summary["failed"] else EXIT_OK
+    return _emit_batch(args, records, summary, timing_csv)
 
 
 def _handle_target_gen(args) -> int:
-    spec = _spec_from_args(args, piecewise=False)
-    count = args.trials if args.trials is not None else 1
-    if count < 1:
+    spec = _spec(args, "poly")
+    if args.trials < 1:
         raise ValueError("trial count must be at least 1")
     targets = []
-    for trial in range(count):
+    for trial in range(args.trials):
         t = gen_target(spec, args.seed, trial)
         targets.append({
             "trial": trial,
@@ -247,41 +204,53 @@ def _handle_target_gen(args) -> int:
 
 
 def _handle_gbchd_report(args) -> int:
-    order = args.order if args.order is not None else 3
-    pair_cfg = BenchConfig(
-        system=args.system,
-        qubits=args.qubits,
-        coupling=args.coupling,
-        control="piecewise",
-        control_dim=args.control_dim,
-        order=order,
-        horizon=args.horizon,
-        trials=1,
-        base_seed=args.seed,
-    )
-    spec = make_spec(pair_cfg)
-    report = adjudicate_gbchd(spec, n=order, samples=args.samples)
+    report = adjudicate_gbchd(_spec(args, "piecewise"), n=args.order, samples=args.samples)
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     return EXIT_OK
 
 
+# name -> (help, flags, per-command defaults, handler)
+COMMANDS = {
+    "synth": ("solve one continuous-control problem",
+              (*SYSTEM, "--problem", *SOLVE, "--trial", "--out"), {},
+              lambda args: _handle_synth(args, "poly")),
+    "synth-pw": ("solve one piecewise-constant problem",
+                 (*SYSTEM, "--problem", *SOLVE, "--trial", "--out"), {},
+                 lambda args: _handle_synth(args, "piecewise")),
+    "bench-fidelity": ("planted-target recovery batch",
+                       (*SYSTEM, *SOLVE, *BATCH, "--control", "--out"), {},
+                       _handle_bench_fidelity),
+    "bench-timing": ("build/solve timing over Ising sizes",
+                     ("--coupling", "--horizon", "--control-dim", *SOLVE, *BATCH,
+                      "--min-qubits", "--max-qubits", "--out"),
+                     {"order": 3, "trials": 5}, _handle_bench_timing),
+    "target-gen": ("emit planted targets as JSON",
+                   (*SYSTEM, "--problem", "--seed", "--trials", "--out"), {"trials": 1},
+                   _handle_target_gen),
+    "gbchd-report": ("compare the two product-log expansions",
+                     (*SYSTEM, "--order", "--samples", "--out"),
+                     {"control_dim": 2, "order": 3}, _handle_gbchd_report),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gatesynth",
+        description="Symbolic gate synthesis with certified global optimization.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, defaults, handler) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
+        sp.set_defaults(handler=handler, system_flags=(), **defaults)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "synth":
-            return _handle_synth(args, piecewise=False)
-        if args.command == "synth-pw":
-            return _handle_synth(args, piecewise=True)
-        if args.command == "bench-fidelity":
-            return _handle_bench_fidelity(args)
-        if args.command == "bench-timing":
-            return _handle_bench_timing(args)
-        if args.command == "target-gen":
-            return _handle_target_gen(args)
-        if args.command == "gbchd-report":
-            return _handle_gbchd_report(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ProblemFileError, TargetGenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

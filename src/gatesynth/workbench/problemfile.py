@@ -10,8 +10,8 @@ A problem file describes one driven system:
       "control": {"type": "poly", "m": 3}
     }
 
-Matrix entries are [re, im] pairs.  Hermiticity of H0 and Hc is validated
-on load.
+Matrix entries are [re, im] pairs.  H0 and Hc must be finite and Hermitian;
+this is validated on load.
 """
 
 import json
@@ -47,6 +47,11 @@ def _matrix_from_json(entries, dim: int, name: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_problem(data: dict, label: str = "") -> ProblemSpec:
     """Build a validated ProblemSpec from a decoded problem dictionary."""
     if not isinstance(data, dict):
@@ -55,18 +60,18 @@ def parse_problem(data: dict, label: str = "") -> ProblemSpec:
     if missing:
         raise ProblemFileError(f"missing keys: {sorted(missing)}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ProblemFileError("dim must be a positive integer")
     h0 = _matrix_from_json(data["H0"], dim, "H0")
     hc = _matrix_from_json(data["Hc"], dim, "Hc")
     horizon = data["T"]
-    if not isinstance(horizon, (int, float)) or not horizon > 0:
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) or not horizon > 0:
         raise ProblemFileError("T must be a positive number")
     control = data["control"]
     if not isinstance(control, dict) or "type" not in control or "m" not in control:
         raise ProblemFileError('control must be {"type": ..., "m": ...}')
     ctype, m = control["type"], control["m"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ProblemFileError("control.m must be a positive integer")
     if ctype == "poly":
         model = PolyControl(m)

@@ -79,9 +79,9 @@ def test_ising_rejects_bad_sizes():
 
 
 def test_system_pair_rejects_nonhermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        SystemPair(bad, np.eye(2))
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            SystemPair(bad, np.eye(2))
 
 
 def test_system_pair_rejects_shape_mismatch():

@@ -29,14 +29,15 @@ def ibmq_spec(horizon=0.5, m=3):
 
 
 def test_spec_rejects_nonhermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        ProblemSpec(bad, np.eye(2), 1.0, PolyControl(1))
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            ProblemSpec(bad, np.eye(2), 1.0, PolyControl(1))
 
 
 def test_spec_rejects_nonpositive_horizon():
-    with pytest.raises(ValueError):
-        ProblemSpec(np.eye(2), np.eye(2), 0.0, PolyControl(1))
+    for horizon in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ProblemSpec(np.eye(2), np.eye(2), horizon, PolyControl(1))
 
 
 def test_spec_rejects_zero_basis():

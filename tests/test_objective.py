@@ -9,7 +9,6 @@ from gatesynth.magnus import PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
 from gatesynth.objective import (
     BranchAmbiguityError,
-    TargetGate,
     build_objective,
     infidelity,
     principal_log,
@@ -89,28 +88,6 @@ def test_log_branch_cut_detected():
 def test_log_rejects_nonunitary():
     with pytest.raises(ValueError):
         principal_log(2.0 * np.eye(2))
-
-
-# -- target gates --------------------------------------------------------------------
-
-
-def test_target_gate_computes_generator():
-    omega = random_antihermitian(3, 2.0)
-    u = expm_antihermitian(omega)
-    tg = TargetGate(u)
-    assert np.linalg.norm(tg.generator - omega) < 1e-10
-    assert tg.generator_norm < np.pi
-
-
-def test_target_gate_validates_supplied_generator():
-    u = np.eye(2)
-    with pytest.raises(ValueError):
-        TargetGate(u, generator=np.array([[0.0, 1.0j], [1.0j, 0.0]]))
-
-
-def test_target_gate_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        TargetGate(np.ones((2, 2)))
 
 
 # -- objective construction ------------------------------------------------------------

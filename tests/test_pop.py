@@ -8,7 +8,7 @@ import pytest
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
-from gatesynth.objective import TargetGate, build_objective
+from gatesynth.objective import build_objective, principal_log
 from gatesynth.polymat import Polynomial, Ring, pm_eval
 from gatesynth.pop import (
     PolishDivergenceError,
@@ -18,6 +18,7 @@ from gatesynth.pop import (
     minimize_global,
     moment_relax,
     newton_polish,
+    relaxation_setup,
     sdp_solve,
 )
 from gatesynth.pop import minimize as minimize_mod
@@ -32,8 +33,8 @@ def planted_instance(seed, m=3, horizon=1.0, order=3):
     lam = build_lambda(spec, order)
     rng = np.random.default_rng(seed)
     xstar = rng.uniform(-1, 1, m)
-    target = TargetGate(expm_antihermitian(pm_eval(lam, xstar)))
-    return build_objective(lam, target.generator), xstar
+    generator = principal_log(expm_antihermitian(pm_eval(lam, xstar)))
+    return build_objective(lam, generator), xstar
 
 
 # ---------------------------------------------------------------- sdp_solve
@@ -352,9 +353,13 @@ def test_extraction_soundness_pre_polish():
     # optimal in value
     for seed in (3, 5, 11):
         obj, _ = planted_instance(seed, m=1, horizon=0.5)
-        res = minimize_global(obj, polish=False)
-        if res.status == "rank-1":
-            assert obj.eval(res.x).real - res.bound <= 1e-5
+        scaled, scale, radius, order = relaxation_setup(obj)
+        prob, relax = moment_relax(scaled, radius, order)
+        sol = sdp_solve(prob)
+        x = extract_minimizer(relax, sol.y)
+        if x is not None:
+            bound = minimize_mod._certified_bound(relax, sol, scale)
+            assert obj.eval(x).real - bound <= 1e-5
 
 
 def test_multistart_merge_deterministic():

@@ -1,5 +1,6 @@
 """Tests for target generation, problem ingestion, benches, and the CLI."""
 
+import argparse
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from gatesynth.workbench.bench import (
     run_timing_bench,
     timing_csv,
 )
-from gatesynth.workbench.cli import main
+from gatesynth.workbench.cli import build_parser, main
 from gatesynth.workbench.problemfile import (
     ProblemFileError,
     load_problem,
@@ -132,23 +133,32 @@ def test_parse_problem_rejects_missing_keys():
 
 
 def test_parse_problem_rejects_bad_control():
-    bad = problem_dict(ctype="fourier")
-    with pytest.raises(ProblemFileError):
-        parse_problem(bad)
+    for bad in (problem_dict(ctype="fourier"), problem_dict(m=True)):
+        with pytest.raises(ProblemFileError):
+            parse_problem(bad)
+
+
+def one_level_problem(**changes):
+    """A valid 1x1 problem, so a boolean dim of 1 would match the matrices."""
+    return {"dim": 1, "H0": [[[1.0, 0.0]]], "Hc": [[[0.5, 0.0]]], "T": 0.5,
+            "control": {"type": "poly", "m": 1}, **changes}
 
 
 def test_parse_problem_rejects_shape_mismatch():
-    bad = problem_dict()
-    bad["dim"] = 3
-    with pytest.raises(ProblemFileError):
-        parse_problem(bad)
+    wrong_dim = problem_dict()
+    wrong_dim["dim"] = 3
+    assert parse_problem(one_level_problem()).dim == 1
+    for bad in (wrong_dim, one_level_problem(dim=True)):
+        with pytest.raises(ProblemFileError):
+            parse_problem(bad)
 
 
 def test_parse_problem_rejects_nonpositive_horizon():
-    bad = problem_dict()
-    bad["T"] = 0.0
-    with pytest.raises(ProblemFileError):
-        parse_problem(bad)
+    zero_horizon = problem_dict()
+    zero_horizon["T"] = 0.0
+    for bad in (zero_horizon, one_level_problem(T=True)):
+        with pytest.raises(ProblemFileError):
+            parse_problem(bad)
 
 
 def test_matrix_json_roundtrip():
@@ -186,8 +196,8 @@ def test_trial_record_validation():
 
 
 def test_make_spec_ising():
-    cfg = BenchConfig(system="ising", qubits=3, control_dim=2, horizon=1.0)
-    spec = make_spec(cfg)
+    spec = make_spec(system="ising", qubits=3, coupling=1.0, control="poly",
+                     control_dim=2, horizon=1.0)
     assert spec.dim == 8
     assert spec.m == 2
 
@@ -271,9 +281,34 @@ def test_timing_bench_rejects_bad_range():
 
 
 def test_cli_rejects_unknown_command(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["optimize-everything"])
-    assert err.value.code == 2
+    # a flag the subcommand does not read is as unknown as the command
+    for argv in (["optimize-everything"], ["gbchd-report", "--seed", "5"],
+                 ["bench-timing", "--system", "ibmq3"], ["target-gen", "--order", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+SYSTEM = {"--system", "--qubits", "--coupling", "--horizon", "--control-dim"}
+SOLVE = {"--order", "--seed", "--relax-order", "--ball"}
+BATCH = {"--trials", "--format", "--quiet"}
+
+
+def test_cli_flag_sets():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, sp in sub.choices.items()}
+    assert flags == {
+        "synth": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
+        "synth-pw": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
+        "bench-fidelity": SYSTEM | SOLVE | BATCH | {"--control", "--out"},
+        "bench-timing": {"--coupling", "--horizon", "--control-dim"} | SOLVE | BATCH
+        | {"--min-qubits", "--max-qubits", "--out"},
+        "target-gen": SYSTEM | {"--problem", "--seed", "--trials", "--out"},
+        "gbchd-report": SYSTEM | {"--order", "--samples", "--out"},
+    }
+    assert sum(len(f) for f in flags.values()) == 68
 
 
 def test_cli_target_gen_deterministic(tmp_path):
@@ -290,8 +325,19 @@ def test_cli_target_gen_deterministic(tmp_path):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["synth", "--problem", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for argv, message in (
+        (["synth", "--problem", str(bad)], "error:"),
+        (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_problem_file_replaces_system_flags(tmp_path, capsys):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(problem_dict()))
+    assert main(["synth", "--problem", str(prob), "--control-dim", "5"]) == 2
+    assert "--control-dim" in capsys.readouterr().err
 
 
 def test_cli_trial_failure_exit_code(tmp_path, capsys):
