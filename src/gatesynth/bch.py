@@ -174,6 +174,8 @@ def adjudicate_gbchd(spec: ProblemSpec, n: int = 3, samples: int = 8) -> dict:
     and the symbolic coefficient gap between the two expansions.
     """
     _require_piecewise(spec)
+    if samples < 1:
+        raise ValueError("sample count must be at least 1")
     sigma_fold = build_sigma(spec, n)
     sigma_eq = gbchd_eq12(spec, n)
     gap = sigma_fold - sigma_eq

@@ -9,12 +9,12 @@ polynomial objective whose zeros are exact generator matches.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import schur
 
 from gatesynth.polymat import Polynomial, PolyMatrix, frobenius_sq
 
 UNITARITY_TOL = 1e-10
 BRANCH_MARGIN = 1e-9
-EIG_CLUSTER_TOL = 1e-8
 
 
 class BranchAmbiguityError(ValueError):
@@ -34,38 +34,22 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 def principal_log(u: np.ndarray) -> np.ndarray:
     """Anti-Hermitian principal logarithm of a unitary.
 
-    Eigenphases are taken in (-pi, pi]; any phase within ``BRANCH_MARGIN`` of
-    the cut at pi raises :class:`BranchAmbiguityError`.  Eigenvectors of
-    near-degenerate eigenvalue clusters are re-orthonormalized so the result
-    is anti-Hermitian up to roundoff, then symmetrized exactly.
+    A unitary is normal, so its complex Schur form ``u = Z T Z†`` has T
+    diagonal and Z an orthonormal eigenbasis, also inside clusters of equal
+    or nearly equal eigenvalues.  Eigenphases are taken in (-pi, pi]; any
+    phase within ``BRANCH_MARGIN`` of the cut at pi raises
+    :class:`BranchAmbiguityError`.  The result is symmetrized exactly.
     """
     u = _check_unitary(u)
-    d = u.shape[0]
-    w, v = np.linalg.eig(u)
-    theta = np.angle(w)
+    t, z = schur(u, output="complex")
+    theta = np.angle(np.diag(t))
     if np.any(np.abs(theta) > np.pi - BRANCH_MARGIN):
         worst = float(np.abs(theta).max())
         raise BranchAmbiguityError(
             f"eigenphase magnitude {worst:.12f} within {BRANCH_MARGIN:g} of the "
             "branch cut at pi"
         )
-    # orthonormalize within clusters of nearby eigenvalues; a plain eig of a
-    # normal matrix can return skewed bases for degenerate eigenspaces
-    order = np.argsort(theta)
-    theta = theta[order]
-    v = v[:, order]
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and abs(theta[stop] - theta[stop - 1]) < EIG_CLUSTER_TOL:
-            stop += 1
-        if stop - start > 1:
-            q, _ = np.linalg.qr(v[:, start:stop])
-            v[:, start:stop] = q
-        else:
-            v[:, start] /= np.linalg.norm(v[:, start])
-        start = stop
-    omega = (v * (1j * theta)[None, :]) @ v.conj().T
+    omega = (z * (1j * theta)[None, :]) @ z.conj().T
     return 0.5 * (omega - omega.conj().T)
 
 

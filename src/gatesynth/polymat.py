@@ -10,6 +10,7 @@ demand.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,34 +57,64 @@ def _check_same_ring(a, b):
         raise ValueError(f"ring context mismatch: {a.ring} vs {b.ring}")
 
 
+def _exponents(ring: Ring, exps) -> tuple[int, ...]:
+    """Exponent vector as an int tuple: one non-negative entry per ring slot."""
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != ring.arity or any(e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for ring arity {ring.arity}")
+    return exps
+
+
+def _product(a: dict, b: dict, mul) -> dict:
+    """Term map of a product: ``mul(ca, cb)`` summed at each exponent ea + eb."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(p + q for p, q in zip(ea, eb))
+            block = mul(ca, cb)
+            out[e] = out[e] + block if e in out else block
+    return out
+
+
+def _uses_time_slots(ring: Ring, exponents) -> bool:
+    """Whether any exponent vector has a nonzero time-slot entry."""
+    return any(any(e[ring.controls:]) for e in exponents)
+
+
+def _slot_values(obj, x, t) -> np.ndarray:
+    """Values of every ring slot: controls ``x``, then times ``t`` (zeros if omitted)."""
+    ring = obj.ring
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ring.controls,):
+        raise ValueError(f"expected {ring.controls} control values, got shape {x.shape}")
+    if t is None:
+        if obj.uses_time_slots():
+            raise ValueError(f"{type(obj).__name__} still uses time slots; pass t values")
+        return np.concatenate([x, np.zeros(ring.times)])
+    t = np.asarray(t, dtype=float)
+    if t.shape != (ring.times,):
+        raise ValueError(f"expected {ring.times} time values, got shape {t.shape}")
+    return np.concatenate([x, t])
+
+
 class Polynomial:
     """Immutable sparse polynomial with complex coefficients.
 
     ``terms`` maps exponent tuples (one entry per ring slot) to nonzero
-    complex coefficients.  Construction canonicalizes: coefficients for equal
-    exponents merge and anything below ``PRUNE_EPS`` in magnitude is dropped.
+    complex coefficients.  Construction canonicalizes: anything below
+    ``PRUNE_EPS`` in magnitude is dropped.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict | None = None):
-        merged: dict[tuple[int, ...], complex] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != ring.arity:
-                    raise ValueError(
-                        f"exponent vector {exps} does not match ring arity {ring.arity}"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = merged.get(exps, 0j) + complex(coeff)
-                if c == 0:
-                    merged.pop(exps, None)
-                else:
-                    merged[exps] = c
         self.ring = ring
-        self.terms = {e: c for e, c in merged.items() if abs(c) >= PRUNE_EPS}
+        self.terms = {}
+        for exps, coeff in (terms or {}).items():
+            exps = _exponents(ring, exps)
+            c = complex(coeff)
+            if abs(c) >= PRUNE_EPS:
+                self.terms[exps] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -116,8 +147,7 @@ class Polynomial:
         return self.terms.get((0,) * self.ring.arity, 0j)
 
     def uses_time_slots(self) -> bool:
-        nc = self.ring.controls
-        return any(any(e[nc:]) for e in self.terms)
+        return _uses_time_slots(self.ring, self.terms)
 
     def sorted_terms(self):
         """Terms in graded lexicographic order (deterministic iteration)."""
@@ -168,12 +198,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same_ring(self, other)
-        prod: dict[tuple[int, ...], complex] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod[e] = prod.get(e, 0j) + c1 * c2
-        return Polynomial(self.ring, prod)
+        return Polynomial(self.ring, _product(self.terms, other.terms, operator.mul))
 
     __rmul__ = __mul__
 
@@ -212,22 +237,7 @@ class Polynomial:
 
         Without ``t`` the polynomial must not use any time slot.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ring.controls,):
-            raise ValueError(
-                f"expected {self.ring.controls} control values, got shape {x.shape}"
-            )
-        if t is None:
-            if self.uses_time_slots():
-                raise ValueError("polynomial still uses time slots; pass t values")
-            vals = np.concatenate([x, np.zeros(self.ring.times)])
-        else:
-            t = np.asarray(t, dtype=float)
-            if t.shape != (self.ring.times,):
-                raise ValueError(
-                    f"expected {self.ring.times} time values, got shape {t.shape}"
-                )
-            vals = np.concatenate([x, t])
+        vals = _slot_values(self, x, t)
         acc = 0j
         for e, c in self.sorted_terms():
             term = c
@@ -289,18 +299,12 @@ class PolyMatrix:
         self.ring = ring
         self.dim = dim
         cleaned: dict[tuple[int, ...], np.ndarray] = {}
-        if coeffs:
-            for exps, mat in coeffs.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != ring.arity or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps}")
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (dim, dim):
-                    raise ValueError(f"coefficient shape {mat.shape} != ({dim},{dim})")
-                if exps in cleaned:
-                    cleaned[exps] = cleaned[exps] + mat
-                else:
-                    cleaned[exps] = mat.copy()
+        for exps, mat in (coeffs or {}).items():
+            exps = _exponents(ring, exps)
+            mat = np.asarray(mat, dtype=complex)
+            if mat.shape != (dim, dim):
+                raise ValueError(f"coefficient shape {mat.shape} != ({dim},{dim})")
+            cleaned[exps] = mat.copy()
         self.coeffs = {
             e: m for e, m in cleaned.items() if np.abs(m).max() >= PRUNE_EPS
         }
@@ -358,8 +362,7 @@ class PolyMatrix:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def uses_time_slots(self) -> bool:
-        nc = self.ring.controls
-        return any(any(e[nc:]) for e in self.coeffs)
+        return _uses_time_slots(self.ring, self.coeffs)
 
     def sorted_coeffs(self):
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
@@ -392,49 +395,22 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         self._check_compat(other)
-        prod: dict[tuple[int, ...], np.ndarray] = {}
-        for e1, m1 in self.coeffs.items():
-            for e2, m2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                block = m1 @ m2
-                if e in prod:
-                    prod[e] = prod[e] + block
-                else:
-                    prod[e] = block
-        return PolyMatrix(self.ring, self.dim, prod)
+        return PolyMatrix(
+            self.ring, self.dim, _product(self.coeffs, other.coeffs, operator.matmul)
+        )
 
     def scale(self, factor) -> "PolyMatrix":
         """Multiply by a scalar or by a scalar Polynomial."""
         if isinstance(factor, Polynomial):
             _check_same_ring(self, factor)
-            prod: dict[tuple[int, ...], np.ndarray] = {}
-            for e1, c in factor.terms.items():
-                for e2, m in self.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    block = c * m
-                    prod[e] = prod[e] + block if e in prod else block
+            prod = _product(factor.terms, self.coeffs, operator.mul)
             return PolyMatrix(self.ring, self.dim, prod)
         return PolyMatrix(
             self.ring, self.dim, {e: factor * m for e, m in self.coeffs.items()}
         )
 
     def eval(self, x, t=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ring.controls,):
-            raise ValueError(
-                f"expected {self.ring.controls} control values, got shape {x.shape}"
-            )
-        if t is None:
-            if self.uses_time_slots():
-                raise ValueError("matrix still uses time slots; pass t values")
-            vals = np.concatenate([x, np.zeros(self.ring.times)])
-        else:
-            t = np.asarray(t, dtype=float)
-            if t.shape != (self.ring.times,):
-                raise ValueError(
-                    f"expected {self.ring.times} time values, got shape {t.shape}"
-                )
-            vals = np.concatenate([x, t])
+        vals = _slot_values(self, x, t)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for e, m in self.sorted_coeffs():
             w = 1.0
@@ -484,24 +460,22 @@ def simplex_integrate(obj, horizon: float):
     ring = obj.ring
     if ring.times < 1:
         raise ValueError("ring has no time slots to integrate")
-    nc = ring.controls
-    out_ring = ring.drop_times()
     if isinstance(obj, Polynomial):
-        out: dict[tuple[int, ...], complex] = {}
-        for e, c in obj.terms.items():
-            power, denom = _simplex_weight(e[nc:])
-            key = e[:nc]
-            out[key] = out.get(key, 0j) + c * horizon**power / denom
-        return Polynomial(out_ring, out)
-    if isinstance(obj, PolyMatrix):
-        out_m: dict[tuple[int, ...], np.ndarray] = {}
-        for e, m in obj.coeffs.items():
-            power, denom = _simplex_weight(e[nc:])
-            key = e[:nc]
-            block = m * (horizon**power / denom)
-            out_m[key] = out_m[key] + block if key in out_m else block
-        return PolyMatrix(out_ring, obj.dim, out_m)
-    raise TypeError(f"cannot integrate object of type {type(obj)!r}")
+        items = obj.terms.items()
+    elif isinstance(obj, PolyMatrix):
+        items = obj.coeffs.items()
+    else:
+        raise TypeError(f"cannot integrate object of type {type(obj)!r}")
+    nc = ring.controls
+    out = {}
+    for e, c in items:
+        power, denom = _simplex_weight(e[nc:])
+        key = e[:nc]
+        block = c * (horizon**power / denom)
+        out[key] = out[key] + block if key in out else block
+    if isinstance(obj, Polynomial):
+        return Polynomial(ring.drop_times(), out)
+    return PolyMatrix(ring.drop_times(), obj.dim, out)
 
 
 def frobenius_sq(a: PolyMatrix) -> Polynomial:

@@ -37,30 +37,29 @@ def monomials_up_to(m: int, d: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class MomentRelaxation:
-    """Index bookkeeping for one relaxation instance."""
+    """Index bookkeeping for one relaxation instance.
+
+    ``moment_index`` maps each exponent of degree <= 2*order to its slot in
+    the moment vector y (-1 for the constant y_0 = 1).  ``pair_index[i, j]``
+    is the slot of basis_i + basis_j in (y_0, y), i.e. its moment index plus
+    one, over the graded basis of degree <= order; the localizing basis is
+    the leading degree <= order - 1 block of that basis.
+    """
 
     n_vars: int
     order: int
     radius: float
-    basis: tuple[tuple[int, ...], ...]
-    loc_basis: tuple[tuple[int, ...], ...]
+    pair_index: np.ndarray
     moment_index: dict
     constant_term: float
 
     @property
     def basis_size(self) -> int:
-        return len(self.basis)
+        return self.pair_index.shape[0]
 
     def moment_matrix(self, y: np.ndarray) -> np.ndarray:
         """Assemble M_d(y) from a solved moment vector (y excludes y_0 = 1)."""
-        n = len(self.basis)
-        mm = np.empty((n, n))
-        for i, be in enumerate(self.basis):
-            for j, ge in enumerate(self.basis):
-                e = tuple(a + b for a, b in zip(be, ge))
-                idx = self.moment_index[e]
-                mm[i, j] = 1.0 if idx < 0 else y[idx]
-        return mm
+        return np.concatenate(([1.0], y))[self.pair_index]
 
     def point_moments(self, x: np.ndarray) -> np.ndarray:
         """Moment vector of the point mass at x (for tests and diagnostics)."""
@@ -72,9 +71,8 @@ class MomentRelaxation:
         return y
 
     def first_moments(self, y: np.ndarray) -> np.ndarray:
-        """Mean of the moment vector: y[e_k] for each control k."""
-        unit = np.eye(self.n_vars, dtype=int)
-        return np.array([y[self.moment_index[tuple(e)]] for e in unit])
+        """Mean of the moment vector: M_d(y)[0, 1:m+1], the basis slots of x0..x{m-1}."""
+        return self.moment_matrix(y)[0, 1:self.n_vars + 1]
 
 
 def moment_relax(
@@ -100,35 +98,28 @@ def moment_relax(
             f"relaxation order {order} too small for degree {p.degree()}"
         )
     basis = monomials_up_to(m, order)
-    loc_basis = monomials_up_to(m, order - 1)
     n = len(basis)
-    nl = len(loc_basis)
-    assert n == comb(m + order, order)
+    nl = comb(m + order - 1, m)
+    # moment variables: all monomials of degree 1..2*order (degree 0 is y_0)
+    moment_index = {e: k - 1 for k, e in enumerate(monomials_up_to(m, 2 * order))}
+    n_y = len(moment_index) - 1
+    pair_index = np.array([
+        [moment_index[tuple(a + b for a, b in zip(be, ge))] + 1 for ge in basis]
+        for be in basis
+    ])
 
-    # moment variables: all monomials of degree 1..2*order
-    all_moments = monomials_up_to(m, 2 * order)
-    moment_index: dict[tuple[int, ...], int] = {}
-    for e in all_moments:
-        moment_index[e] = -1 if sum(e) == 0 else len(moment_index) - 1
-    n_y = len(all_moments) - 1
-
-    # pattern matrices: moment block
+    # pattern matrices; each (pattern, i, j) slot is set once
     pat_mom = np.zeros((n_y + 1, n, n))
-    for i, be in enumerate(basis):
-        for j, ge in enumerate(basis):
-            e = tuple(a + b for a, b in zip(be, ge))
-            pat_mom[moment_index[e] + 1, i, j] += 1.0
-    # pattern matrices: localizing block for g = R^2 - sum x_k^2
+    pat_mom[(pair_index, *np.indices((n, n)))] = 1.0
+    # localizing block for g = R^2 - sum x_k^2: basis_i + basis_j + 2 e_k is
+    # the pair (basis_i + e_k, basis_j + e_k), both within the degree-order basis
     pat_loc = np.zeros((n_y + 1, nl, nl))
-    rsq = radius * radius
-    unit = np.eye(m, dtype=int)
-    for i, be in enumerate(loc_basis):
-        for j, ge in enumerate(loc_basis):
-            e = tuple(a + b for a, b in zip(be, ge))
-            pat_loc[moment_index[e] + 1, i, j] += rsq
-            for k in range(m):
-                ek = tuple(a + 2 * b for a, b in zip(e, unit[k]))
-                pat_loc[moment_index[ek] + 1, i, j] -= 1.0
+    loc_cells = np.indices((nl, nl))
+    pat_loc[(pair_index[:nl, :nl], *loc_cells)] = radius * radius
+    position = {e: i for i, e in enumerate(basis)}
+    for k in range(m):
+        shift = [position[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis[:nl]]
+        pat_loc[(pair_index[np.ix_(shift, shift)], *loc_cells)] = -1.0
     # index 0 of the pattern stacks is the fixed y_0 = 1 part -> cost C
     c_blocks = (pat_mom[0], pat_loc[0])
     a_blocks = (-pat_mom[1:], -pat_loc[1:])
@@ -145,8 +136,7 @@ def moment_relax(
         n_vars=m,
         order=order,
         radius=radius,
-        basis=tuple(basis),
-        loc_basis=tuple(loc_basis),
+        pair_index=pair_index,
         moment_index=moment_index,
         constant_term=constant,
     )

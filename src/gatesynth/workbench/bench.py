@@ -68,6 +68,10 @@ class BenchConfig:
             raise ValueError("horizon must be positive")
         if self.base_seed < 0:
             raise ValueError("base seed must be non-negative")
+        if self.relax_order is not None and self.relax_order < 1:
+            raise ValueError("relaxation order must be at least 1")
+        if self.radius is not None and not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("ball radius must be finite and positive")
 
 
 @dataclass(frozen=True)

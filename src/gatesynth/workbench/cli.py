@@ -1,7 +1,8 @@
 """Command-line interface for synthesis runs and benchmarks.
 
 Each subcommand declares only the flags it reads.  ``--problem`` replaces
-the system flags; giving both is a configuration error.
+the system flags, and ``--qubits`` and ``--coupling`` size only the Ising
+chain; a system flag the run would ignore is a configuration error.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when at least one
 trial in a batch failed (the batch artifact is still written).
@@ -38,7 +39,7 @@ EXIT_TRIAL = 3
 
 
 class _SystemFlag(argparse.Action):
-    """Stores the value and notes the flag, so ``--problem`` can reject it."""
+    """Stores the value and notes the flag, so a run that ignores it can reject it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -98,15 +99,22 @@ def _order(args, piecewise: bool) -> int:
     return 4 if piecewise else 3
 
 
+def _check_system_flags(args):
+    """Reject a given system flag that the run would ignore."""
+    given = tuple(dict.fromkeys(args.system_flags))
+    if getattr(args, "problem", None) is not None and given:
+        raise ValueError(f"--problem replaces the system flags; drop {', '.join(given)}")
+    ising_only = [flag for flag in given if flag in ("--qubits", "--coupling")]
+    if getattr(args, "system", None) == "ibmq3" and ising_only:
+        raise ValueError(f"--system ibmq3 does not read {', '.join(ising_only)}")
+
+
 def _spec(args, control: str) -> ProblemSpec:
     """The run's problem: the ``--problem`` file, else the system flags."""
     problem = getattr(args, "problem", None)
     if problem is None:
         return make_spec(args.system, args.qubits, args.coupling, control,
                          args.control_dim, args.horizon)
-    if args.system_flags:
-        given = ", ".join(dict.fromkeys(args.system_flags))
-        raise ValueError(f"--problem replaces the system flags; drop {given}")
     spec = load_problem(problem)
     if control == "piecewise" and not spec.is_piecewise():
         raise ProblemFileError(
@@ -250,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_system_flags(args)
         return args.handler(args)
     except (ProblemFileError, TargetGenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,6 +164,25 @@ def test_relax_block_sizes_match_binomial():
     assert prob.block_sizes[1] == 10
 
 
+def test_relax_patterns_at_point_mass():
+    # at a point mass the stacks assemble M_2 = v v^T and the localizing
+    # block (R^2 - |x|^2) w w^T, with v and w the monomial vectors of
+    # degree <= 2 and <= 1
+    r = Ring(3)
+    x = Polynomial.variable(r, 0)
+    radius = 1.5
+    prob, relax = moment_relax(x * x * x * x, radius, 2)
+    point = np.array([0.3, -0.7, 0.4])
+    y = relax.point_moments(point)
+    v = np.array([np.prod(point ** np.array(e)) for e in monomials_up_to(3, 2)])
+    w = v[:4]
+    expected = (np.outer(v, v), (radius**2 - point @ point) * np.outer(w, w))
+    for c, a, want in zip(prob.c_blocks, prob.a_blocks, expected):
+        assert np.allclose(c - np.tensordot(y, a, axes=1), want, atol=1e-12)
+    assert np.allclose(relax.moment_matrix(y), expected[0], atol=1e-12)
+    assert np.allclose(relax.first_moments(y), point, atol=1e-15)
+
+
 # -------------------------------------------------------- extract_minimizer
 
 

@@ -180,6 +180,11 @@ def test_bench_config_validation():
         BenchConfig(control="fourier")
     with pytest.raises(ValueError):
         BenchConfig(horizon=-1.0)
+    for radius in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BenchConfig(radius=radius)
+    with pytest.raises(ValueError):
+        BenchConfig(relax_order=0)
 
 
 def test_trial_record_validation():
@@ -325,12 +330,18 @@ def test_cli_target_gen_deterministic(tmp_path):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    out = tmp_path / "out.json"
     for argv, message in (
         (["synth", "--problem", str(bad)], "error:"),
         (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
+        (["gbchd-report", "--samples", "0", "--out", str(out)], "sample count"),
+        (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
+         "--qubits, --coupling"),
+        (["bench-fidelity", "--trials", "1", "--ball", "-1", "--out", str(out)], "radius"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_problem_file_replaces_system_flags(tmp_path, capsys):
