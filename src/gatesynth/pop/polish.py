@@ -45,6 +45,8 @@ def newton_polish(
     x = np.array(x0, dtype=float)
     if x.shape != (m,):
         raise ValueError(f"start point must have shape ({m},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("start point must be finite")
     grads = gradient_polys(p)
     hess = hessian_polys(grads)
 

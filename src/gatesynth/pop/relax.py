@@ -85,8 +85,8 @@ def moment_relax(
     b holds the negated objective coefficients.  Lower bound on p equals
     p_constant - primal value; the dual y is the moment vector.
     """
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
     coeffs = p.real_coeff_dict()
     m = p.ring.controls
     if p.ring.times:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 # relative duality gap (and residual scale) at which a solve is "optimal"
 TOL = 1e-8
@@ -122,14 +123,10 @@ def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _initial_point(sizes, c_blocks, a_blocks, b):
-    """Scaled identities.  The stacks have unit Frobenius norm, so no stack
-    term can raise eta above its floor of 1."""
-    a_norms = np.ones(b.shape[0])
-    for a in a_blocks:
-        a_norms += np.sum(a * a, axis=(1, 2))
-    a_norms = np.sqrt(a_norms)
-    xi = max(1.0, float(np.max((1.0 + np.abs(b)) / a_norms)))
+def _initial_point(sizes, c_blocks, b):
+    """Scaled identities.  With unit-norm constraint rows the usual primal
+    scale max(1, (1 + |b_i|) / sqrt(1 + |A_i|^2)) uses sqrt(2) throughout."""
+    xi = max(1.0, float(np.max(1.0 + np.abs(b))) / np.sqrt(2.0))
     eta = 1.0 + max(float(np.linalg.norm(c)) for c in c_blocks)
     x0 = [xi * np.sqrt(s) * np.eye(s) for s in sizes]
     z0 = [eta * np.sqrt(s) * np.eye(s) for s in sizes]
@@ -163,6 +160,11 @@ def sdp_solve(
 ) -> SDPSolution:
     """Path-following solve to relative duality gap ``TOL``.
 
+    Each search direction is corrected to satisfy A(dX) = b - A(X), so the
+    primal residual falls to round-off and stays there.  The loop runs past
+    ``TOL`` while the quality (worst of gap and residuals) still halves
+    within five iterations, and returns the best iterate seen.
+
     Status is "optimal", "stalled" (steps collapsed with the iterate already
     near convergence), "max_iterations", "numerical_failure", or
     "suspected_infeasible"; the final iterate is always attached.
@@ -180,8 +182,13 @@ def sdp_solve(
         raise ValueError("a constraint matrix is identically zero")
     a_blocks = tuple(a / norms[:, None, None] for a in prob.a_blocks)
     b = prob.b / norms
+    p = b.shape[0]
+    # A A^T (the reshapes are views); repeated constraints make it singular,
+    # so the primal fix uses its pseudo-inverse
+    aat = sum(a.reshape(p, -1) @ a.reshape(p, -1).T for a in a_blocks)
+    aat_pinv = np.linalg.pinv(aat, hermitian=True)
 
-    x, y, z = _initial_point(prob.block_sizes, c_blocks, a_blocks, b)
+    x, y, z = _initial_point(prob.block_sizes, c_blocks, b)
 
     def residuals():
         rp = b - _apply_forward(a_blocks, x)
@@ -193,11 +200,9 @@ def sdp_solve(
         pv = sum(float(np.tensordot(c_blocks[k], x[k])) for k in range(nblk))
         return pv, float(b @ y)
 
-    # the loop keeps iterating past the target while quality still improves,
-    # and the best iterate seen is what gets returned; the extra sharpness
-    # feeds the certified-bound slack downstream
     ended_by = "max_iterations"
     best = None
+    halved_at = np.inf  # quality when patience was last reset
     patience = 0
     for it in range(1, max_iter + 1):
         rp, rd = residuals()
@@ -220,7 +225,8 @@ def sdp_solve(
                 y.copy(),
                 [zk.copy() for zk in z],
             )
-            patience = 0
+        if quality <= 0.5 * halved_at:
+            halved_at, patience = quality, 0
         else:
             patience += 1
         if quality <= 1e-12:
@@ -238,46 +244,36 @@ def sdp_solve(
                 if wz.min() <= 0:
                     raise np.linalg.LinAlgError("dual block lost definiteness")
                 zinv.append((vz / wz) @ vz.T)
+            wrdw = [_sym(w[k] @ rd[k] @ w[k]) for k in range(nblk)]
 
             # Schur complement M_ij = sum_k <A_i, W A_j W> (SPD)
             m_schur = _gram(a_blocks, w)
             # tiny diagonal lift keeps the factorization stable near the optimum
-            lifted = m_schur.copy()
-            lifted[np.diag_indices_from(lifted)] += 1e-14 * (
-                1.0 + np.abs(np.diag(m_schur)).max()
-            )
-            chol = np.linalg.cholesky(lifted)
+            lift = 1e-14 * (1.0 + np.abs(np.diag(m_schur)).max())
+            factor = cho_factor(m_schur + lift * np.eye(p))
 
-            def schur_solve(rhs):
-                dy = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            def solve_direction(sigma_mu):
+                rhs = b + _apply_forward(
+                    a_blocks, [wrdw[k] - sigma_mu * zinv[k] for k in range(nblk)]
+                )
+                dy = cho_solve(factor, rhs)
                 # one round of iterative refinement against the exact matrix;
                 # the Schur complement turns severely ill-conditioned near the
                 # optimum and the raw factorization loses the direction
                 r = rhs - m_schur @ dy
                 if np.linalg.norm(r) > 1e-14 * (1.0 + np.linalg.norm(rhs)):
-                    dy = dy + np.linalg.solve(chol.T, np.linalg.solve(chol, r))
-                return dy
-
-            def solve_direction(sigma_mu):
-                # rhs_i = b_i - sigma_mu <A_i, Z^-1> + <A_i, W rd W>
-                rhs = b.copy()
-                for k in range(nblk):
-                    rhs -= sigma_mu * np.tensordot(
-                        a_blocks[k], zinv[k], axes=([1, 2], [0, 1])
-                    )
-                    rhs += np.tensordot(
-                        a_blocks[k],
-                        _sym(w[k] @ rd[k] @ w[k]),
-                        axes=([1, 2], [0, 1]),
-                    )
-                dy = schur_solve(rhs)
+                    dy = dy + cho_solve(factor, r)
                 ady = _apply_adjoint(a_blocks, dy)
                 dz = [rd[k] - ady[k] for k in range(nblk)]
                 dx = [
                     _sym(sigma_mu * zinv[k] - x[k] - w[k] @ dz[k] @ w[k])
                     for k in range(nblk)
                 ]
-                return dx, dy, dz
+                # least-norm fix so that A(dX) = rp holds to round-off; the
+                # Schur solve's error would otherwise leak into the residual
+                defect = rp - _apply_forward(a_blocks, dx)
+                fix = _apply_adjoint(a_blocks, aat_pinv @ defect)
+                return [dx[k] + fix[k] for k in range(nblk)], dy, dz
 
             def step_lengths(dx, dz):
                 ap = min(_max_step(x[k], dx[k]) for k in range(nblk))
@@ -310,22 +306,6 @@ def sdp_solve(
             break
 
     _, gap_rel, rp_norm, rd_norm, x, y, z = best
-
-    # feasibility restoration: project X onto A(X) = b in the X-weighted
-    # metric (corrections then live mostly in the well-scaled eigenspace of
-    # X); accepted only when every block stays PSD, which removes the primal
-    # residual from the certificate downstream
-    gram = _gram(a_blocks, x)
-    gram[np.diag_indices_from(gram)] += 1e-16 * (1.0 + np.abs(np.diag(gram)).max())
-    try:
-        wcorr = np.linalg.solve(gram, b - _apply_forward(a_blocks, x))
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        corr = _apply_adjoint(a_blocks, wcorr)
-        x_corr = [_sym(x[k] + _sym(x[k] @ corr[k] @ x[k])) for k in range(nblk)]
-        if all(np.linalg.eigvalsh(xc).min() >= 0 for xc in x_corr):
-            x = x_corr
     if ended_by == "infeasible":
         status = "suspected_infeasible"
     elif gap_rel <= TOL and rp_norm <= 10 * TOL and rd_norm <= 10 * TOL:

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from gatesynth.hamlib import ibmq3
+from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
 from gatesynth.objective import build_objective, principal_log
@@ -105,6 +105,17 @@ def test_sdp_block_structure():
     assert abs(sol.primal_value - 3.0) < 1e-6
 
 
+def test_sdp_duplicated_constraint():
+    # the same constraint written twice (A2 = 2 A1, b2 = 2 b1) is linearly
+    # dependent but consistent: A A^T is singular and the solve must not care
+    e00 = np.diag([1.0, 0.0])
+    prob = SDPProblem((2,), (np.eye(2),), (np.stack([e00, 2.0 * e00]),),
+                      np.array([1.0, 2.0]))
+    sol = sdp_solve(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - 1.0) < 1e-8
+
+
 # ------------------------------------------------------------- moment_relax
 
 
@@ -150,8 +161,9 @@ def test_relax_rejects_low_order():
 
 def test_relax_rejects_bad_radius():
     r = Ring(1)
-    with pytest.raises(ValueError):
-        moment_relax(Polynomial.variable(r, 0), 0.0, 1)
+    for radius in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            moment_relax(Polynomial.variable(r, 0), radius, 1)
 
 
 def test_relax_block_sizes_match_binomial():
@@ -290,8 +302,9 @@ def test_polish_divergence_raises():
 def test_polish_validates_start_shape():
     r = Ring(2)
     p = Polynomial.variable(r, 0)
-    with pytest.raises(ValueError):
-        newton_polish(p, np.array([1.0]), 1.0)
+    for start in (np.array([1.0]), np.array([np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            newton_polish(p, start, 1.0)
 
 
 # ---------------------------------------------------------- minimize_global
@@ -379,6 +392,25 @@ def test_extraction_soundness_pre_polish():
         if x is not None:
             bound = minimize_mod._certified_bound(relax, sol, scale)
             assert obj.eval(x).real - bound <= 1e-5
+
+
+@pytest.mark.parametrize("qubits, m, stream", [(3, 3, 0), (5, 5, 4)])
+def test_ising_certificate_feasible_iterate(qubits, m, stream):
+    # exact-interpolation Ising targets (p(x*) = 0) from the certify-ising
+    # pool: with the primal residual at round-off, the residual slack in the
+    # bound is negligible and the gap stays within GAP_TOL
+    pair = build_ising(qubits)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(m), label=pair.label)
+    lam = build_lambda(spec, 3)
+    xstar = np.random.default_rng([0, stream]).uniform(-1, 1, m)
+    obj = build_objective(lam, pm_eval(lam, xstar))
+    scaled, scale, radius, order = relaxation_setup(obj)
+    prob, relax = moment_relax(scaled, radius, order)
+    sol = sdp_solve(prob)
+    bound = minimize_mod._certified_bound(relax, sol, scale)
+    assert sol.primal_residual <= 1e-12 * (1 + np.linalg.norm(prob.b))
+    assert obj.eval(xstar).real - bound <= GAP_TOL
+    assert sol.iterations <= 40
 
 
 def test_multistart_merge_deterministic():
