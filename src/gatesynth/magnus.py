@@ -3,18 +3,23 @@
 The system is H(t) = H0 + E(t) Hc with a control envelope that is either a
 polynomial in t with unknown coefficients (continuous case) or a sequence of
 per-slice constants (piecewise case, handled by :mod:`gatesynth.bch`).  The
-generator A(t) = -i H(t) enters nested ordered-time integrals; carrying one
-ring time slot per integration variable lets :func:`simplex_integrate` close
-each order into a polynomial in the control variables alone.
+generator A(t) = -i H(t) = G0 + E(t) Gc enters nested ordered-time integrals.
+Every Magnus term is a Lie polynomial in G0 = -i H0 and Gc = -i Hc whose
+coefficients are iterated integrals of the envelope (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 2009), so each order is built in closed form: fixed
+numeric commutators of G0 and Gc, each scaled by a scalar envelope integral
+that :func:`simplex_integrate` reduces to a polynomial in the controls.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from gatesynth.polymat import PolyMatrix, Ring, pm_commutator, simplex_integrate
+from gatesynth.polymat import PolyMatrix, Polynomial, Ring, simplex_integrate
 
 HERMITICITY_TOL = 1e-12
 
@@ -100,60 +105,55 @@ def _require_poly(spec: ProblemSpec):
         raise ValueError("operation requires a polynomial control envelope")
 
 
-def build_generator(
-    spec: ProblemSpec, time_slot: int = 1, time_slots: int | None = None
-) -> PolyMatrix:
-    """A(t) = -i(H0 + E(t) Hc) with t living in the designated ring time slot.
+def _integrand(a: list[np.ndarray]) -> np.ndarray:
+    """Order-k Magnus integrand at k fixed operators A(t1), ..., A(tk)."""
 
-    The ring carries ``time_slots`` time variables (default: just enough for
-    ``time_slot``) so generators at several ordered times can be multiplied.
-    """
-    _require_poly(spec)
-    if time_slots is None:
-        time_slots = time_slot
-    if not 1 <= time_slot <= time_slots:
-        raise ValueError(f"time slot {time_slot} outside 1..{time_slots}")
-    m = spec.m
-    ring = Ring(m, times=time_slots)
-    coeffs: dict[tuple, np.ndarray] = {}
-    zero = (0,) * ring.arity
-    coeffs[zero] = -1j * spec.h0
-    t_index = m + time_slot - 1
-    for k in range(m):
-        e = [0] * ring.arity
-        e[k] = 1
-        e[t_index] = k
-        key = tuple(e)
-        block = -1j * spec.hc
-        coeffs[key] = coeffs[key] + block if key in coeffs else block
-    return PolyMatrix(ring, spec.dim, coeffs)
+    def comm(p, q):
+        return p @ q - q @ p
+
+    if len(a) == 1:
+        return a[0]
+    if len(a) == 2:
+        return 0.5 * comm(a[0], a[1])
+    return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
 
 
 def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
     """Order-k term of the Magnus series as a polynomial in the controls.
 
-    The commutator integrand is assembled with k ordered time variables
-    (t1 outermost) and integrated over 0 <= t_k <= ... <= t1 <= T.
+    The integrand (A1 at order 1, [A1,A2]/2 at order 2, and
+    ([A1,[A2,A3]] - [A3,[A1,A2]])/6 at order 3, with Aj = G0 + E(tj) Gc) is
+    multilinear in the Aj.  Each choice of G0 or Gc per slot therefore gives
+    one fixed nested commutator times the scalar product of the envelopes
+    E(tj) at the Gc slots, integrated over 0 <= tk <= ... <= t1 <= T.
     """
     _require_poly(spec)
-    if k == 1:
-        a = build_generator(spec, 1, time_slots=1)
-        return simplex_integrate(a, spec.horizon)
-    if k == 2:
-        at = build_generator(spec, 1, time_slots=2)
-        a_s = build_generator(spec, 2, time_slots=2)
-        integrand = pm_commutator(at, a_s).scale(0.5)
-        return simplex_integrate(integrand, spec.horizon)
-    if k == 3:
-        at = build_generator(spec, 1, time_slots=3)
-        a_s = build_generator(spec, 2, time_slots=3)
-        au = build_generator(spec, 3, time_slots=3)
-        # nested commutators [A(a), [A(b), A(c)]] at (t,s,u) minus (u,t,s)
-        c_tsu = pm_commutator(at, pm_commutator(a_s, au))
-        c_uts = pm_commutator(au, pm_commutator(at, a_s))
-        integrand = (c_tsu - c_uts).scale(1.0 / 6.0)
-        return simplex_integrate(integrand, spec.horizon)
-    raise ValueError(f"order {k} outside the implemented range 1..3")
+    if not 1 <= k <= 3:
+        raise ValueError(f"order {k} outside the implemented range 1..3")
+    m = spec.m
+    ring = Ring(m, times=k)
+    # E(tj) = sum_i x_i tj^i, one envelope per time slot
+    envelopes = []
+    for j in range(m, m + k):
+        terms = {}
+        for i in range(m):
+            e = [0] * ring.arity
+            e[i], e[j] = 1, i
+            terms[tuple(e)] = 1.0
+        envelopes.append(Polynomial(ring, terms))
+    ops = (-1j * spec.h0, -1j * spec.hc)
+    total = PolyMatrix.zero(Ring(m), spec.dim)
+    for choice in itertools.product((0, 1), repeat=k):
+        lie = _integrand([ops[c] for c in choice])
+        if not lie.any():
+            continue
+        weight = math.prod(
+            (env for env, c in zip(envelopes, choice) if c),
+            start=Polynomial.constant(ring, 1.0),
+        )
+        coeff = simplex_integrate(weight, spec.horizon)
+        total = total + PolyMatrix.constant(Ring(m), lie).scale(coeff)
+    return total
 
 
 def build_lambda(spec: ProblemSpec, n: int) -> PolyMatrix:

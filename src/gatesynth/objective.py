@@ -55,8 +55,6 @@ def principal_log(u: np.ndarray) -> np.ndarray:
 
 def build_objective(g: PolyMatrix, omega: np.ndarray) -> Polynomial:
     """Real polynomial ||G(x) - omega||_F^2 over the control variables."""
-    if g.ring.times != 0:
-        raise ValueError("generator must live in a time-free ring")
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (g.dim, g.dim):
         raise ValueError(

@@ -2,10 +2,11 @@
 
 Variables live in a fixed ring context: ``controls`` real optimization
 variables x0..x{m-1} followed by ``times`` ordered time variables t1..tk.
-Matrix-valued polynomials are stored as a map from exponent vectors to dense
-numpy coefficient matrices, which keeps products and commutators of large
-(2^N dimensional) operator families cheap; scalar entries are recovered on
-demand.
+Only scalar polynomials carry time slots, which :func:`simplex_integrate`
+integrates out.  Matrix-valued polynomials live in time-free rings and are
+stored as a map from exponent vectors to dense numpy coefficient matrices,
+which keeps products and commutators of large (2^N dimensional) operator
+families cheap; scalar entries are recovered on demand.
 """
 
 from __future__ import annotations
@@ -76,20 +77,12 @@ def _product(a: dict, b: dict, mul) -> dict:
     return out
 
 
-def _uses_time_slots(ring: Ring, exponents) -> bool:
-    """Whether any exponent vector has a nonzero time-slot entry."""
-    return any(any(e[ring.controls:]) for e in exponents)
-
-
-def _slot_values(obj, x, t) -> np.ndarray:
+def _slot_values(ring: Ring, x, t=None) -> np.ndarray:
     """Values of every ring slot: controls ``x``, then times ``t`` (zeros if omitted)."""
-    ring = obj.ring
     x = np.asarray(x, dtype=float)
     if x.shape != (ring.controls,):
         raise ValueError(f"expected {ring.controls} control values, got shape {x.shape}")
     if t is None:
-        if obj.uses_time_slots():
-            raise ValueError(f"{type(obj).__name__} still uses time slots; pass t values")
         return np.concatenate([x, np.zeros(ring.times)])
     t = np.asarray(t, dtype=float)
     if t.shape != (ring.times,):
@@ -147,7 +140,8 @@ class Polynomial:
         return self.terms.get((0,) * self.ring.arity, 0j)
 
     def uses_time_slots(self) -> bool:
-        return _uses_time_slots(self.ring, self.terms)
+        """Whether any term has a nonzero time-slot exponent."""
+        return any(any(e[self.ring.controls:]) for e in self.terms)
 
     def sorted_terms(self):
         """Terms in graded lexicographic order (deterministic iteration)."""
@@ -237,7 +231,9 @@ class Polynomial:
 
         Without ``t`` the polynomial must not use any time slot.
         """
-        vals = _slot_values(self, x, t)
+        if t is None and self.uses_time_slots():
+            raise ValueError("Polynomial still uses time slots; pass t values")
+        vals = _slot_values(self.ring, x, t)
         acc = 0j
         for e, c in self.sorted_terms():
             term = c
@@ -286,9 +282,10 @@ class Polynomial:
 class PolyMatrix:
     """Square matrix of polynomials, stored as exponent -> coefficient matrix.
 
-    All entries share one ring context.  The representation is equivalent to a
-    d x d grid of :class:`Polynomial` (see :meth:`entry` / :meth:`from_entries`)
-    but keeps products as dense numpy matrix products.
+    All entries share one ring context, which has no time slots.  The
+    representation is equivalent to a d x d grid of :class:`Polynomial` (see
+    :meth:`entry` / :meth:`from_entries`) but keeps products as dense numpy
+    matrix products.
     """
 
     __slots__ = ("ring", "dim", "coeffs")
@@ -296,6 +293,8 @@ class PolyMatrix:
     def __init__(self, ring: Ring, dim: int, coeffs: dict | None = None):
         if dim <= 0:
             raise ValueError("dimension must be positive")
+        if ring.times:
+            raise ValueError("PolyMatrix needs a time-free ring")
         self.ring = ring
         self.dim = dim
         cleaned: dict[tuple[int, ...], np.ndarray] = {}
@@ -361,9 +360,6 @@ class PolyMatrix:
     def max_entry_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def uses_time_slots(self) -> bool:
-        return _uses_time_slots(self.ring, self.coeffs)
-
     def sorted_coeffs(self):
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
 
@@ -409,8 +405,8 @@ class PolyMatrix:
             self.ring, self.dim, {e: factor * m for e, m in self.coeffs.items()}
         )
 
-    def eval(self, x, t=None) -> np.ndarray:
-        vals = _slot_values(self, x, t)
+    def eval(self, x) -> np.ndarray:
+        vals = _slot_values(self.ring, x)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for e, m in self.sorted_coeffs():
             w = 1.0
@@ -429,8 +425,8 @@ def pm_commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return a @ b - b @ a
 
 
-def pm_eval(a: PolyMatrix, x, t=None) -> np.ndarray:
-    return a.eval(x, t)
+def pm_eval(a: PolyMatrix, x) -> np.ndarray:
+    return a.eval(x)
 
 
 def _simplex_weight(time_exps: tuple[int, ...]) -> tuple[int, int]:
@@ -449,33 +445,24 @@ def _simplex_weight(time_exps: tuple[int, ...]) -> tuple[int, int]:
     return carry, denom
 
 
-def simplex_integrate(obj, horizon: float):
+def simplex_integrate(p: Polynomial, horizon: float) -> Polynomial:
     """Integrate out all time slots over the ordered simplex of size ``horizon``.
 
-    t1 is the outermost variable.  Works on a Polynomial or a PolyMatrix;
-    the result lives in the time-free ring with the same control slots.
+    t1 is the outermost variable.  The result lives in the time-free ring
+    with the same control slots.
     """
     if horizon <= 0:
         raise ValueError("integration horizon must be positive")
-    ring = obj.ring
+    ring = p.ring
     if ring.times < 1:
         raise ValueError("ring has no time slots to integrate")
-    if isinstance(obj, Polynomial):
-        items = obj.terms.items()
-    elif isinstance(obj, PolyMatrix):
-        items = obj.coeffs.items()
-    else:
-        raise TypeError(f"cannot integrate object of type {type(obj)!r}")
     nc = ring.controls
     out = {}
-    for e, c in items:
+    for e, c in p.terms.items():
         power, denom = _simplex_weight(e[nc:])
         key = e[:nc]
-        block = c * (horizon**power / denom)
-        out[key] = out[key] + block if key in out else block
-    if isinstance(obj, Polynomial):
-        return Polynomial(ring.drop_times(), out)
-    return PolyMatrix(ring.drop_times(), obj.dim, out)
+        out[key] = out.get(key, 0j) + c * (horizon**power / denom)
+    return Polynomial(ring.drop_times(), out)
 
 
 def frobenius_sq(a: PolyMatrix) -> Polynomial:
@@ -485,8 +472,6 @@ def frobenius_sq(a: PolyMatrix) -> Polynomial:
     x^(a+b) * <A_b, A_a>_F.  Pairing (a, b) with (b, a) keeps the result real
     by construction; any larger imaginary residue is an error.
     """
-    if a.uses_time_slots() or a.ring.times != 0:
-        raise ValueError("frobenius_sq requires a time-free ring")
     items = a.sorted_coeffs()
     out: dict[tuple[int, ...], float] = {}
     for ia, (ea, ma) in enumerate(items):

@@ -242,11 +242,14 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
     from the symbolic generator itself, which keeps the solve phase free of
     propagation cost.
 
-    The build phase covers the symbolic generator and objective assembly,
-    whose cost grows with the matrix dimension 2^N.  The solve phase covers
-    the moment relaxation and its interior-point solve at the base order; the
-    relaxed problem depends only on the objective's coefficients, never on N,
-    so this is the phase whose cost stays flat as the system grows.
+    The build phase covers the symbolic generator and objective assembly.
+    For a polynomial envelope its symbolic part (the scalar envelope
+    integrals) does not depend on N; only the commutators of H0 and Hc and
+    the Frobenius products grow with the matrix dimension 2^N.  The solve
+    phase covers the moment relaxation and its interior-point solve at the
+    base order; the relaxed problem depends only on the objective's
+    coefficients, never on N, so this is the phase whose cost stays flat as
+    the system grows.
     Minimizer extraction and polishing are excluded here (the fidelity bench
     reports them) because their work varies with extraction luck, not size.
     """

@@ -39,6 +39,8 @@ def _matrix_from_json(entries, dim: int, name: str) -> np.ndarray:
         arr = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"{name} is not a nested [re, im] array") from exc
+    except OverflowError as exc:
+        raise ProblemFileError(f"{name} has an entry that does not fit in a float") from exc
     if arr.shape != (dim, dim, 2):
         raise ProblemFileError(
             f"{name} must have shape ({dim}, {dim}, 2) of [re, im] pairs, "
@@ -67,6 +69,10 @@ def parse_problem(data: dict, label: str = "") -> ProblemSpec:
     horizon = data["T"]
     if isinstance(horizon, bool) or not isinstance(horizon, (int, float)) or not horizon > 0:
         raise ProblemFileError("T must be a positive number")
+    try:
+        horizon = float(horizon)
+    except OverflowError as exc:
+        raise ProblemFileError("T does not fit in a float") from exc
     control = data["control"]
     if not isinstance(control, dict) or "type" not in control or "m" not in control:
         raise ProblemFileError('control must be {"type": ..., "m": ...}')
@@ -80,7 +86,7 @@ def parse_problem(data: dict, label: str = "") -> ProblemSpec:
     else:
         raise ProblemFileError(f'control.type must be "poly" or "piecewise", got {ctype!r}')
     try:
-        return ProblemSpec(h0, hc, float(horizon), model, label=label)
+        return ProblemSpec(h0, hc, horizon, model, label=label)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
 

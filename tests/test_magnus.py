@@ -1,21 +1,22 @@
 """Tests for the truncated Magnus series builder."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gatesynth.hamlib import ibmq3
+from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import (
     PiecewiseControl,
     PolyControl,
     ProblemSpec,
-    build_generator,
     build_lambda,
     magnus_term,
 )
 from gatesynth.numerics import action_integral, propagate_reference
 from gatesynth.objective import principal_log
-from gatesynth.polymat import Polynomial, Ring, pm_eval
+from gatesynth.polymat import pm_eval
 
 RNG = np.random.default_rng(4242)
 
@@ -50,50 +51,6 @@ def test_spec_rejects_zero_basis():
 def test_spec_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         ProblemSpec(np.eye(2), np.eye(3), 1.0, PolyControl(1))
-
-
-# -- generator assembly -------------------------------------------------------------
-
-
-def test_generator_constant_control():
-    spec = ibmq_spec(m=1)
-    a = build_generator(spec)
-    assert not a.uses_time_slots() or a.ring.times == 1
-    # both coefficient blocks present, no time dependence
-    assert set(a.coeffs) == {(0, 0), (1, 0)}
-    assert np.allclose(a.coeffs[(0, 0)], -1j * np.asarray(spec.h0))
-    assert np.allclose(a.coeffs[(1, 0)], -1j * np.asarray(spec.hc))
-
-
-def test_generator_entry_12_quadratic_envelope():
-    spec = ibmq_spec(m=3)
-    a = build_generator(spec)
-    p = a.entry(1, 2)
-    # -i * 1.0 * (x0 + x1 t + x2 t^2) on the (1,2) drive entry
-    expect = Polynomial(
-        Ring(3, times=1),
-        {(1, 0, 0, 0): -1j, (0, 1, 0, 1): -1j, (0, 0, 1, 2): -1j},
-    )
-    assert p.isclose(expect)
-    p01 = a.entry(0, 1)
-    assert p01.isclose(expect * 0.7071)
-
-
-def test_generator_numeric_assembly():
-    spec = ibmq_spec(m=3)
-    a = build_generator(spec)
-    x = RNG.uniform(-1, 1, size=3)
-    t = 0.37
-    env = x[0] + x[1] * t + x[2] * t**2
-    expect = -1j * (np.asarray(spec.h0) + env * np.asarray(spec.hc))
-    assert np.allclose(a.eval(x, t=[t]), expect, atol=1e-13)
-
-
-def test_generator_rejects_piecewise():
-    sys = ibmq3()
-    spec = ProblemSpec(sys.h0, sys.hc, 0.5, PiecewiseControl(3))
-    with pytest.raises(ValueError):
-        build_generator(spec)
 
 
 # -- individual series terms -----------------------------------------------------------
@@ -202,6 +159,55 @@ def test_order3_matches_triple_quadrature():
         0, 0.5, 0, lambda t: t, 0, lambda t, s: s,
     )
     assert dense[idx] == pytest.approx((re + 1j * im) / 6.0, abs=1e-9)
+
+
+def simplex_gauss(f, horizon, k, nodes=8):
+    """Nested Gauss-Legendre rule for f(t1..tk) over 0 <= tk <= ... <= t1 <= T.
+
+    Collapsed coordinates t1 = T u1, tj = t(j-1) uj carry the Jacobian
+    T t1 ... t(k-1); with 8 nodes per level the rule is exact up to degree 15
+    in each uj.
+    """
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+    total = 0.0
+    for idx in itertools.product(range(nodes), repeat=k):
+        upper, weight, ts = horizon, 1.0, []
+        for i in idx:
+            weight *= w[i] * upper
+            upper *= u[i]
+            ts.append(upper)
+        total = total + weight * f(*ts)
+    return total
+
+
+@pytest.mark.parametrize("system", ["ibmq3", "ising2"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_term_matches_simplex_gauss_rule(system, k):
+    pair = ibmq3() if system == "ibmq3" else build_ising(2)
+    horizon = 0.5
+    spec = ProblemSpec(pair.h0, pair.hc, horizon, PolyControl(3))
+    x = np.array([0.6, -0.9, 1.3])
+    h0 = np.asarray(spec.h0)
+    hc = np.asarray(spec.hc)
+
+    def a_at(t):
+        return -1j * (h0 + (x[0] + x[1] * t + x[2] * t**2) * hc)
+
+    def comm(p, q):
+        return p @ q - q @ p
+
+    def integrand(*ts):
+        a = [a_at(t) for t in ts]
+        if k == 1:
+            return a[0]
+        if k == 2:
+            return 0.5 * comm(a[0], a[1])
+        return (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1]))) / 6.0
+
+    expect = simplex_gauss(integrand, horizon, k)
+    got = pm_eval(magnus_term(spec, k), x)
+    assert np.abs(got - expect).max() <= 1e-12
 
 
 def test_degree_bounds():

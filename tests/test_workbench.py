@@ -330,9 +330,16 @@ def test_cli_target_gen_deterministic(tmp_path):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    # JSON integers are unbounded; these two do not fit in a float
+    huge_t = tmp_path / "huge_t.json"
+    huge_t.write_text(json.dumps(one_level_problem(T=10**400)))
+    huge_h0 = tmp_path / "huge_h0.json"
+    huge_h0.write_text(json.dumps(one_level_problem(H0=[[[10**400, 0]]])))
     out = tmp_path / "out.json"
     for argv, message in (
         (["synth", "--problem", str(bad)], "error:"),
+        (["target-gen", "--problem", str(huge_t), "--out", str(out)], "T does not fit"),
+        (["target-gen", "--problem", str(huge_h0), "--out", str(out)], "H0 has an entry that does not fit"),
         (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
         (["gbchd-report", "--samples", "0", "--out", str(out)], "sample count"),
         (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
