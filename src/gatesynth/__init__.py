@@ -39,7 +39,6 @@ from gatesynth.polymat import (
     frobenius_sq,
     pm_commutator,
     pm_eval,
-    simplex_integrate,
 )
 from gatesynth.pop import (
     MomentRelaxation,
@@ -97,7 +96,6 @@ __all__ = [
     "propagate_piecewise",
     "propagate_reference",
     "sdp_solve",
-    "simplex_integrate",
     "slice_generator",
     "spectral_norm",
 ]

@@ -7,19 +7,20 @@ generator A(t) = -i H(t) = G0 + E(t) Gc enters nested ordered-time integrals.
 Every Magnus term is a Lie polynomial in G0 = -i H0 and Gc = -i Hc whose
 coefficients are iterated integrals of the envelope (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 2009), so each order is built in closed form: fixed
-numeric commutators of G0 and Gc, each scaled by a scalar envelope integral
-that :func:`simplex_integrate` reduces to a polynomial in the controls.
+numeric commutators of G0 and Gc, each scaled by a scalar envelope integral.
+For a polynomial envelope each such integral is a sum of monomial weights
+T^p/q that :func:`magnus_term` computes directly, so no polynomial carries a
+time variable.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from gatesynth.polymat import PolyMatrix, Polynomial, Ring, simplex_integrate
+from gatesynth.polymat import PolyMatrix, Ring
 
 HERMITICITY_TOL = 1e-12
 
@@ -118,42 +119,54 @@ def _integrand(a: list[np.ndarray]) -> np.ndarray:
     return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
 
 
+def _simplex_weight(time_exps: tuple[int, ...]) -> tuple[int, int]:
+    """Iterated ordered integration of t1^a1 ... tk^ak over 0<=tk<=...<=t1<=T.
+
+    Integrating innermost-first, each level contributes a factor 1/(e+1) and
+    raises the next-outer exponent by e+1.  Returns (power, denominator) with
+    the integral equal to T**power / denominator.
+    """
+    carry = 0
+    denom = 1
+    for a in reversed(time_exps):
+        e = a + carry
+        denom *= e + 1
+        carry = e + 1
+    return carry, denom
+
+
 def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
     """Order-k term of the Magnus series as a polynomial in the controls.
 
     The integrand (A1 at order 1, [A1,A2]/2 at order 2, and
     ([A1,[A2,A3]] - [A3,[A1,A2]])/6 at order 3, with Aj = G0 + E(tj) Gc) is
     multilinear in the Aj.  Each choice of G0 or Gc per slot therefore gives
-    one fixed nested commutator times the scalar product of the envelopes
-    E(tj) at the Gc slots, integrated over 0 <= tk <= ... <= t1 <= T.
+    one fixed nested commutator times the product of the envelopes E(tj) at
+    the Gc slots, integrated over 0 <= tk <= ... <= t1 <= T.  With
+    E(t) = sum_i x_i t^i, each tuple of envelope powers at the Gc slots
+    contributes the monomial weight T**power / denom to the control monomial
+    that counts those powers.
     """
     _require_poly(spec)
     if not 1 <= k <= 3:
         raise ValueError(f"order {k} outside the implemented range 1..3")
     m = spec.m
-    ring = Ring(m, times=k)
-    # E(tj) = sum_i x_i tj^i, one envelope per time slot
-    envelopes = []
-    for j in range(m, m + k):
-        terms = {}
-        for i in range(m):
-            e = [0] * ring.arity
-            e[i], e[j] = 1, i
-            terms[tuple(e)] = 1.0
-        envelopes.append(Polynomial(ring, terms))
     ops = (-1j * spec.h0, -1j * spec.hc)
-    total = PolyMatrix.zero(Ring(m), spec.dim)
+    coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for choice in itertools.product((0, 1), repeat=k):
         lie = _integrand([ops[c] for c in choice])
         if not lie.any():
             continue
-        weight = math.prod(
-            (env for env, c in zip(envelopes, choice) if c),
-            start=Polynomial.constant(ring, 1.0),
-        )
-        coeff = simplex_integrate(weight, spec.horizon)
-        total = total + PolyMatrix.constant(Ring(m), lie).scale(coeff)
-    return total
+        weights: dict[tuple[int, ...], complex] = {}
+        for powers in itertools.product(range(m), repeat=sum(choice)):
+            # time exponents: the next power at a Gc slot, 0 at a G0 slot
+            it = iter(powers)
+            power, denom = _simplex_weight(tuple(next(it) if c else 0 for c in choice))
+            e = tuple(powers.count(i) for i in range(m))
+            weights[e] = weights.get(e, 0j) + spec.horizon**power / denom
+        for e, w in weights.items():
+            coeffs[e] = coeffs[e] + w * lie if e in coeffs else w * lie
+    return PolyMatrix(Ring(m), spec.dim, coeffs)
 
 
 def build_lambda(spec: ProblemSpec, n: int) -> PolyMatrix:

@@ -1,16 +1,17 @@
 """Sparse complex multivariate polynomials and matrices with polynomial entries.
 
-Variables live in a fixed ring context: ``controls`` real optimization
-variables x0..x{m-1} followed by ``times`` ordered time variables t1..tk.
-Only scalar polynomials carry time slots, which :func:`simplex_integrate`
-integrates out.  Matrix-valued polynomials live in time-free rings and are
-stored as a map from exponent vectors to dense numpy coefficient matrices,
-which keeps products and commutators of large (2^N dimensional) operator
-families cheap; scalar entries are recovered on demand.
+Variables live in a fixed ring context of ``controls`` real optimization
+variables x0..x{m-1}; time never appears here, since the Magnus terms are
+built with their envelope integrals already in closed form.  Matrix-valued
+polynomials are stored as a map from exponent vectors to dense numpy
+coefficient matrices, which keeps products and commutators of large
+(2^N dimensional) operator families cheap; scalar entries are recovered on
+demand.  Coefficients must be finite: a NaN or inf is an error, never pruned.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 
@@ -26,26 +27,13 @@ IMAG_TOL = 1e-13
 
 @dataclass(frozen=True)
 class Ring:
-    """Variable context: ``controls`` x-slots followed by ``times`` t-slots."""
+    """Variable context: ``controls`` x-slots."""
 
     controls: int
-    times: int = 0
 
     def __post_init__(self):
-        if self.controls < 0 or self.times < 0:
-            raise ValueError("ring arities must be non-negative")
-
-    @property
-    def arity(self) -> int:
-        return self.controls + self.times
-
-    def var_name(self, slot: int) -> str:
-        if slot < self.controls:
-            return f"x{slot}"
-        return f"t{slot - self.controls + 1}"
-
-    def drop_times(self) -> "Ring":
-        return Ring(self.controls, 0)
+        if self.controls < 0:
+            raise ValueError("ring arity must be non-negative")
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -61,8 +49,8 @@ def _check_same_ring(a, b):
 def _exponents(ring: Ring, exps) -> tuple[int, ...]:
     """Exponent vector as an int tuple: one non-negative entry per ring slot."""
     exps = tuple(int(e) for e in exps)
-    if len(exps) != ring.arity or any(e < 0 for e in exps):
-        raise ValueError(f"bad exponent vector {exps} for ring arity {ring.arity}")
+    if len(exps) != ring.controls or any(e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for ring arity {ring.controls}")
     return exps
 
 
@@ -77,17 +65,12 @@ def _product(a: dict, b: dict, mul) -> dict:
     return out
 
 
-def _slot_values(ring: Ring, x, t=None) -> np.ndarray:
-    """Values of every ring slot: controls ``x``, then times ``t`` (zeros if omitted)."""
+def _control_values(ring: Ring, x) -> np.ndarray:
+    """Control values ``x`` as a float vector, one entry per ring slot."""
     x = np.asarray(x, dtype=float)
     if x.shape != (ring.controls,):
         raise ValueError(f"expected {ring.controls} control values, got shape {x.shape}")
-    if t is None:
-        return np.concatenate([x, np.zeros(ring.times)])
-    t = np.asarray(t, dtype=float)
-    if t.shape != (ring.times,):
-        raise ValueError(f"expected {ring.times} time values, got shape {t.shape}")
-    return np.concatenate([x, t])
+    return x
 
 
 class Polynomial:
@@ -95,7 +78,8 @@ class Polynomial:
 
     ``terms`` maps exponent tuples (one entry per ring slot) to nonzero
     complex coefficients.  Construction canonicalizes: anything below
-    ``PRUNE_EPS`` in magnitude is dropped.
+    ``PRUNE_EPS`` in magnitude is dropped, and a non-finite coefficient is
+    an error.
     """
 
     __slots__ = ("ring", "terms")
@@ -106,6 +90,8 @@ class Polynomial:
         for exps, coeff in (terms or {}).items():
             exps = _exponents(ring, exps)
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c} of {exps}")
             if abs(c) >= PRUNE_EPS:
                 self.terms[exps] = c
 
@@ -117,13 +103,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: Ring, value: complex) -> "Polynomial":
-        return cls(ring, {(0,) * ring.arity: value})
+        return cls(ring, {(0,) * ring.controls: value})
 
     @classmethod
     def variable(cls, ring: Ring, slot: int, coeff: complex = 1.0) -> "Polynomial":
-        if not 0 <= slot < ring.arity:
-            raise ValueError(f"slot {slot} outside ring arity {ring.arity}")
-        e = [0] * ring.arity
+        if not 0 <= slot < ring.controls:
+            raise ValueError(f"slot {slot} outside ring arity {ring.controls}")
+        e = [0] * ring.controls
         e[slot] = 1
         return cls(ring, {tuple(e): coeff})
 
@@ -137,11 +123,7 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def constant_term(self) -> complex:
-        return self.terms.get((0,) * self.ring.arity, 0j)
-
-    def uses_time_slots(self) -> bool:
-        """Whether any term has a nonzero time-slot exponent."""
-        return any(any(e[self.ring.controls:]) for e in self.terms)
+        return self.terms.get((0,) * self.ring.controls, 0j)
 
     def sorted_terms(self):
         """Terms in graded lexicographic order (deterministic iteration)."""
@@ -213,8 +195,8 @@ class Polynomial:
 
     def diff(self, slot: int) -> "Polynomial":
         """Formal partial derivative with respect to one slot."""
-        if not 0 <= slot < self.ring.arity:
-            raise ValueError(f"slot {slot} outside ring arity {self.ring.arity}")
+        if not 0 <= slot < self.ring.controls:
+            raise ValueError(f"slot {slot} outside ring arity {self.ring.controls}")
         out = {}
         for e, c in self.terms.items():
             if e[slot] == 0:
@@ -226,14 +208,9 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x, t=None) -> complex:
-        """Evaluate at control values ``x`` (and time values ``t`` if given).
-
-        Without ``t`` the polynomial must not use any time slot.
-        """
-        if t is None and self.uses_time_slots():
-            raise ValueError("Polynomial still uses time slots; pass t values")
-        vals = _slot_values(self.ring, x, t)
+    def eval(self, x) -> complex:
+        """Evaluate at control values ``x``."""
+        vals = _control_values(self.ring, x)
         acc = 0j
         for e, c in self.sorted_terms():
             term = c
@@ -248,8 +225,6 @@ class Polynomial:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.ring.controls:
             raise ValueError("points must have shape (n, controls)")
-        if self.uses_time_slots():
-            raise ValueError("polynomial still uses time slots")
         maxdeg = self.degree()
         n, m = points.shape
         # powers[v][p] = column v raised to p
@@ -271,7 +246,7 @@ class Polynomial:
         bits = []
         for e, c in self.sorted_terms():
             mono = "*".join(
-                f"{self.ring.var_name(i)}^{p}" if p > 1 else self.ring.var_name(i)
+                f"x{i}^{p}" if p > 1 else f"x{i}"
                 for i, p in enumerate(e)
                 if p
             )
@@ -282,10 +257,9 @@ class Polynomial:
 class PolyMatrix:
     """Square matrix of polynomials, stored as exponent -> coefficient matrix.
 
-    All entries share one ring context, which has no time slots.  The
-    representation is equivalent to a d x d grid of :class:`Polynomial` (see
-    :meth:`entry` / :meth:`from_entries`) but keeps products as dense numpy
-    matrix products.
+    All entries share one ring context.  The representation is equivalent to
+    a d x d grid of :class:`Polynomial` (see :meth:`entry` /
+    :meth:`from_entries`) but keeps products as dense numpy matrix products.
     """
 
     __slots__ = ("ring", "dim", "coeffs")
@@ -293,8 +267,6 @@ class PolyMatrix:
     def __init__(self, ring: Ring, dim: int, coeffs: dict | None = None):
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        if ring.times:
-            raise ValueError("PolyMatrix needs a time-free ring")
         self.ring = ring
         self.dim = dim
         cleaned: dict[tuple[int, ...], np.ndarray] = {}
@@ -304,13 +276,16 @@ class PolyMatrix:
             if mat.shape != (dim, dim):
                 raise ValueError(f"coefficient shape {mat.shape} != ({dim},{dim})")
             cleaned[exps] = mat.copy()
-        self.coeffs = {
-            e: m for e, m in cleaned.items() if np.abs(m).max() >= PRUNE_EPS
-        }
-        for m in self.coeffs.values():
-            # zero out sub-threshold entries so entry() round-trips cleanly
-            m[np.abs(m) < PRUNE_EPS] = 0.0
-            m.setflags(write=False)
+        self.coeffs = {}
+        for e, m in cleaned.items():
+            peak = np.abs(m).max()
+            if not np.isfinite(peak):
+                raise ValueError(f"non-finite coefficient of {e}")
+            if peak >= PRUNE_EPS:
+                # zero out sub-threshold entries so entry() round-trips cleanly
+                m[np.abs(m) < PRUNE_EPS] = 0.0
+                m.setflags(write=False)
+                self.coeffs[e] = m
 
     # -- constructors ------------------------------------------------------
 
@@ -321,7 +296,7 @@ class PolyMatrix:
     @classmethod
     def constant(cls, ring: Ring, mat: np.ndarray) -> "PolyMatrix":
         mat = np.asarray(mat, dtype=complex)
-        return cls(ring, mat.shape[0], {(0,) * ring.arity: mat})
+        return cls(ring, mat.shape[0], {(0,) * ring.controls: mat})
 
     @classmethod
     def identity(cls, ring: Ring, dim: int) -> "PolyMatrix":
@@ -396,17 +371,13 @@ class PolyMatrix:
         )
 
     def scale(self, factor) -> "PolyMatrix":
-        """Multiply by a scalar or by a scalar Polynomial."""
-        if isinstance(factor, Polynomial):
-            _check_same_ring(self, factor)
-            prod = _product(factor.terms, self.coeffs, operator.mul)
-            return PolyMatrix(self.ring, self.dim, prod)
+        """Multiply by a scalar."""
         return PolyMatrix(
             self.ring, self.dim, {e: factor * m for e, m in self.coeffs.items()}
         )
 
     def eval(self, x) -> np.ndarray:
-        vals = _slot_values(self.ring, x)
+        vals = _control_values(self.ring, x)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for e, m in self.sorted_coeffs():
             w = 1.0
@@ -427,42 +398,6 @@ def pm_commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 def pm_eval(a: PolyMatrix, x) -> np.ndarray:
     return a.eval(x)
-
-
-def _simplex_weight(time_exps: tuple[int, ...]) -> tuple[int, int]:
-    """Iterated ordered integration of t1^a1 ... tk^ak over 0<=tk<=...<=t1<=T.
-
-    Integrating innermost-first, each level contributes a factor 1/(e+1) and
-    raises the next-outer exponent by e+1.  Returns (power, denominator) with
-    the integral equal to T**power / denominator.
-    """
-    carry = 0
-    denom = 1
-    for a in reversed(time_exps):
-        e = a + carry
-        denom *= e + 1
-        carry = e + 1
-    return carry, denom
-
-
-def simplex_integrate(p: Polynomial, horizon: float) -> Polynomial:
-    """Integrate out all time slots over the ordered simplex of size ``horizon``.
-
-    t1 is the outermost variable.  The result lives in the time-free ring
-    with the same control slots.
-    """
-    if horizon <= 0:
-        raise ValueError("integration horizon must be positive")
-    ring = p.ring
-    if ring.times < 1:
-        raise ValueError("ring has no time slots to integrate")
-    nc = ring.controls
-    out = {}
-    for e, c in p.terms.items():
-        power, denom = _simplex_weight(e[nc:])
-        key = e[:nc]
-        out[key] = out.get(key, 0j) + c * (horizon**power / denom)
-    return Polynomial(ring.drop_times(), out)
 
 
 def frobenius_sq(a: PolyMatrix) -> Polynomial:

@@ -39,8 +39,6 @@ def newton_polish(
     whenever it is not positive definite, and backtracking on the value.
     Raises PolishDivergenceError if the iterate escapes twice the ball radius.
     """
-    if p.ring.times:
-        raise ValueError("objective must live in a time-free ring")
     m = p.ring.controls
     x = np.array(x0, dtype=float)
     if x.shape != (m,):

@@ -89,8 +89,6 @@ def moment_relax(
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
     coeffs = p.real_coeff_dict()
     m = p.ring.controls
-    if p.ring.times:
-        raise ValueError("objective must live in a time-free ring")
     if m < 1:
         raise ValueError("objective needs at least one variable")
     if 2 * order < p.degree():

@@ -127,6 +127,19 @@ def build_bench_generator(spec: ProblemSpec, order: int) -> PolyMatrix:
     return build_lambda(spec, order)
 
 
+def check_relax_order(generator: PolyMatrix, relax_order: int | None):
+    """Reject a relaxation order below the base order of the generator's objective.
+
+    The objective ||G(x) - omega||_F^2 has degree 2 * deg G, so the check runs
+    once the generator is built and before any trial.
+    """
+    degree = 2 * generator.max_entry_degree()
+    if relax_order is not None and 2 * relax_order < degree:
+        raise ValueError(
+            f"relaxation order {relax_order} too small for objective degree {degree}"
+        )
+
+
 def _failed_record(trial, seed, status, m, build_ms, total_ms, x_star=None):
     nanv = float("nan")
     return TrialRecord(
@@ -199,6 +212,7 @@ def run_fidelity_bench(cfg: BenchConfig, progress=None):
     t0 = time.perf_counter()
     generator = build_bench_generator(spec, cfg.order)
     generator_build_ms = 1e3 * (time.perf_counter() - t0)
+    check_relax_order(generator, cfg.relax_order)
     records = []
     for trial in range(cfg.trials):
         rec = run_trial(spec, generator, cfg, trial)
@@ -264,6 +278,7 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
         # warm caches (allocator pools, BLAS thread spin-up) per size so the
         # first timed repetition is not systematically slower
         warm = build_bench_generator(spec, cfg.order)
+        check_relax_order(warm, cfg.relax_order)
         build_objective(warm, pm_eval(warm, np.zeros(spec.m)))
         for rep in range(reps):
             x_star = trial_rng(cfg.base_seed, rep).uniform(-1.0, 1.0, spec.m)

@@ -18,6 +18,7 @@ from gatesynth.numerics import action_integral
 from gatesynth.workbench.bench import (
     BenchConfig,
     build_bench_generator,
+    check_relax_order,
     fidelity_csv,
     make_spec,
     records_to_json,
@@ -130,6 +131,7 @@ def _handle_synth(args, control: str) -> int:
     cfg = BenchConfig(trials=1, base_seed=args.seed,
                       relax_order=args.relax_order, radius=args.ball)
     generator = build_bench_generator(spec, order)
+    check_relax_order(generator, args.relax_order)
     record = run_trial(spec, generator, cfg, args.trial)
     payload = records_to_json([record])[0]
     payload["system"] = spec.label

@@ -146,6 +146,15 @@ def test_objective_nonnegative():
     assert np.all(vals.real >= -1e-12)
 
 
+def test_objective_rejects_nan_target():
+    # a NaN entry must not be pruned away as if it were zero
+    spec, lam = ibmq_lambda()
+    omega = pm_eval(lam, np.array([0.2, -0.3, 0.1]))
+    omega[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        build_objective(lam, omega)
+
+
 def test_objective_dimension_mismatch():
     spec, lam = ibmq_lambda()
     with pytest.raises(ValueError):

@@ -345,6 +345,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
          "--qubits, --coupling"),
         (["bench-fidelity", "--trials", "1", "--ball", "-1", "--out", str(out)], "radius"),
+        # the order-3 generator has entry degree 2: its objective needs order 2
+        (["synth", "--relax-order", "1", "--out", str(out)], "order 1 too small"),
+        (["bench-fidelity", "--trials", "1", "--relax-order", "1", "--out", str(out)],
+         "order 1 too small"),
+        (["bench-timing", "--max-qubits", "2", "--trials", "1", "--relax-order", "1",
+          "--out", str(out)], "order 1 too small"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
