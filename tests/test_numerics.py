@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from gatesynth.hamlib import ibmq3
+from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
 from gatesynth.numerics import (
     PropagationError,
     action_integral,
     adaptive_simpson,
+    cf4_propagate,
     expm_antihermitian,
     midpoint_propagate,
     propagate_reference,
     spectral_norm,
 )
+from gatesynth.workbench.targets import trial_rng
 
 RNG = np.random.default_rng(77)
 
@@ -94,6 +97,40 @@ def test_midpoint_second_order_convergence():
     d1 = np.linalg.norm(u1 - u2)
     d2 = np.linalg.norm(u2 - u4)
     assert 3.0 < d1 / d2 < 5.0
+
+
+def test_cf4_fourth_order_convergence():
+    spec = ibmq_spec(horizon=0.5, m=3)
+    x = np.array([0.4, -0.8, 0.6])
+    u1 = cf4_propagate(spec, x, 16)
+    u2 = cf4_propagate(spec, x, 32)
+    u4 = cf4_propagate(spec, x, 64)
+    d1 = np.linalg.norm(u1 - u2)
+    d2 = np.linalg.norm(u2 - u4)
+    assert 12.0 < d1 / d2 < 20.0
+
+
+def ode_propagate(spec, x):
+    """U(T) from an adaptive Runge-Kutta integration of i dU/dt = H(t) U."""
+    d = spec.dim
+
+    def rhs(t, y):
+        env = np.polyval(x[::-1], t)
+        return (-1j * (spec.h0 + env * spec.hc) @ y.reshape(d, d)).ravel()
+
+    y0 = np.eye(d, dtype=complex).ravel()
+    sol = solve_ivp(rhs, (0.0, spec.horizon), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    return sol.y[:, -1].reshape(d, d)
+
+
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_propagate_reference_ising_matches_ode(qubits):
+    pair = build_ising(qubits)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+    x = trial_rng(0, 0).uniform(-1.0, 1.0, 3)
+    u = propagate_reference(spec, x)
+    assert np.linalg.norm(u - ode_propagate(spec, x)) < 1e-9
 
 
 def test_propagate_piecewise_exact_product():

@@ -412,6 +412,16 @@ def test_cli_bench_fidelity_json_format(tmp_path, capsys):
     assert len(payload["records"]) == 1
 
 
+def test_cli_bench_fidelity_ising(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    rc = main(["bench-fidelity", "--system", "ising", "--qubits", "2",
+               "--trials", "2", "--quiet", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["trials"] == 2
+    assert summary["failed"] == 0
+
+
 def test_records_to_json_expands_arrays():
     rec = TrialRecord(trial=0, seed=0, status="rank-1", objective=0.0, gap=0.0,
                       infid_gen=0.0, infid_prop=0.0, build_ms=1.0,
