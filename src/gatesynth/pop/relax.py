@@ -1,4 +1,4 @@
-"""Dense moment relaxation of polynomial minimization over a ball.
+"""Moment relaxation of polynomial minimization over a ball.
 
 The order-d relaxation minimizes the linear functional L_y(p) over moment
 vectors y with PSD moment matrix M_d(y) and PSD localizing matrix
@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from gatesynth.polymat import Polynomial
 from gatesynth.pop.sdp import SDPProblem
@@ -75,6 +76,24 @@ class MomentRelaxation:
         return self.moment_matrix(y)[0, 1:self.n_vars + 1]
 
 
+def _split_patterns(s: int, n_y: int, terms) -> tuple[np.ndarray, sparse.csr_array]:
+    """Cost block and negated (n_y, s*s) constraint rows of one block.
+
+    ``terms`` pairs an (s, s) array of pattern slots with the value its cells
+    take; slot 0 goes to the cost, slot t >= 1 to constraint row t - 1.
+    """
+    slots = np.concatenate([t.ravel() for t, _ in terms])
+    values = np.concatenate([np.full(s * s, v) for _, v in terms])
+    cells = np.tile(np.arange(s * s), len(terms))
+    fixed = slots == 0
+    cost = np.zeros(s * s)
+    np.add.at(cost, cells[fixed], values[fixed])
+    rows = sparse.csr_array(
+        (-values[~fixed], (slots[~fixed] - 1, cells[~fixed])), shape=(n_y, s * s)
+    )
+    return cost.reshape(s, s), rows
+
+
 def moment_relax(
     p: Polynomial, radius: float, order: int
 ) -> tuple[SDPProblem, MomentRelaxation]:
@@ -106,21 +125,20 @@ def moment_relax(
         for be in basis
     ])
 
-    # pattern matrices; each (pattern, i, j) slot is set once
-    pat_mom = np.zeros((n_y + 1, n, n))
-    pat_mom[(pair_index, *np.indices((n, n)))] = 1.0
+    # block k of every pattern as one sparse (moment slot, cell) matrix; a
+    # moment cell belongs to one slot, and slot 0 is the fixed y_0 = 1 part,
+    # which becomes the cost C.  Each (slot, cell) entry is set once.
+    c_mom, a_mom = _split_patterns(n, n_y, [(pair_index, 1.0)])
     # localizing block for g = R^2 - sum x_k^2: basis_i + basis_j + 2 e_k is
     # the pair (basis_i + e_k, basis_j + e_k), both within the degree-order basis
-    pat_loc = np.zeros((n_y + 1, nl, nl))
-    loc_cells = np.indices((nl, nl))
-    pat_loc[(pair_index[:nl, :nl], *loc_cells)] = radius * radius
     position = {e: i for i, e in enumerate(basis)}
+    loc = [(pair_index[:nl, :nl], radius * radius)]
     for k in range(m):
         shift = [position[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis[:nl]]
-        pat_loc[(pair_index[np.ix_(shift, shift)], *loc_cells)] = -1.0
-    # index 0 of the pattern stacks is the fixed y_0 = 1 part -> cost C
-    c_blocks = (pat_mom[0], pat_loc[0])
-    a_blocks = (-pat_mom[1:], -pat_loc[1:])
+        loc.append((pair_index[np.ix_(shift, shift)], -1.0))
+    c_loc, a_loc = _split_patterns(nl, n_y, loc)
+    c_blocks = (c_mom, c_loc)
+    a_blocks = (a_mom, a_loc)
     b = np.zeros(n_y)
     constant = 0.0
     for e, c in coeffs.items():

@@ -1,37 +1,75 @@
-"""Dense primal-dual interior-point solver for small block-diagonal SDPs.
+"""Primal-dual interior-point solver for small block-diagonal SDPs.
 
 Solves min <C,X> subject to <A_i,X> = b_i, X >= 0 (PSD), together with the
 dual max b'y with C - sum_i y_i A_i = Z >= 0.  Path following uses
-Nesterov-Todd scaling with a predictor-corrector centering choice; everything
-is dense, which is adequate at the moment-matrix sizes this package produces
-(block sizes up to roughly 60).
+Nesterov-Todd scaling with a predictor-corrector centering choice.
+
+The iterates, the cost blocks and the Schur complement are dense; the
+constraints are sparse.  Block k of every constraint is one (p, s_k^2) CSR
+matrix A_k whose row i is block k of A_i in row-major order, so A(X) and
+A*(y) are sparse mat-vecs.  The Schur complement sum_k A_k (W_k (x) W_k) A_k^T
+is assembled from fixed-size column slabs of W (x) W: in a moment block every
+cell belongs to one constraint, so a block costs s^4 (Fujisawa, Kojima &
+Nakata, Math. Program. 79, 1997, formula F3) and the largest temporary is one
+slab.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 # relative duality gap (and residual scale) at which a solve is "optimal"
 TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 STEP_FRACTION = 0.98
+# entries of W (x) W that one Schur slab holds (2 MiB of float64)
+_SLAB_ENTRIES = 1 << 18
+
+
+def _constraint_rows(a, p: int, s: int, k: int) -> sparse.csr_array:
+    """Block k of the constraints as a (p, s*s) CSR matrix.
+
+    A dense (p, s, s) stack goes through one reshape to (p, s*s).
+    """
+    if not sparse.issparse(a):
+        a = np.asarray(a, dtype=float)
+        if a.shape != (p, s, s):
+            raise ValueError(
+                f"constraint stack {k} has shape {a.shape}, want ({p},{s},{s})"
+            )
+        a = a.reshape(p, s * s)
+    rows = sparse.csr_array(a, dtype=float)
+    if rows.shape != (p, s * s):
+        raise ValueError(
+            f"constraint block {k} has shape {rows.shape}, want ({p},{s * s})"
+        )
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
 class SDPProblem:
     """Block-diagonal standard-form SDP data.
 
-    ``c_blocks`` is one symmetric matrix per block; ``a_blocks[k]`` stacks the
-    k-th block of every constraint matrix as an (n_constraints, s_k, s_k)
-    array; ``b`` is the right-hand side, with at least one constraint.
+    ``c_blocks`` is one symmetric matrix per block.  ``a_blocks[k]`` is the
+    k-th block of every constraint as one sparse (n_constraints, s_k * s_k)
+    CSR matrix, row i holding block k of A_i in row-major order; a dense
+    (n_constraints, s_k, s_k) stack is accepted and converted.  ``b`` is the
+    right-hand side, with at least one constraint.
+
+    The solver keeps A(X) = b to round-off by a fix in block 0 alone, so only
+    constraints with an entry in block 0 are fixed exactly; for the others
+    (none in a moment relaxation, whose block 0 carries every moment) the
+    residual falls with the steps.
     """
 
     block_sizes: tuple[int, ...]
     c_blocks: tuple[np.ndarray, ...]
-    a_blocks: tuple[np.ndarray, ...]
+    a_blocks: tuple[sparse.csr_array, ...]
     b: np.ndarray
 
     def __post_init__(self):
@@ -47,19 +85,17 @@ class SDPProblem:
         cs, As = [], []
         for k, s in enumerate(sizes):
             c = np.asarray(self.c_blocks[k], dtype=float)
-            a = np.asarray(self.a_blocks[k], dtype=float)
             if c.shape != (s, s):
                 raise ValueError(f"cost block {k} has shape {c.shape}, want ({s},{s})")
-            if a.shape != (p, s, s):
-                raise ValueError(
-                    f"constraint stack {k} has shape {a.shape}, want ({p},{s},{s})"
-                )
+            a = _constraint_rows(self.a_blocks[k], p, s, k)
             if np.linalg.norm(c - c.T) > 1e-12 * (1 + np.abs(c).max()):
                 raise ValueError(f"cost block {k} is not symmetric")
-            if np.abs(a - np.swapaxes(a, 1, 2)).max() > 1e-12 * (1 + np.abs(a).max()):
-                raise ValueError(f"constraint stack {k} is not symmetric")
+            # column (i, j) of a row holds cell (i, j); at holds cell (j, i)
+            at = a[:, np.arange(s * s).reshape(s, s).T.ravel()]
+            if abs(a - at).max() > 1e-12 * (1 + abs(a).max()):
+                raise ValueError(f"constraint block {k} is not symmetric")
             cs.append(0.5 * (c + c.T))
-            As.append(0.5 * (a + np.swapaxes(a, 1, 2)))
+            As.append(sparse.csr_array(0.5 * (a + at)))
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "c_blocks", tuple(cs))
         object.__setattr__(self, "a_blocks", tuple(As))
@@ -95,7 +131,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """W with W Z W = X, plus the factors needed for step-length bounds."""
+    """W with W Z W = X, and the eigendecomposition of X it was built from."""
     wx, vx = np.linalg.eigh(x)
     if wx.min() <= 0:
         raise np.linalg.LinAlgError("primal block lost definiteness")
@@ -107,14 +143,12 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
         raise np.linalg.LinAlgError("scaling core lost definiteness")
     inner_isqrt = (vi / np.sqrt(wi)) @ vi.T
     w = _sym(xh @ inner_isqrt @ xh)
-    return w
+    return w, (wx, vx)
 
 
-def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
-    """Largest alpha with m + alpha*dm staying PSD (m is PD)."""
-    w, v = np.linalg.eigh(m)
-    if w.min() <= 0:
-        return 0.0
+def _max_step(eig, dm: np.ndarray) -> float:
+    """Largest alpha with m + alpha*dm staying PSD, from eig = eigh(m) (m PD)."""
+    w, v = eig
     linv = v / np.sqrt(w)  # m^{-1/2} = linv @ v.T acting symmetrically
     t = _sym(linv.T @ dm @ linv)
     lam = np.linalg.eigvalsh(t).min()
@@ -133,25 +167,64 @@ def _initial_point(sizes, c_blocks, b):
     return x0, np.zeros(b.shape[0]), z0
 
 
-def _apply_adjoint(a_blocks, y):
-    """sum_i y_i A_i per block."""
-    return [np.tensordot(y, a, axes=(0, 0)) for a in a_blocks]
+def _apply_adjoint(at_blocks, y):
+    """sum_i y_i A_i per block, from the transposed blocks A_k^T."""
+    return [(at @ y).reshape((math.isqrt(at.shape[0]),) * 2) for at in at_blocks]
 
 
 def _apply_forward(a_blocks, x_blocks):
     """vector of <A_i, X> across blocks."""
-    return sum(
-        np.tensordot(a, x, axes=([1, 2], [0, 1])) for a, x in zip(a_blocks, x_blocks)
-    )
+    return sum(a @ x.ravel() for a, x in zip(a_blocks, x_blocks))
 
 
-def _gram(a_blocks, s_blocks):
-    """Symmetrised M_ij = sum_k <A_i, S_k A_j S_k>."""
-    m = 0.0
-    for a, s in zip(a_blocks, s_blocks):
-        sas = np.einsum("ij,njk,kl->nil", s, a, s, optimize=True)
-        m = m + np.einsum("nij,mij->nm", a, sas, optimize=True)
+def _schur_slabs(a: sparse.csr_array, s: int) -> list:
+    """Column slabs of one constraint block for ``_schur``.
+
+    Each slab is a run of at most _SLAB_ENTRIES // s^2 cells (row-major
+    indices lo:hi) with an entry in some constraint, the constraints with an
+    entry there, and their (constraints, cells) CSR submatrix.
+    """
+    width = max(1, _SLAB_ENTRIES // (s * s))
+    cols = a.tocsc()
+    slabs = []
+    for lo in range(0, s * s, width):
+        hi = min(lo + width, s * s)
+        part = cols[:, lo:hi]
+        rows = np.unique(part.indices)
+        if rows.size:
+            slabs.append((lo, hi, rows, sparse.csr_array(part[rows])))
+    return slabs
+
+
+def _schur(a_blocks, slabs, w_blocks):
+    """Symmetrised M = sum_k A_k (W_k (x) W_k) A_k^T.
+
+    W (x) W is symmetric, so the rows of M that a slab's cells touch gain
+    A[rows, lo:hi] (A (W (x) W)[:, lo:hi])^T; column c of the slab, cell
+    (i, j), is the outer product of W[:, i] and W[:, j].
+    """
+    p = a_blocks[0].shape[0]
+    m = np.zeros((p, p))
+    for a, block_slabs, w in zip(a_blocks, slabs, w_blocks):
+        s = w.shape[0]
+        for lo, hi, rows, sub in block_slabs:
+            i, j = np.divmod(np.arange(lo, hi), s)
+            # np.take keeps the columns C-contiguous, so the product is too
+            wi, wj = np.take(w, i, axis=1), np.take(w, j, axis=1)
+            kron_cols = (wi[:, None, :] * wj[None, :, :]).reshape(s * s, hi - lo)
+            m[rows] += sub @ (a @ kron_cols).T
     return 0.5 * (m + m.T)
+
+
+def _block0_fix(a0: sparse.csr_array):
+    """Map a defect to the least-norm block-0 correction X_0 with A_0(X_0) = defect.
+
+    X_0 = A_0*((A_0 A_0^T)^+ defect).  The other blocks get no correction, so
+    the fix is exact for every constraint with an entry in block 0.
+    """
+    g_pinv = np.linalg.pinv((a0 @ a0.T).toarray(), hermitian=True)
+    at0 = a0.T
+    return lambda defect: _apply_adjoint((at0,), g_pinv @ defect)[0]
 
 
 def sdp_solve(
@@ -160,8 +233,9 @@ def sdp_solve(
 ) -> SDPSolution:
     """Path-following solve to relative duality gap ``TOL``.
 
-    Each search direction is corrected to satisfy A(dX) = b - A(X), so the
-    primal residual falls to round-off and stays there.  The loop runs past
+    Each search direction is corrected in block 0 to satisfy
+    A(dX) = b - A(X), so the primal residual of every constraint with an
+    entry in block 0 falls to round-off and stays there.  The loop runs past
     ``TOL`` while the quality (worst of gap and residuals) still halves
     within five iterations, and returns the best iterate seen.
 
@@ -177,22 +251,22 @@ def sdp_solve(
     # normalize constraints to unit Frobenius norm for a better-scaled Schur
     # complement; the reported y is mapped back to the original scaling
     c_blocks = prob.c_blocks
-    norms = np.sqrt(sum(np.sum(a * a, axis=(1, 2)) for a in prob.a_blocks))
+    norms = np.sqrt(sum(a.multiply(a).sum(axis=1) for a in prob.a_blocks))
     if norms.min() == 0.0:
         raise ValueError("a constraint matrix is identically zero")
-    a_blocks = tuple(a / norms[:, None, None] for a in prob.a_blocks)
+    unit = sparse.diags_array(1.0 / norms)
+    a_blocks = tuple(sparse.csr_array(unit @ a) for a in prob.a_blocks)
+    at_blocks = tuple(a.T for a in a_blocks)  # once: a sparse transpose is not free
     b = prob.b / norms
     p = b.shape[0]
-    # A A^T (the reshapes are views); repeated constraints make it singular,
-    # so the primal fix uses its pseudo-inverse
-    aat = sum(a.reshape(p, -1) @ a.reshape(p, -1).T for a in a_blocks)
-    aat_pinv = np.linalg.pinv(aat, hermitian=True)
+    slabs = [_schur_slabs(a, s) for a, s in zip(a_blocks, prob.block_sizes)]
+    block0_fix = _block0_fix(a_blocks[0])
 
     x, y, z = _initial_point(prob.block_sizes, c_blocks, b)
 
     def residuals():
         rp = b - _apply_forward(a_blocks, x)
-        ady = _apply_adjoint(a_blocks, y)
+        ady = _apply_adjoint(at_blocks, y)
         rd = [c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
         return rp, rd
 
@@ -237,17 +311,19 @@ def sdp_solve(
             break
 
         try:
-            w = [_nt_scaling(x[k], z[k]) for k in range(nblk)]
-            zinv = []
+            # the eigendecompositions of X and Z also serve the step lengths
+            w, x_eig = zip(*(_nt_scaling(x[k], z[k]) for k in range(nblk)))
+            zinv, z_eig = [], []
             for k in range(nblk):
                 wz, vz = np.linalg.eigh(z[k])
                 if wz.min() <= 0:
                     raise np.linalg.LinAlgError("dual block lost definiteness")
                 zinv.append((vz / wz) @ vz.T)
+                z_eig.append((wz, vz))
             wrdw = [_sym(w[k] @ rd[k] @ w[k]) for k in range(nblk)]
 
             # Schur complement M_ij = sum_k <A_i, W A_j W> (SPD)
-            m_schur = _gram(a_blocks, w)
+            m_schur = _schur(a_blocks, slabs, w)
             # tiny diagonal lift keeps the factorization stable near the optimum
             lift = 1e-14 * (1.0 + np.abs(np.diag(m_schur)).max())
             factor = cho_factor(m_schur + lift * np.eye(p))
@@ -263,21 +339,23 @@ def sdp_solve(
                 r = rhs - m_schur @ dy
                 if np.linalg.norm(r) > 1e-14 * (1.0 + np.linalg.norm(rhs)):
                     dy = dy + cho_solve(factor, r)
-                ady = _apply_adjoint(a_blocks, dy)
+                ady = _apply_adjoint(at_blocks, dy)
                 dz = [rd[k] - ady[k] for k in range(nblk)]
                 dx = [
                     _sym(sigma_mu * zinv[k] - x[k] - w[k] @ dz[k] @ w[k])
                     for k in range(nblk)
                 ]
-                # least-norm fix so that A(dX) = rp holds to round-off; the
-                # Schur solve's error would otherwise leak into the residual
+                # fix in the moment block so that A(dX) = rp holds to
+                # round-off; the Schur solve's error would otherwise leak into
+                # the residual.  A least-norm fix over all blocks pushes the
+                # localizing block out of the cone and collapses the steps.
                 defect = rp - _apply_forward(a_blocks, dx)
-                fix = _apply_adjoint(a_blocks, aat_pinv @ defect)
-                return [dx[k] + fix[k] for k in range(nblk)], dy, dz
+                dx[0] = dx[0] + block0_fix(defect)
+                return dx, dy, dz
 
             def step_lengths(dx, dz):
-                ap = min(_max_step(x[k], dx[k]) for k in range(nblk))
-                ad = min(_max_step(z[k], dz[k]) for k in range(nblk))
+                ap = min(_max_step(x_eig[k], dx[k]) for k in range(nblk))
+                ad = min(_max_step(z_eig[k], dz[k]) for k in range(nblk))
                 return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
 
             # predictor

@@ -1,12 +1,15 @@
 """Tests for the moment relaxation pipeline and the embedded SDP solver."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from gatesynth.bch import build_sigma
 from gatesynth.hamlib import build_ising, ibmq3
-from gatesynth.magnus import PolyControl, ProblemSpec, build_lambda
+from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
 from gatesynth.objective import build_objective, principal_log
 from gatesynth.polymat import Polynomial, Ring, pm_eval
@@ -22,9 +25,11 @@ from gatesynth.pop import (
     sdp_solve,
 )
 from gatesynth.pop import minimize as minimize_mod
+from gatesynth.pop import sdp as sdp_mod
 from gatesynth.pop.minimize import GAP_TOL
 from gatesynth.pop.polish import gradient_polys, hessian_polys
 from gatesynth.pop.relax import monomials_up_to
+from gatesynth.workbench.targets import gen_target
 
 
 def planted_instance(seed, m=3, horizon=1.0, order=3):
@@ -40,22 +45,56 @@ def planted_instance(seed, m=3, horizon=1.0, order=3):
 # ---------------------------------------------------------------- sdp_solve
 
 
-def test_sdp_psd_boundary_2x2():
+def sdp_psd_boundary_2x2():
     # min x subject to [[x,1],[1,x]] PSD has optimum x = 1
     c = (np.array([[1.0, 0.0], [0.0, 0.0]]),)
     a = (np.stack([np.array([[0.0, 0.5], [0.5, 0.0]]), np.diag([1.0, -1.0])]),)
-    prob = SDPProblem((2,), c, a, np.array([1.0, 0.0]))
-    sol = sdp_solve(prob)
+    return SDPProblem((2,), c, a, np.array([1.0, 0.0]))
+
+
+def sdp_identity_cost_3x3():
+    e11 = np.zeros((3, 3))
+    e11[0, 0] = 1.0
+    return SDPProblem((3,), (np.eye(3),), (e11[None],), np.array([1.0]))
+
+
+def sdp_block_structure():
+    # two independent blocks solved jointly: min x+y with x,y >= 1 on diagonals
+    c = (np.eye(1), np.eye(1))
+    a1 = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+    a2 = np.zeros((1, 1, 1)), np.ones((1, 1, 1))
+    a = (np.concatenate([a1[0], a2[0]]), np.concatenate([a1[1], a2[1]]))
+    return SDPProblem((1, 1), c, a, np.array([1.0, 2.0]))
+
+
+def sdp_duplicated_constraint():
+    # the same constraint written twice (A2 = 2 A1, b2 = 2 b1) is linearly
+    # dependent but consistent: A A^T is singular and the solve must not care
+    e00 = np.diag([1.0, 0.0])
+    return SDPProblem((2,), (np.eye(2),), (np.stack([e00, 2.0 * e00]),),
+                      np.array([1.0, 2.0]))
+
+
+def certify_ising_relaxation():
+    # the order-2 relaxation of the certify-ising instance N=3, m=5
+    pair = build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(5), label=pair.label)
+    lam = build_lambda(spec, 3)
+    xstar = np.random.default_rng([0, 1]).uniform(-1, 1, 5)
+    obj = build_objective(lam, pm_eval(lam, xstar))
+    scaled, _, radius, order = relaxation_setup(obj)
+    return moment_relax(scaled, radius, order)[0]
+
+
+def test_sdp_psd_boundary_2x2():
+    sol = sdp_solve(sdp_psd_boundary_2x2())
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 1.0) < 1e-6
     assert abs(sol.dual_value - 1.0) < 1e-6
 
 
 def test_sdp_identity_cost_3x3():
-    e11 = np.zeros((3, 3))
-    e11[0, 0] = 1.0
-    prob = SDPProblem((3,), (np.eye(3),), (e11[None],), np.array([1.0]))
-    sol = sdp_solve(prob)
+    sol = sdp_solve(sdp_identity_cost_3x3())
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 1.0) < 1e-6
     x = sol.x_blocks[0]
@@ -94,26 +133,100 @@ def test_sdp_validates_shapes():
 
 
 def test_sdp_block_structure():
-    # two independent blocks solved jointly: min x+y with x,y >= 1 on diagonals
-    c = (np.eye(1), np.eye(1))
-    a1 = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
-    a2 = np.zeros((1, 1, 1)), np.ones((1, 1, 1))
-    a = (np.concatenate([a1[0], a2[0]]), np.concatenate([a1[1], a2[1]]))
-    prob = SDPProblem((1, 1), c, a, np.array([1.0, 2.0]))
-    sol = sdp_solve(prob)
+    # constraint 2 has no entry in block 0, so no primal fix reaches it and
+    # its residual falls with the steps alone
+    sol = sdp_solve(sdp_block_structure())
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 3.0) < 1e-6
 
 
 def test_sdp_duplicated_constraint():
-    # the same constraint written twice (A2 = 2 A1, b2 = 2 b1) is linearly
-    # dependent but consistent: A A^T is singular and the solve must not care
-    e00 = np.diag([1.0, 0.0])
-    prob = SDPProblem((2,), (np.eye(2),), (np.stack([e00, 2.0 * e00]),),
-                      np.array([1.0, 2.0]))
-    sol = sdp_solve(prob)
+    sol = sdp_solve(sdp_duplicated_constraint())
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 1.0) < 1e-8
+
+
+def test_sdp_dense_stacks_become_csr_rows():
+    prob = sdp_psd_boundary_2x2()
+    (a,) = prob.a_blocks
+    assert sparse.issparse(a) and a.format == "csr" and a.shape == (2, 4)
+    np.testing.assert_array_equal(a.toarray(), [[0, 0.5, 0.5, 0], [1, 0, 0, -1]])
+    # CSR input is taken as it is, and its rows must be symmetric patterns too
+    again = SDPProblem((2,), prob.c_blocks, prob.a_blocks, prob.b)
+    np.testing.assert_array_equal(again.a_blocks[0].toarray(), a.toarray())
+    skew = sparse.csr_array(np.array([[0.0, 1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        SDPProblem((2,), (np.eye(2),), (skew,), np.array([1.0]))
+    with pytest.raises(ValueError):
+        SDPProblem((2,), (np.eye(2),), (sparse.csr_array((1, 9)),), np.array([1.0]))
+
+
+SDP_OPERATOR_CASES = {
+    "psd_boundary_2x2": sdp_psd_boundary_2x2,
+    "identity_cost_3x3": sdp_identity_cost_3x3,
+    "block_structure": sdp_block_structure,
+    "duplicated_constraint": sdp_duplicated_constraint,
+    "certify_ising_n3_m5": certify_ising_relaxation,
+}
+
+
+def dense_stacks(prob):
+    """Reference (p, s, s) constraint stacks, built from the CSR rows."""
+    p = prob.n_constraints
+    return [a.toarray().reshape(p, s, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+
+
+def random_spd(rng, s):
+    g = rng.standard_normal((s, s))
+    return g @ g.T / s + np.eye(s)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("slab_entries", [sdp_mod._SLAB_ENTRIES, 50])
+@pytest.mark.parametrize("case", sorted(SDP_OPERATOR_CASES))
+def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
+    # A(X), A*(y) and the Schur matrix sum_k <A_i, W_k A_j W_k> against
+    # dense einsums; the small slab splits every block into several slabs
+    monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", slab_entries)
+    prob = SDP_OPERATOR_CASES[case]()
+    rng = np.random.default_rng(5)
+    stacks = dense_stacks(prob)
+    xs = [random_spd(rng, s) for s in prob.block_sizes]
+    ws = [random_spd(rng, s) for s in prob.block_sizes]
+    y = rng.standard_normal(prob.n_constraints)
+
+    want = sum(np.einsum("nij,ij->n", a, x) for a, x in zip(stacks, xs))
+    assert_rel_close(sdp_mod._apply_forward(prob.a_blocks, xs), want)
+    got = sdp_mod._apply_adjoint([a.T for a in prob.a_blocks], y)
+    for g, a in zip(got, stacks):
+        assert_rel_close(g, np.einsum("n,nij->ij", y, a))
+    slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+    if slab_entries == 50:
+        assert all(len(sl) > 1 for sl, s in zip(slabs, prob.block_sizes) if s > 7)
+    want = sum(
+        np.einsum("nij,mij->nm", a, np.einsum("ij,mjk,kl->mil", w, a, w, optimize=True))
+        for a, w in zip(stacks, ws)
+    )
+    assert_rel_close(sdp_mod._schur(prob.a_blocks, slabs, ws), want)
+
+
+def test_sdp_primal_fix_exact_in_moment_block():
+    # the moment block carries every moment on disjoint cells, so A_0 A_0^T
+    # is diagonal and the block-0 fix meets any defect; block 1 is left alone
+    prob = certify_ising_relaxation()
+    a0 = prob.a_blocks[0]
+    gram = (a0 @ a0.T).toarray()
+    np.testing.assert_array_equal(gram, np.diag(np.diag(gram)))
+    defect = np.random.default_rng(6).standard_normal(prob.n_constraints)
+    fix = sdp_mod._block0_fix(a0)(defect)
+    s0, s1 = prob.block_sizes
+    assert fix.shape == (s0, s0)
+    np.testing.assert_array_equal(fix, fix.T)
+    got = sdp_mod._apply_forward(prob.a_blocks, [fix, np.zeros((s1, s1))])
+    assert np.linalg.norm(got - defect) <= 1e-13 * np.linalg.norm(defect)
 
 
 # ------------------------------------------------------------- moment_relax
@@ -176,10 +289,27 @@ def test_relax_block_sizes_match_binomial():
     assert prob.block_sizes[1] == 10
 
 
+def test_relax_memory_bounded():
+    # seven controls at order 3: blocks (120, 36) and 1715 moments, which as
+    # dense (p, s, s) stacks would take 200 MB and more
+    r = Ring(7)
+    x0 = Polynomial.variable(r, 0)
+    p = x0 * x0 * x0 * x0 * x0 * x0
+    tracemalloc.start()
+    try:
+        prob, _ = moment_relax(p, 1.05 * np.sqrt(7), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prob.block_sizes == (120, 36)
+    assert prob.n_constraints == 1715
+    assert peak < 32 * 2**20
+
+
 def test_relax_patterns_at_point_mass():
-    # at a point mass the stacks assemble M_2 = v v^T and the localizing
-    # block (R^2 - |x|^2) w w^T, with v and w the monomial vectors of
-    # degree <= 2 and <= 1
+    # at a point mass the CSR constraint rows assemble M_2 = v v^T and the
+    # localizing block (R^2 - |x|^2) w w^T, with v and w the monomial vectors
+    # of degree <= 2 and <= 1
     r = Ring(3)
     x = Polynomial.variable(r, 0)
     radius = 1.5
@@ -190,7 +320,7 @@ def test_relax_patterns_at_point_mass():
     w = v[:4]
     expected = (np.outer(v, v), (radius**2 - point @ point) * np.outer(w, w))
     for c, a, want in zip(prob.c_blocks, prob.a_blocks, expected):
-        assert np.allclose(c - np.tensordot(y, a, axes=1), want, atol=1e-12)
+        assert np.allclose(c - (a.T @ y).reshape(c.shape), want, atol=1e-12)
     assert np.allclose(relax.moment_matrix(y), expected[0], atol=1e-12)
     assert np.allclose(relax.first_moments(y), point, atol=1e-15)
 
@@ -411,6 +541,37 @@ def test_ising_certificate_feasible_iterate(qubits, m, stream):
     assert sol.primal_residual <= 1e-12 * (1 + np.linalg.norm(prob.b))
     assert obj.eval(xstar).real - bound <= GAP_TOL
     assert sol.iterations <= 40
+
+
+def _piecewise_trial(trial):
+    # one planted-pw3 instance (ibmq3, three slices, grade-4 generator, base
+    # seed 0): its objective and order-3 moment relaxation
+    pair = ibmq3()
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(3), label=pair.label)
+    sigma = build_sigma(spec, 4)
+    obj = build_objective(sigma, gen_target(spec, 0, trial).generator)
+    scaled, _, radius, order = relaxation_setup(obj)
+    assert order == 3
+    prob, _ = moment_relax(scaled, radius, order)
+    return obj, prob
+
+
+def test_piecewise_median_instance_solve():
+    # planted-pw3's median instance (trial 2): the block-0 primal fix keeps
+    # the primal residual at round-off and the certified gap within GAP_TOL
+    obj, prob = _piecewise_trial(2)
+    sol = sdp_solve(prob)
+    assert sol.primal_residual <= 1e-12 * (1 + np.linalg.norm(prob.b))
+    assert minimize_global(obj).gap <= GAP_TOL
+
+
+@pytest.mark.parametrize("trial", [3, 4])
+def test_piecewise_solve_reaches_optimal(trial):
+    # a least-norm fix over all blocks pushes the localizing block to the
+    # edge of the cone, the primal steps collapse and these solves end
+    # "stalled"; the fix in the moment block keeps the steps and reaches TOL
+    _, prob = _piecewise_trial(trial)
+    assert sdp_solve(prob).status == "optimal"
 
 
 def test_multistart_merge_deterministic():
