@@ -22,7 +22,6 @@ from gatesynth.numerics import (
     adaptive_simpson,
     cf4_propagate,
     expm_antihermitian,
-    midpoint_propagate,
     propagate_piecewise,
     propagate_reference,
     spectral_norm,
@@ -88,7 +87,6 @@ __all__ = [
     "ibmq3",
     "infidelity",
     "magnus_term",
-    "midpoint_propagate",
     "minimize_global",
     "moment_relax",
     "newton_polish",

@@ -3,11 +3,12 @@
 These routines are the oracles the symbolic generators are judged against, so
 they favor verifiable accuracy over speed: unitarity-exact exponentials, a
 4th-order commutator-free Magnus stepper whose result must pass a mandatory
-step-doubling check, an independent second-order exponential-midpoint stepper
-to cross-check it, and quadrature with an explicit failure mode.  Both
-steppers are products of exact slice unitaries, so their outputs are unitary
-at any step count.  They stay numerical and apart from the symbolic Magnus
-expansion in ``gatesynth.magnus``.
+step-doubling check, and quadrature with an explicit failure mode.  The
+stepper and the piecewise propagator share one kernel, a product of exact
+slice unitaries formed in chunks of bounded size, so their outputs are
+unitary at any step count and their memory does not grow with it.  They stay
+numerical and apart from the symbolic Magnus expansion in
+``gatesynth.magnus``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ DEFAULT_STEPS = 128
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0,
                 (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
+# matrix entries of the slice exponentials formed at once (16 MiB of
+# complex128); Ising N=7 at 256 steps then forms 8 chunks of 64 slices
+_CHUNK_ENTRIES = 1 << 20
 # interval halvings adaptive Simpson may make before it gives up
 SIMPSON_MAX_DEPTH = 40
 
@@ -72,41 +76,31 @@ def _tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _checked_controls(spec: ProblemSpec, x, steps: int) -> np.ndarray:
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+def _checked_controls(spec: ProblemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.m,):
         raise ValueError(f"expected {spec.m} control values, got shape {x.shape}")
     return x
 
 
-def _constant_drive(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """exp(-i T (H0 + x0 Hc)): any step product telescopes to it at m=1."""
-    return expm_antihermitian(-1j * spec.horizon * (spec.h0 + x[0] * spec.hc))
+def _slice_product(h0, hc, coeffs: np.ndarray, h: float) -> np.ndarray:
+    """Ordered product of exp(-i h (h0 + c hc)) over coeffs, first on the right.
 
-
-def _slice_exponentials(h0, hc, coeffs: np.ndarray, h: float) -> np.ndarray:
-    """exp(-i h (h0 + c hc)) for every c in coeffs, by one batched eigh."""
-    hams = h0[None, :, :] + coeffs[:, None, None] * hc[None, :, :]
-    w, v = np.linalg.eigh(hams)
-    phases = np.exp(-1j * h * w)
-    return (v * phases[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-
-
-def midpoint_propagate(spec: ProblemSpec, x, steps: int) -> np.ndarray:
-    """Single-resolution exponential-midpoint propagator (no self-check).
-
-    Each step applies the exact unitary of the Hamiltonian frozen at the step
-    midpoint, so the output is unitary regardless of step count.  The global
-    error is second order in the step size.
+    The slices are formed by batched eigh and multiplied in aligned
+    power-of-two chunks of at most ``_CHUNK_ENTRIES`` entries, and the chunk
+    products are tree-multiplied.  Aligned chunks pair the slices exactly as
+    one ``_tree_product`` over all of them, so the result is bit-identical at
+    any chunk size.
     """
-    x = _checked_controls(spec, x, steps)
-    if spec.m == 1:
-        return _constant_drive(spec, x)
-    h = spec.horizon / steps
-    env = _envelope(spec, x, (np.arange(steps) + 0.5) * h)
-    return _tree_product(_slice_exponentials(spec.h0, spec.hc, env, h))
+    chunk = 1 << max(0, (_CHUNK_ENTRIES // h0.size).bit_length() - 1)
+    products = []
+    for lo in range(0, coeffs.shape[0], chunk):
+        c = coeffs[lo : lo + chunk]
+        w, v = np.linalg.eigh(h0[None, :, :] + c[:, None, None] * hc[None, :, :])
+        phases = np.exp(-1j * h * w)
+        products.append(_tree_product(
+            (v * phases[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))))
+    return _tree_product(np.stack(products))
 
 
 def cf4_propagate(spec: ProblemSpec, x, steps: int) -> np.ndarray:
@@ -120,43 +114,38 @@ def cf4_propagate(spec: ProblemSpec, x, steps: int) -> np.ndarray:
     J. Comput. Phys. 230, 2011).  Every factor is an exact unitary, and the
     global error is fourth order in h.  No self-check.
     """
-    x = _checked_controls(spec, x, steps)
-    if spec.m == 1:
-        return _constant_drive(spec, x)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    x = _checked_controls(spec, x)
     h = spec.horizon / steps
     starts = np.arange(steps) * h
     e1 = _envelope(spec, x, starts + _GAUSS_NODES[0] * h)
     e2 = _envelope(spec, x, starts + _GAUSS_NODES[1] * h)
     a1, a2 = _CF4_WEIGHTS
-    # interleaved per step, so _tree_product applies each step's first
-    # factor before its second
+    # interleaved per step, so the product applies each step's first factor
+    # before its second
     coeffs = np.stack([a2 * e1 + a1 * e2, a1 * e1 + a2 * e2], axis=1).ravel()
-    return _tree_product(_slice_exponentials(0.5 * spec.h0, spec.hc, coeffs, h))
+    return _slice_product(0.5 * spec.h0, spec.hc, coeffs, h)
 
 
 def propagate_piecewise(spec: ProblemSpec, x) -> np.ndarray:
     """Exact product of per-slice exponentials for a piecewise-constant drive."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
-        raise ValueError(f"expected {spec.m} control values, got shape {x.shape}")
-    dt = spec.horizon / spec.m
-    u = np.eye(spec.dim, dtype=complex)
-    for xi in x:
-        u = expm_antihermitian(-1j * dt * (spec.h0 + xi * spec.hc)) @ u
-    return u
+    x = _checked_controls(spec, x)
+    return _slice_product(spec.h0, spec.hc, x, spec.horizon / spec.m)
 
 
-def propagate_reference(spec: ProblemSpec, x, steps: int = DEFAULT_STEPS) -> np.ndarray:
+def propagate_reference(spec: ProblemSpec, x) -> np.ndarray:
     """Reference unitary U(T) for the driven system.
 
     Piecewise drives use exact slice exponentials.  Polynomial drives use the
-    4th-order commutator-free Magnus stepper (``cf4_propagate``) at ``steps``
-    and ``2*steps`` resolutions; the two results must agree in Frobenius norm
-    to within ``STEP_DOUBLING_TOL`` or ``PropagationError`` is raised, and the
-    finer one is returned.  A constant envelope (m=1) is one exact exponential.
+    4th-order commutator-free Magnus stepper (``cf4_propagate``) at
+    ``DEFAULT_STEPS`` and twice as many steps; the two results must agree in
+    Frobenius norm to within ``STEP_DOUBLING_TOL`` or ``PropagationError`` is
+    raised, and the finer one is returned.
     """
     if spec.is_piecewise():
         return propagate_piecewise(spec, x)
+    steps = DEFAULT_STEPS
     coarse = cf4_propagate(spec, x, steps)
     fine = cf4_propagate(spec, x, 2 * steps)
     defect = np.linalg.norm(coarse - fine)
@@ -206,9 +195,7 @@ def action_integral(spec: ProblemSpec, x) -> float:
     Values below pi are the Magnus convergence regime.  Piecewise drives sum
     exact per-slice contributions; polynomial drives are integrated adaptively.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
-        raise ValueError(f"expected {spec.m} control values, got shape {x.shape}")
+    x = _checked_controls(spec, x)
     if spec.is_piecewise():
         dt = spec.horizon / spec.m
         return float(

@@ -14,12 +14,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from gatesynth.polymat import Polynomial
 from gatesynth.pop.polish import PolishDivergenceError, newton_polish
 from gatesynth.pop.relax import extract_minimizer, moment_relax
-from gatesynth.pop.sdp import SDPSolution, sdp_solve
+from gatesynth.pop.sdp import BOUND_STATUSES, SDPSolution, sdp_solve
 
 MULTISTART_SEED = 0xC0FFEE
 MULTISTART_COUNT = 32
@@ -84,6 +83,10 @@ def _certified_bound(relax, sol, scale: float) -> float:
 
 def _multistart_points(m: int, radius: float) -> np.ndarray:
     """32 scrambled low-discrepancy starts in the cube inscribed in the ball."""
+    # imported here: scipy.stats takes about 0.7 s to import, two thirds of
+    # `import gatesynth`, and only the multi-start needs it
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=m, scramble=True, seed=MULTISTART_SEED)
     u = sob.random(MULTISTART_COUNT)
     half = radius / math.sqrt(m)
@@ -128,7 +131,7 @@ def minimize_global(
     bound = -math.inf
     x_start = None
     status = "failed"
-    if sol.status in ("optimal", "stalled", "max_iterations"):
+    if sol.status in BOUND_STATUSES:
         bound = _certified_bound(relax, sol, scale)
         rank1 = extract_minimizer(relax, sol.y) is not None
         status = "rank-1" if rank1 else "polished"

@@ -26,6 +26,8 @@ from scipy.linalg import cho_factor, cho_solve
 # relative duality gap (and residual scale) at which a solve is "optimal"
 TOL = 1e-8
 DEFAULT_MAX_ITER = 200
+# statuses whose iterate is close enough to the optimum to carry a bound
+BOUND_STATUSES = ("optimal", "stalled", "max_iterations")
 STEP_FRACTION = 0.98
 # entries of W (x) W that one Schur slab holds (2 MiB of float64)
 _SLAB_ENTRIES = 1 << 18
@@ -236,8 +238,8 @@ def sdp_solve(
     Each search direction is corrected in block 0 to satisfy
     A(dX) = b - A(X), so the primal residual of every constraint with an
     entry in block 0 falls to round-off and stays there.  The loop runs past
-    ``TOL`` while the quality (worst of gap and residuals) still halves
-    within five iterations, and returns the best iterate seen.
+    ``TOL`` while the quality (worst of gap and residuals) or mu still
+    halves within five iterations, and returns the best iterate seen.
 
     Status is "optimal", "stalled" (steps collapsed with the iterate already
     near convergence), "max_iterations", "numerical_failure", or
@@ -276,7 +278,7 @@ def sdp_solve(
 
     ended_by = "max_iterations"
     best = None
-    halved_at = np.inf  # quality when patience was last reset
+    halved_at = mu_at = np.inf  # quality and mu when patience was last reset
     patience = 0
     for it in range(1, max_iter + 1):
         rp, rd = residuals()
@@ -299,8 +301,11 @@ def sdp_solve(
                 y.copy(),
                 [zk.copy() for zk in z],
             )
-        if quality <= 0.5 * halved_at:
-            halved_at, patience = quality, 0
+        # patience runs out only when neither the quality nor mu has halved
+        # in five iterations: above the base order the relative gap can sit
+        # near 1 for several iterations while mu still falls fast
+        if quality <= 0.5 * halved_at or mu <= 0.5 * mu_at:
+            halved_at, mu_at, patience = min(quality, halved_at), mu, 0
         else:
             patience += 1
         if quality <= 1e-12:

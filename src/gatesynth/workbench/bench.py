@@ -20,6 +20,7 @@ from gatesynth.numerics import expm_antihermitian, propagate_reference
 from gatesynth.objective import build_objective, infidelity
 from gatesynth.polymat import PolyMatrix, pm_eval
 from gatesynth.pop import minimize_global, moment_relax, relaxation_setup, sdp_solve
+from gatesynth.pop.sdp import BOUND_STATUSES
 from gatesynth.workbench.targets import gen_target, trial_rng
 
 OK_STATUSES = ("rank-1", "polished")
@@ -306,7 +307,6 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
 
 
 def summarize_timing(records) -> dict:
-    ok = ("optimal", "stalled", "max_iterations")
     per_size = []
     for qubits in sorted({r.qubits for r in records}):
         rows = [r for r in records if r.qubits == qubits]
@@ -323,7 +323,7 @@ def summarize_timing(records) -> dict:
             "solve_ms_min": float(solve.min()),
         })
     return {"sizes": per_size,
-            "failed": sum(r.status not in ok for r in records)}
+            "failed": sum(r.status not in BOUND_STATUSES for r in records)}
 
 
 def fidelity_columns(m: int) -> list:

@@ -24,7 +24,6 @@ from gatesynth.magnus import (
 from gatesynth.numerics import (
     action_integral,
     expm_antihermitian,
-    midpoint_propagate,
     propagate_piecewise,
     propagate_reference,
 )
@@ -277,7 +276,6 @@ def test_criterion_9_property_suites():
         x = rng.uniform(-1, 1, 3)
         outs = [
             propagate_reference(spec_c, x),
-            midpoint_propagate(spec_c, x, 4096),
             propagate_piecewise(spec_p, x),
             expm_antihermitian(pm_eval(lam, x)),
         ]

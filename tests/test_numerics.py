@@ -1,10 +1,13 @@
 """Tests for the numerical oracle layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from gatesynth import numerics
 from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
 from gatesynth.numerics import (
@@ -13,7 +16,6 @@ from gatesynth.numerics import (
     adaptive_simpson,
     cf4_propagate,
     expm_antihermitian,
-    midpoint_propagate,
     propagate_reference,
     spectral_norm,
 )
@@ -68,6 +70,7 @@ def test_expm_rejects_hermitian():
 
 
 def test_propagate_constant_control_closed_form():
+    # m=1 goes through the stepper like any m; its 512 equal slices telescope
     spec = ibmq_spec(horizon=0.7, m=1)
     x = np.array([0.3])
     u = propagate_reference(spec, x)
@@ -86,17 +89,6 @@ def test_propagate_output_unitary():
         u = propagate_reference(spec, x)
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-11
         checked += 1
-
-
-def test_midpoint_second_order_convergence():
-    spec = ibmq_spec(horizon=0.5, m=3)
-    x = np.array([0.4, -0.8, 0.6])
-    u1 = midpoint_propagate(spec, x, 64)
-    u2 = midpoint_propagate(spec, x, 128)
-    u4 = midpoint_propagate(spec, x, 256)
-    d1 = np.linalg.norm(u1 - u2)
-    d2 = np.linalg.norm(u2 - u4)
-    assert 3.0 < d1 / d2 < 5.0
 
 
 def test_cf4_fourth_order_convergence():
@@ -124,9 +116,9 @@ def ode_propagate(spec, x):
     return sol.y[:, -1].reshape(d, d)
 
 
-@pytest.mark.parametrize("qubits", [2, 3])
+@pytest.mark.parametrize("qubits", [pytest.param(None, id="ibmq3"), 2, 3])
 def test_propagate_reference_ising_matches_ode(qubits):
-    pair = build_ising(qubits)
+    pair = ibmq3() if qubits is None else build_ising(qubits)
     spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
     x = trial_rng(0, 0).uniform(-1.0, 1.0, 3)
     u = propagate_reference(spec, x)
@@ -144,12 +136,40 @@ def test_propagate_piecewise_exact_product():
     assert np.linalg.norm(u - expect) < 1e-12
 
 
-def test_propagate_detects_coarse_grids():
+def test_propagate_detects_coarse_grids(monkeypatch):
     # at 1 step the doubling defect for this drive is far above tolerance
+    monkeypatch.setattr(numerics, "DEFAULT_STEPS", 1)
     spec = ibmq_spec(horizon=0.5, m=3)
     x = np.array([0.9, 0.9, 0.9])
     with pytest.raises(PropagationError):
-        propagate_reference(spec, x, steps=1)
+        propagate_reference(spec, x)
+
+
+@pytest.mark.parametrize("slices", [3, 5, 7, 256])
+@pytest.mark.parametrize("chunk", [1, 2, 4, 8])
+def test_slice_product_chunking_bit_identical(slices, chunk, monkeypatch):
+    # forced chunks of `chunk` slices, the last one partial unless `chunk`
+    # divides `slices`, pair the factors as one chunk over all of them
+    sys_ = ibmq3()
+    h0, hc = np.asarray(sys_.h0), np.asarray(sys_.hc)
+    coeffs = np.random.default_rng(slices).uniform(-1.0, 1.0, slices)
+    whole = numerics._slice_product(h0, hc, coeffs, 0.01)
+    monkeypatch.setattr(numerics, "_CHUNK_ENTRIES", chunk * h0.size + h0.size - 1)
+    assert np.array_equal(numerics._slice_product(h0, hc, coeffs, 0.01), whole)
+
+
+def test_cf4_memory_bounded():
+    # Ising N=6 (d=64) at 256 steps: all 512 slices at once peaked at 161 MB
+    pair = build_ising(6)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+    x = trial_rng(0, 0).uniform(-1.0, 1.0, 3)
+    tracemalloc.start()
+    try:
+        cf4_propagate(spec, x, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
 
 
 def test_propagate_rejects_bad_shape():
