@@ -10,8 +10,8 @@ matrix A_k whose row i is block k of A_i in row-major order, so A(X) and
 A*(y) are sparse mat-vecs.  The Schur complement sum_k A_k (W_k (x) W_k) A_k^T
 is assembled from fixed-size column slabs of W (x) W: in a moment block every
 cell belongs to one constraint, so a block costs s^4 (Fujisawa, Kojima &
-Nakata, Math. Program. 79, 1997, formula F3) and the largest temporary is one
-slab.
+Nakata, Math. Program. 79, 1997, formula F3).  The slab of W (x) W, the Schur
+matrix and its Cholesky factor live in buffers allocated once per solve.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class SDPProblem:
     k-th block of every constraint as one sparse (n_constraints, s_k * s_k)
     CSR matrix, row i holding block k of A_i in row-major order; a dense
     (n_constraints, s_k, s_k) stack is accepted and converted.  ``b`` is the
-    right-hand side, with at least one constraint.
+    right-hand side, with at least one constraint.  Every entry must be
+    finite.
 
     The solver keeps A(X) = b to round-off by a fix in block 0 alone, so only
     constraints with an entry in block 0 are fixed exactly; for the others
@@ -81,6 +82,8 @@ class SDPProblem:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 1:
             raise ValueError("b must be a vector")
+        if not np.isfinite(b).all():
+            raise ValueError("b has a non-finite entry")
         p = b.shape[0]
         if p == 0:
             raise ValueError("at least one constraint is required")
@@ -90,6 +93,8 @@ class SDPProblem:
             if c.shape != (s, s):
                 raise ValueError(f"cost block {k} has shape {c.shape}, want ({s},{s})")
             a = _constraint_rows(self.a_blocks[k], p, s, k)
+            if not (np.isfinite(c).all() and np.isfinite(a.data).all()):
+                raise ValueError(f"block {k} has a non-finite cost or constraint entry")
             if np.linalg.norm(c - c.T) > 1e-12 * (1 + np.abs(c).max()):
                 raise ValueError(f"cost block {k} is not symmetric")
             # column (i, j) of a row holds cell (i, j); at holds cell (j, i)
@@ -114,7 +119,13 @@ class SDPProblem:
 
 @dataclass
 class SDPSolution:
-    """Solver outcome with primal/dual iterates and convergence diagnostics."""
+    """Solver outcome with primal/dual iterates and convergence diagnostics.
+
+    ``stop_reason`` says why the iterations ended: "floor" (the quality
+    reached 1e-12), "stall" (no progress in five iterations, a regression, a
+    collapsed step, or an iterate or Schur matrix that lost definiteness),
+    "max_iterations", or "infeasible" (b'y diverged).
+    """
 
     status: str
     primal_value: float
@@ -124,6 +135,7 @@ class SDPSolution:
     x_blocks: list = field(default_factory=list)
     z_blocks: list = field(default_factory=list)
     iterations: int = 0
+    stop_reason: str = ""
     primal_residual: float = 0.0
     dual_residual: float = 0.0
 
@@ -159,11 +171,11 @@ def _max_step(eig, dm: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def _initial_point(sizes, c_blocks, b):
+def _initial_point(sizes, c_norms, b):
     """Scaled identities.  With unit-norm constraint rows the usual primal
     scale max(1, (1 + |b_i|) / sqrt(1 + |A_i|^2)) uses sqrt(2) throughout."""
     xi = max(1.0, float(np.max(1.0 + np.abs(b))) / np.sqrt(2.0))
-    eta = 1.0 + max(float(np.linalg.norm(c)) for c in c_blocks)
+    eta = 1.0 + max(c_norms)
     x0 = [xi * np.sqrt(s) * np.eye(s) for s in sizes]
     z0 = [eta * np.sqrt(s) * np.eye(s) for s in sizes]
     return x0, np.zeros(b.shape[0]), z0
@@ -180,11 +192,12 @@ def _apply_forward(a_blocks, x_blocks):
 
 
 def _schur_slabs(a: sparse.csr_array, s: int) -> list:
-    """Column slabs of one constraint block for ``_schur``.
+    """Column slabs of one constraint block for ``_schur_assembler``.
 
     Each slab is a run of at most _SLAB_ENTRIES // s^2 cells (row-major
-    indices lo:hi) with an entry in some constraint, the constraints with an
-    entry there, and their (constraints, cells) CSR submatrix.
+    indices lo:hi) with an entry in some constraint: the row and column of
+    each cell, the constraints with an entry there, and their
+    (constraints, cells) CSR submatrix.
     """
     width = max(1, _SLAB_ENTRIES // (s * s))
     cols = a.tocsc()
@@ -194,28 +207,40 @@ def _schur_slabs(a: sparse.csr_array, s: int) -> list:
         part = cols[:, lo:hi]
         rows = np.unique(part.indices)
         if rows.size:
-            slabs.append((lo, hi, rows, sparse.csr_array(part[rows])))
+            i, j = np.divmod(np.arange(lo, hi), s)
+            slabs.append((i, j, rows, sparse.csr_array(part[rows])))
     return slabs
 
 
-def _schur(a_blocks, slabs, w_blocks):
-    """Symmetrised M = sum_k A_k (W_k (x) W_k) A_k^T.
+def _schur_assembler(a_blocks, slabs):
+    """The map W -> symmetrised sum_k A_k (W_k (x) W_k) A_k^T.
 
     W (x) W is symmetric, so the rows of M that a slab's cells touch gain
-    A[rows, lo:hi] (A (W (x) W)[:, lo:hi])^T; column c of the slab, cell
-    (i, j), is the outer product of W[:, i] and W[:, j].
+    A[rows, cells] (A (W (x) W)[:, cells])^T; the slab's column for cell
+    (i, j) is the outer product of W[:, i] and W[:, j].  The slab, the
+    accumulator and the returned matrix are buffers shared by every call, so
+    each call overwrites the matrix the previous one returned.
     """
     p = a_blocks[0].shape[0]
-    m = np.zeros((p, p))
-    for a, block_slabs, w in zip(a_blocks, slabs, w_blocks):
-        s = w.shape[0]
-        for lo, hi, rows, sub in block_slabs:
-            i, j = np.divmod(np.arange(lo, hi), s)
-            # np.take keeps the columns C-contiguous, so the product is too
-            wi, wj = np.take(w, i, axis=1), np.take(w, j, axis=1)
-            kron_cols = (wi[:, None, :] * wj[None, :, :]).reshape(s * s, hi - lo)
-            m[rows] += sub @ (a @ kron_cols).T
-    return 0.5 * (m + m.T)
+    slab = np.empty(max(
+        a.shape[1] * cells.size for a, sl in zip(a_blocks, slabs) for cells, *_ in sl
+    ))
+    acc = np.empty((p, p))
+    m = np.empty((p, p))
+
+    def assemble(w_blocks):
+        acc.fill(0.0)
+        for a, block_slabs, w in zip(a_blocks, slabs, w_blocks):
+            s = w.shape[0]
+            for i, j, rows, sub in block_slabs:
+                wi, wj = np.take(w, i, axis=1), np.take(w, j, axis=1)
+                kron_cols = slab[: s * s * i.size].reshape(s, s, i.size)
+                np.multiply(wi[:, None, :], wj[None, :, :], out=kron_cols)
+                acc[rows] += sub @ (a @ kron_cols.reshape(s * s, i.size)).T
+        np.add(acc, acc.T, out=m)
+        return np.multiply(m, 0.5, out=m)
+
+    return assemble
 
 
 def _block0_fix(a0: sparse.csr_array):
@@ -261,10 +286,16 @@ def sdp_solve(
     at_blocks = tuple(a.T for a in a_blocks)  # once: a sparse transpose is not free
     b = prob.b / norms
     p = b.shape[0]
+    b_norm = float(np.linalg.norm(b))
+    c_norms = [float(np.linalg.norm(c)) for c in c_blocks]
     slabs = [_schur_slabs(a, s) for a, s in zip(a_blocks, prob.block_sizes)]
+    schur = _schur_assembler(a_blocks, slabs)
+    # the lifted Schur matrix, in Fortran order so that potrf factors it in place
+    lifted = np.empty((p, p), order="F")
+    diagonal = np.diag_indices(p)
     block0_fix = _block0_fix(a_blocks[0])
 
-    x, y, z = _initial_point(prob.block_sizes, c_blocks, b)
+    x, y, z = _initial_point(prob.block_sizes, c_norms, b)
 
     def residuals():
         rp = b - _apply_forward(a_blocks, x)
@@ -285,10 +316,9 @@ def sdp_solve(
         pv, dv = current_values()
         mu = sum(float(np.tensordot(x[k], z[k])) for k in range(nblk)) / ntot
         gap_rel = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
-        rp_norm = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
+        rp_norm = float(np.linalg.norm(rp)) / (1.0 + b_norm)
         rd_norm = max(
-            float(np.linalg.norm(rd[k])) / (1.0 + float(np.linalg.norm(c_blocks[k])))
-            for k in range(nblk)
+            float(np.linalg.norm(rd[k])) / (1.0 + c_norms[k]) for k in range(nblk)
         )
         quality = max(gap_rel, rp_norm, rd_norm)
         if best is None or quality < best[0]:
@@ -328,22 +358,26 @@ def sdp_solve(
             wrdw = [_sym(w[k] @ rd[k] @ w[k]) for k in range(nblk)]
 
             # Schur complement M_ij = sum_k <A_i, W A_j W> (SPD)
-            m_schur = _schur(a_blocks, slabs, w)
-            # tiny diagonal lift keeps the factorization stable near the optimum
+            m_schur = schur(w)
+            # tiny diagonal lift keeps the factorization stable near the optimum;
+            # the problem data are finite, so the solver's own buffers need no
+            # finiteness scans
             lift = 1e-14 * (1.0 + np.abs(np.diag(m_schur)).max())
-            factor = cho_factor(m_schur + lift * np.eye(p))
+            np.copyto(lifted, m_schur)
+            lifted[diagonal] += lift
+            factor = cho_factor(lifted, overwrite_a=True, check_finite=False)
 
             def solve_direction(sigma_mu):
                 rhs = b + _apply_forward(
                     a_blocks, [wrdw[k] - sigma_mu * zinv[k] for k in range(nblk)]
                 )
-                dy = cho_solve(factor, rhs)
+                dy = cho_solve(factor, rhs, check_finite=False)
                 # one round of iterative refinement against the exact matrix;
                 # the Schur complement turns severely ill-conditioned near the
                 # optimum and the raw factorization loses the direction
                 r = rhs - m_schur @ dy
                 if np.linalg.norm(r) > 1e-14 * (1.0 + np.linalg.norm(rhs)):
-                    dy = dy + cho_solve(factor, r)
+                    dy = dy + cho_solve(factor, r, check_finite=False)
                 ady = _apply_adjoint(at_blocks, dy)
                 dz = [rd[k] - ady[k] for k in range(nblk)]
                 dx = [
@@ -381,7 +415,7 @@ def sdp_solve(
                 x[k] = _sym(x[k] + ap * dx[k])
                 z[k] = _sym(z[k] + ad * dz[k])
             y = y + ad * dy
-            if float(b @ y) > 1e12 * (1.0 + float(np.linalg.norm(b))):
+            if float(b @ y) > 1e12 * (1.0 + b_norm):
                 ended_by = "infeasible"
                 break
         except np.linalg.LinAlgError:
@@ -412,6 +446,7 @@ def sdp_solve(
         x_blocks=[xk.copy() for xk in x],
         z_blocks=[zk.copy() for zk in z],
         iterations=it,
+        stop_reason=ended_by,
         primal_residual=float(np.linalg.norm(rp * norms)),
         dual_residual=max(float(np.linalg.norm(r)) for r in rd),
     )

@@ -125,6 +125,8 @@ def _spec(args, control: str) -> ProblemSpec:
 
 
 def _handle_synth(args, control: str) -> int:
+    if args.trial < 0:
+        raise ValueError("--trial must be non-negative")
     spec = _spec(args, control)
     order = _order(args, spec.is_piecewise())
     # run_trial reads only the target seed and the relaxation settings

@@ -136,6 +136,23 @@ def test_sdp_validates_shapes():
         )
 
 
+@pytest.mark.parametrize("where", ["b", "cost", "dense_constraint", "csr_constraint"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sdp_rejects_non_finite_data(where, bad):
+    # checked once at construction, so the solver never meets it
+    c, a, b = np.eye(2), np.eye(2)[None], np.array([1.0])
+    if where == "b":
+        b = np.array([bad])
+    elif where == "cost":
+        c = np.array([[1.0, 0.0], [0.0, bad]])
+    else:
+        a = np.array([[[1.0, 0.0], [0.0, bad]]])
+        if where == "csr_constraint":
+            a = sparse.csr_array(a.reshape(1, 4))
+    with pytest.raises(ValueError, match="non-finite"):
+        SDPProblem((2,), (c,), (a,), b)
+
+
 def test_sdp_block_structure():
     # constraint 2 has no entry in block 0, so no primal fix reaches it and
     # its residual falls with the steps alone
@@ -214,7 +231,7 @@ def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
         np.einsum("nij,mij->nm", a, np.einsum("ij,mjk,kl->mil", w, a, w, optimize=True))
         for a, w in zip(stacks, ws)
     )
-    assert_rel_close(sdp_mod._schur(prob.a_blocks, slabs, ws), want)
+    assert_rel_close(sdp_mod._schur_assembler(prob.a_blocks, slabs)(ws), want)
 
 
 def test_sdp_primal_fix_exact_in_moment_block():
@@ -231,6 +248,74 @@ def test_sdp_primal_fix_exact_in_moment_block():
     np.testing.assert_array_equal(fix, fix.T)
     got = sdp_mod._apply_forward(prob.a_blocks, [fix, np.zeros((s1, s1))])
     assert np.linalg.norm(got - defect) <= 1e-13 * np.linalg.norm(defect)
+
+
+def sdp_dense_random():
+    # every cell of both blocks is in all 6 constraints: no slab is skipped
+    rng = np.random.default_rng(8)
+    sizes, stacks = (5, 3), []
+    for s in sizes:
+        g = rng.standard_normal((6, s, s))
+        stacks.append(g + g.transpose(0, 2, 1))
+    costs = tuple(np.eye(s) for s in sizes)
+    return SDPProblem(sizes, costs, tuple(stacks), rng.standard_normal(6))
+
+
+def schur_allocating(a_blocks, slabs, w_blocks):
+    """The Schur assembly with fresh arrays for every slab, in the same order."""
+    p = a_blocks[0].shape[0]
+    m = np.zeros((p, p))
+    for a, block_slabs, w in zip(a_blocks, slabs, w_blocks):
+        s = w.shape[0]
+        for i, j, rows, sub in block_slabs:
+            wi, wj = np.take(w, i, axis=1), np.take(w, j, axis=1)
+            kron_cols = (wi[:, None, :] * wj[None, :, :]).reshape(s * s, i.size)
+            m[rows] += sub @ (a @ kron_cols).T
+    return 0.5 * (m + m.T)
+
+
+def test_schur_buffers_reused_bit_identical(monkeypatch):
+    # one assembler's buffers serve a whole solve; at 50 entries both blocks
+    # end on a short slab, so each call writes a shorter prefix of the slab
+    # buffer than the call before it
+    monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", 50)
+    prob = sdp_dense_random()
+    slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+    assert all(sl[-1][0].size < sl[0][0].size for sl in slabs)
+    rng = np.random.default_rng(9)
+    w1, w2 = ([random_spd(rng, s) for s in prob.block_sizes] for _ in range(2))
+    shared = sdp_mod._schur_assembler(prob.a_blocks, slabs)
+    for ws in (w1, w2, w1):
+        got = shared(ws).copy()
+        assert np.array_equal(got, sdp_mod._schur_assembler(prob.a_blocks, slabs)(ws))
+        assert np.array_equal(got, schur_allocating(prob.a_blocks, slabs, ws))
+
+
+def assert_same_solution(got, want):
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, list):
+            assert len(other) == len(value)
+            assert all(np.array_equal(g, w) for g, w in zip(other, value)), name
+        else:
+            assert np.array_equal(other, value), name
+
+
+def test_sdp_solve_repeats_bit_identical():
+    # nothing a solve allocates outlives it: a repeat, and a repeat after a
+    # larger problem, reproduce the first solution exactly
+    small, large = sdp_psd_boundary_2x2(), certify_ising_relaxation()
+    first = sdp_solve(small)
+    assert_same_solution(sdp_solve(small), first)
+    sdp_solve(large)
+    assert_same_solution(sdp_solve(small), first)
+
+
+def test_sdp_stop_reason():
+    prob = certify_ising_relaxation()
+    sol = sdp_solve(prob, max_iter=1)
+    assert (sol.status, sol.stop_reason) == ("max_iterations", "max_iterations")
+    assert sdp_solve(prob).stop_reason in ("stall", "floor")
 
 
 # ------------------------------------------------------------- moment_relax

@@ -341,6 +341,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["target-gen", "--problem", str(huge_t), "--out", str(out)], "T does not fit"),
         (["target-gen", "--problem", str(huge_h0), "--out", str(out)], "H0 has an entry that does not fit"),
         (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
+        (["synth", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
+        (["synth-pw", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
         (["gbchd-report", "--samples", "0", "--out", str(out)], "sample count"),
         (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
          "--qubits, --coupling"),
