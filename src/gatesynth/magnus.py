@@ -106,17 +106,16 @@ def _require_poly(spec: ProblemSpec):
         raise ValueError("operation requires a polynomial control envelope")
 
 
-def _integrand(a: list[np.ndarray]) -> np.ndarray:
-    """Order-k Magnus integrand at k fixed operators A(t1), ..., A(tk)."""
-
-    def comm(p, q):
-        return p @ q - q @ p
-
-    if len(a) == 1:
-        return a[0]
-    if len(a) == 2:
-        return 0.5 * comm(a[0], a[1])
-    return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
+def _nested_commutator(ops, choice: tuple[int, ...], memo: dict) -> np.ndarray:
+    """Right-nested commutator [A_c1, [A_c2, ... A_ck]] of ``ops`` for the
+    operand choice (c1, ..., ck), each distinct one formed once in ``memo``."""
+    if choice not in memo:
+        if len(choice) == 1:
+            memo[choice] = ops[choice[0]]
+        else:
+            p, q = ops[choice[0]], _nested_commutator(ops, choice[1:], memo)
+            memo[choice] = p @ q - q @ p
+    return memo[choice]
 
 
 def _simplex_weight(time_exps: tuple[int, ...]) -> tuple[int, int]:
@@ -145,16 +144,23 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
     the Gc slots, integrated over 0 <= tk <= ... <= t1 <= T.  With
     E(t) = sum_i x_i t^i, each tuple of envelope powers at the Gc slots
     contributes the monomial weight T**power / denom to the control monomial
-    that counts those powers.
+    that counts those powers.  Each distinct nested commutator is formed once
+    per term.
     """
     _require_poly(spec)
     if not 1 <= k <= 3:
         raise ValueError(f"order {k} outside the implemented range 1..3")
     m = spec.m
     ops = (-1j * spec.h0, -1j * spec.hc)
+    memo: dict[tuple[int, ...], np.ndarray] = {}
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for choice in itertools.product((0, 1), repeat=k):
-        lie = _integrand([ops[c] for c in choice])
+        lie = _nested_commutator(ops, choice, memo)
+        if k == 2:
+            lie = 0.5 * lie
+        elif k == 3:
+            c1, c2, c3 = choice
+            lie = (1.0 / 6.0) * (lie - _nested_commutator(ops, (c3, c1, c2), memo))
         if not lie.any():
             continue
         weights: dict[tuple[int, ...], complex] = {}

@@ -9,9 +9,12 @@ primal value yields the certified lower bound p(0)-independent part.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -20,6 +23,8 @@ from gatesynth.polymat import Polynomial
 from gatesynth.pop.sdp import SDPProblem
 
 RANK1_TOL = 1e-6
+# relaxation structures kept, one per (m, order, radius)
+_STRUCTURES = 8
 
 
 def monomials_up_to(m: int, d: int) -> list[tuple[int, ...]]:
@@ -44,14 +49,15 @@ class MomentRelaxation:
     the moment vector y (-1 for the constant y_0 = 1).  ``pair_index[i, j]``
     is the slot of basis_i + basis_j in (y_0, y), i.e. its moment index plus
     one, over the graded basis of degree <= order; the localizing basis is
-    the leading degree <= order - 1 block of that basis.
+    the leading degree <= order - 1 block of that basis.  Both are read-only
+    and shared by every relaxation with the same (m, order, radius).
     """
 
     n_vars: int
     order: int
     radius: float
     pair_index: np.ndarray
-    moment_index: dict
+    moment_index: Mapping
     constant_term: float
 
     @property
@@ -94,26 +100,15 @@ def _split_patterns(s: int, n_y: int, terms) -> tuple[np.ndarray, sparse.csr_arr
     return cost.reshape(s, s), rows
 
 
-def moment_relax(
-    p: Polynomial, radius: float, order: int
-) -> tuple[SDPProblem, MomentRelaxation]:
-    """Order-``order`` moment relaxation of min p over the radius ball.
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _structure(m: int, order: int, radius: float):
+    """What the order-``order`` relaxation over the radius ball shares for
+    every objective in m variables: a template SDP (b = 0), the read-only
+    ``pair_index`` and the read-only ``moment_index``.
 
-    The SDP is the conjugate standard form: C carries the y_0 = 1 pattern,
-    each constraint matrix is the negated pattern of one moment variable, and
-    b holds the negated objective coefficients.  Lower bound on p equals
-    p_constant - primal value; the dual y is the moment vector.
+    The solver derives its operators from the template's blocks at the first
+    solve, and every relaxation with this key shares them.
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    coeffs = p.real_coeff_dict()
-    m = p.ring.controls
-    if m < 1:
-        raise ValueError("objective needs at least one variable")
-    if 2 * order < p.degree():
-        raise ValueError(
-            f"relaxation order {order} too small for degree {p.degree()}"
-        )
     basis = monomials_up_to(m, order)
     n = len(basis)
     nl = comb(m + order - 1, m)
@@ -137,9 +132,37 @@ def moment_relax(
         shift = [position[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis[:nl]]
         loc.append((pair_index[np.ix_(shift, shift)], -1.0))
     c_loc, a_loc = _split_patterns(nl, n_y, loc)
-    c_blocks = (c_mom, c_loc)
-    a_blocks = (a_mom, a_loc)
-    b = np.zeros(n_y)
+    template = SDPProblem((n, nl), (c_mom, c_loc), (a_mom, a_loc), np.zeros(n_y))
+    pair_index.setflags(write=False)
+    return template, pair_index, MappingProxyType(moment_index)
+
+
+def moment_relax(
+    p: Polynomial, radius: float, order: int
+) -> tuple[SDPProblem, MomentRelaxation]:
+    """Order-``order`` moment relaxation of min p over the radius ball.
+
+    The SDP is the conjugate standard form: C carries the y_0 = 1 pattern,
+    each constraint matrix is the negated pattern of one moment variable, and
+    b holds the negated objective coefficients.  Lower bound on p equals
+    p_constant - primal value; the dual y is the moment vector.
+
+    Everything but b and the constant term depends only on (m, order,
+    radius), and relaxations with the same key share it read-only, solver
+    operators included.
+    """
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
+    coeffs = p.real_coeff_dict()
+    m = p.ring.controls
+    if m < 1:
+        raise ValueError("objective needs at least one variable")
+    if 2 * order < p.degree():
+        raise ValueError(
+            f"relaxation order {order} too small for degree {p.degree()}"
+        )
+    template, pair_index, moment_index = _structure(m, order, float(radius))
+    b = np.zeros(template.n_constraints)
     constant = 0.0
     for e, c in coeffs.items():
         idx = moment_index[e]
@@ -147,7 +170,6 @@ def moment_relax(
             constant = c
         else:
             b[idx] = -c
-    prob = SDPProblem((n, nl), c_blocks, a_blocks, b)
     relax = MomentRelaxation(
         n_vars=m,
         order=order,
@@ -156,7 +178,7 @@ def moment_relax(
         moment_index=moment_index,
         constant_term=constant,
     )
-    return prob, relax
+    return template._with_rhs(b), relax
 
 
 def extract_minimizer(relax: MomentRelaxation, y: np.ndarray):

@@ -6,22 +6,31 @@ Nesterov-Todd scaling with a predictor-corrector centering choice.
 
 The iterates, the cost blocks and the Schur complement are dense; the
 constraints are sparse.  Block k of every constraint is one (p, s_k^2) CSR
-matrix A_k whose row i is block k of A_i in row-major order, so A(X) and
-A*(y) are sparse mat-vecs.  The Schur complement sum_k A_k (W_k (x) W_k) A_k^T
-is assembled from fixed-size column slabs of W (x) W: in a moment block every
-cell belongs to one constraint, so a block costs s^4 (Fujisawa, Kojima &
-Nakata, Math. Program. 79, 1997, formula F3).  The slab of W (x) W, the Schur
+matrix A_k whose row i is block k of A_i in row-major order.  A(X) and A*(y)
+are ``np.bincount`` sums over the entries' row and column index arrays, which
+add in the same order as scipy's CSR and CSC mat-vecs.  The Schur complement
+sum_k A_k (W_k (x) W_k) A_k^T is assembled from fixed-size column slabs of
+W (x) W: in a moment block every cell belongs to one constraint, so a block
+costs s^4 (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997, formula F3).
+
+What the solver derives from the constraint blocks alone (the normalised
+blocks, their index arrays, the Schur slabs and the moment-block
+pseudo-inverse) is built at the first solve and shared, read-only, by every
+problem made from the same blocks with another right-hand side; a moment
+relaxation's structure is such a problem.  The slab of W (x) W, the Schur
 matrix and its Cholesky factor live in buffers allocated once per solve.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 # relative duality gap (and residual scale) at which a solve is "optimal"
 TOL = 1e-8
@@ -33,10 +42,28 @@ STEP_FRACTION = 0.98
 _SLAB_ENTRIES = 1 << 18
 
 
+def _read_only(*arrays):
+    """Mark arrays read-only, and the data, indices and indptr of sparse ones."""
+    for a in arrays:
+        for part in (a.data, a.indices, a.indptr) if sparse.issparse(a) else (a,):
+            part.setflags(write=False)
+
+
+def _checked_rhs(b) -> np.ndarray:
+    """b as a finite float vector."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError("b must be a vector")
+    if not np.isfinite(b).all():
+        raise ValueError("b has a non-finite entry")
+    return b
+
+
 def _constraint_rows(a, p: int, s: int, k: int) -> sparse.csr_array:
     """Block k of the constraints as a (p, s*s) CSR matrix.
 
-    A dense (p, s, s) stack goes through one reshape to (p, s*s).
+    A dense (p, s, s) stack goes through one reshape to (p, s*s).  The
+    result is a copy: validation sorts its indices in place.
     """
     if not sparse.issparse(a):
         a = np.asarray(a, dtype=float)
@@ -45,7 +72,7 @@ def _constraint_rows(a, p: int, s: int, k: int) -> sparse.csr_array:
                 f"constraint stack {k} has shape {a.shape}, want ({p},{s},{s})"
             )
         a = a.reshape(p, s * s)
-    rows = sparse.csr_array(a, dtype=float)
+    rows = sparse.csr_array(a, dtype=float, copy=True)
     if rows.shape != (p, s * s):
         raise ValueError(
             f"constraint block {k} has shape {rows.shape}, want ({p},{s * s})"
@@ -62,7 +89,7 @@ class SDPProblem:
     CSR matrix, row i holding block k of A_i in row-major order; a dense
     (n_constraints, s_k, s_k) stack is accepted and converted.  ``b`` is the
     right-hand side, with at least one constraint.  Every entry must be
-    finite.
+    finite.  The validated cost and constraint blocks are read-only copies.
 
     The solver keeps A(X) = b to round-off by a fix in block 0 alone, so only
     constraints with an entry in block 0 are fixed exactly; for the others
@@ -79,11 +106,7 @@ class SDPProblem:
         sizes = tuple(int(s) for s in self.block_sizes)
         if not sizes or any(s <= 0 for s in sizes):
             raise ValueError("block sizes must be positive")
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("b must be a vector")
-        if not np.isfinite(b).all():
-            raise ValueError("b has a non-finite entry")
+        b = _checked_rhs(self.b)
         p = b.shape[0]
         if p == 0:
             raise ValueError("at least one constraint is required")
@@ -103,10 +126,24 @@ class SDPProblem:
                 raise ValueError(f"constraint block {k} is not symmetric")
             cs.append(0.5 * (c + c.T))
             As.append(sparse.csr_array(0.5 * (a + at)))
+        _read_only(*cs, *As)
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "c_blocks", tuple(cs))
         object.__setattr__(self, "a_blocks", tuple(As))
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_shared", _SharedBlocks(self.a_blocks))
+
+    def _with_rhs(self, b) -> SDPProblem:
+        """This problem with right-hand side ``b``, which is validated.
+
+        The twin shares the blocks and the solver operators derived from them.
+        """
+        b = _checked_rhs(b)
+        if b.shape != self.b.shape:
+            raise ValueError(f"b has shape {b.shape}, want {self.b.shape}")
+        twin = copy.copy(self)
+        object.__setattr__(twin, "b", b)
+        return twin
 
     @property
     def n_constraints(self) -> int:
@@ -144,9 +181,9 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """W with W Z W = X, and the eigendecomposition of X it was built from."""
-    wx, vx = np.linalg.eigh(x)
+def _nt_scaling(z: np.ndarray, x_eig):
+    """W with W Z W = X, from x_eig = eigh(X)."""
+    wx, vx = x_eig
     if wx.min() <= 0:
         raise np.linalg.LinAlgError("primal block lost definiteness")
     sx = vx * np.sqrt(wx)  # X^{1/2} = sx @ vx.T
@@ -156,19 +193,25 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
     if wi.min() <= 0:
         raise np.linalg.LinAlgError("scaling core lost definiteness")
     inner_isqrt = (vi / np.sqrt(wi)) @ vi.T
-    w = _sym(xh @ inner_isqrt @ xh)
-    return w, (wx, vx)
+    return _sym(xh @ inner_isqrt @ xh)
 
 
-def _max_step(eig, dm: np.ndarray) -> float:
-    """Largest alpha with m + alpha*dm staying PSD, from eig = eigh(m) (m PD)."""
-    w, v = eig
-    linv = v / np.sqrt(w)  # m^{-1/2} = linv @ v.T acting symmetrically
-    t = _sym(linv.T @ dm @ linv)
-    lam = np.linalg.eigvalsh(t).min()
-    if lam >= 0:
-        return np.inf
-    return -1.0 / lam
+def _step_lengths(isqrt_pairs, dx, dz) -> tuple[float, float]:
+    """Primal and dual step lengths: STEP_FRACTION of the largest alpha with
+    X + alpha dX and Z + alpha dZ PSD, capped at 1.
+
+    ``isqrt_pairs[k]`` holds V / sqrt(w) from eigh(X_k) and from eigh(Z_k),
+    which act as M^{-1/2} = (V / sqrt(w)) @ V.T; one stacked eigvalsh per
+    block serves both sides.
+    """
+    steps = []
+    for (lx, lz), dxk, dzk in zip(isqrt_pairs, dx, dz):
+        t = np.stack((_sym(lx.T @ dxk @ lx), _sym(lz.T @ dzk @ lz)))
+        steps.append([np.inf if lam >= 0 else -1.0 / lam
+                      for lam in np.linalg.eigvalsh(t).min(axis=1)])
+    ap = min(s[0] for s in steps)
+    ad = min(s[1] for s in steps)
+    return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
 
 
 def _initial_point(sizes, c_norms, b):
@@ -181,14 +224,42 @@ def _initial_point(sizes, c_norms, b):
     return x0, np.zeros(b.shape[0]), z0
 
 
-def _apply_adjoint(at_blocks, y):
-    """sum_i y_i A_i per block, from the transposed blocks A_k^T."""
-    return [(at @ y).reshape((math.isqrt(at.shape[0]),) * 2) for at in at_blocks]
+class _Block:
+    """One (p, s*s) CSR constraint block as the index arrays of its entries.
+
+    A(X) and A*(y) are ``np.bincount`` sums over the entries in stored order,
+    the order in which scipy's ``csr_matvec`` (A x) and ``csc_matvec``
+    (A^T y) add them, so they give the same bits without the sparse
+    dispatch.
+    """
+
+    def __init__(self, a: sparse.csr_array):
+        self.p = a.shape[0]
+        self.s = math.isqrt(a.shape[1])
+        self.rows = np.repeat(np.arange(self.p), np.diff(a.indptr))
+        self.cols = a.indices
+        self.data = a.data
+        _read_only(self.rows)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Vector of <A_i, X> over this block."""
+        return np.bincount(self.rows, self.data * x.ravel()[self.cols], minlength=self.p)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i over this block, as an (s, s) matrix."""
+        return np.bincount(
+            self.cols, self.data * y[self.rows], minlength=self.s * self.s
+        ).reshape(self.s, self.s)
 
 
-def _apply_forward(a_blocks, x_blocks):
+def _apply_adjoint(blocks, y):
+    """sum_i y_i A_i per block."""
+    return [blk.adjoint(y) for blk in blocks]
+
+
+def _apply_forward(blocks, x_blocks):
     """vector of <A_i, X> across blocks."""
-    return sum(a @ x.ravel() for a, x in zip(a_blocks, x_blocks))
+    return sum(blk.forward(x) for blk, x in zip(blocks, x_blocks))
 
 
 def _schur_slabs(a: sparse.csr_array, s: int) -> list:
@@ -250,8 +321,62 @@ def _block0_fix(a0: sparse.csr_array):
     the fix is exact for every constraint with an entry in block 0.
     """
     g_pinv = np.linalg.pinv((a0 @ a0.T).toarray(), hermitian=True)
-    at0 = a0.T
-    return lambda defect: _apply_adjoint((at0,), g_pinv @ defect)[0]
+    _read_only(g_pinv)
+    block = _Block(a0)
+    return lambda defect: block.adjoint(g_pinv @ defect)
+
+
+class _Operators:
+    """What the solver derives from a problem's constraint blocks alone.
+
+    The blocks are normalised to unit Frobenius norm per constraint for a
+    better-scaled Schur complement; ``norms`` maps b and y to and from that
+    scaling.  Every array here is read-only.
+    """
+
+    def __init__(self, a_blocks):
+        norms = np.sqrt(sum(a.multiply(a).sum(axis=1) for a in a_blocks))
+        if norms.min() == 0.0:
+            raise ValueError("a constraint matrix is identically zero")
+        unit = sparse.diags_array(1.0 / norms)
+        self.a_blocks = tuple(sparse.csr_array(unit @ a) for a in a_blocks)
+        self.norms = norms
+        self.blocks = tuple(_Block(a) for a in self.a_blocks)
+        self.slabs = [_schur_slabs(a, blk.s) for a, blk in zip(self.a_blocks, self.blocks)]
+        self.block0_fix = _block0_fix(self.a_blocks[0])
+        _read_only(norms, *self.a_blocks,
+                   *(part for sl in self.slabs for slab in sl for part in slab))
+
+
+class _SharedBlocks:
+    """The constraint blocks that problems differing only in b share.
+
+    The solver operators are built at the first solve of any of them.
+    """
+
+    def __init__(self, a_blocks):
+        self.a_blocks = a_blocks
+
+    @functools.cached_property
+    def operators(self) -> _Operators:
+        return _Operators(self.a_blocks)
+
+
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of an SPD Fortran-order matrix, written over it."""
+    factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    return factor
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    x, info = lapack.dpotrs(factor, rhs, lower=0)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected argument {-info}")
+    return x
 
 
 def sdp_solve(
@@ -275,36 +400,29 @@ def sdp_solve(
     nblk = len(prob.block_sizes)
     ntot = prob.total_dim
 
-    # normalize constraints to unit Frobenius norm for a better-scaled Schur
-    # complement; the reported y is mapped back to the original scaling
+    # the solve runs on unit-norm constraints; y is mapped back at the end
+    ops = prob._shared.operators
     c_blocks = prob.c_blocks
-    norms = np.sqrt(sum(a.multiply(a).sum(axis=1) for a in prob.a_blocks))
-    if norms.min() == 0.0:
-        raise ValueError("a constraint matrix is identically zero")
-    unit = sparse.diags_array(1.0 / norms)
-    a_blocks = tuple(sparse.csr_array(unit @ a) for a in prob.a_blocks)
-    at_blocks = tuple(a.T for a in a_blocks)  # once: a sparse transpose is not free
+    norms, blocks = ops.norms, ops.blocks
     b = prob.b / norms
     p = b.shape[0]
     b_norm = float(np.linalg.norm(b))
     c_norms = [float(np.linalg.norm(c)) for c in c_blocks]
-    slabs = [_schur_slabs(a, s) for a, s in zip(a_blocks, prob.block_sizes)]
-    schur = _schur_assembler(a_blocks, slabs)
+    schur = _schur_assembler(ops.a_blocks, ops.slabs)
     # the lifted Schur matrix, in Fortran order so that potrf factors it in place
     lifted = np.empty((p, p), order="F")
     diagonal = np.diag_indices(p)
-    block0_fix = _block0_fix(a_blocks[0])
 
     x, y, z = _initial_point(prob.block_sizes, c_norms, b)
 
     def residuals():
-        rp = b - _apply_forward(a_blocks, x)
-        ady = _apply_adjoint(at_blocks, y)
+        rp = b - _apply_forward(blocks, x)
+        ady = _apply_adjoint(blocks, y)
         rd = [c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
         return rp, rd
 
     def current_values():
-        pv = sum(float(np.tensordot(c_blocks[k], x[k])) for k in range(nblk))
+        pv = sum(float(np.vdot(c_blocks[k], x[k])) for k in range(nblk))
         return pv, float(b @ y)
 
     ended_by = "max_iterations"
@@ -314,7 +432,7 @@ def sdp_solve(
     for it in range(1, max_iter + 1):
         rp, rd = residuals()
         pv, dv = current_values()
-        mu = sum(float(np.tensordot(x[k], z[k])) for k in range(nblk)) / ntot
+        mu = sum(float(np.vdot(x[k], z[k])) for k in range(nblk)) / ntot
         gap_rel = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
         rp_norm = float(np.linalg.norm(rp)) / (1.0 + b_norm)
         rd_norm = max(
@@ -346,15 +464,16 @@ def sdp_solve(
             break
 
         try:
-            # the eigendecompositions of X and Z also serve the step lengths
-            w, x_eig = zip(*(_nt_scaling(x[k], z[k]) for k in range(nblk)))
-            zinv, z_eig = [], []
+            # one stacked eigh of (X_k, Z_k) per block serves the scaling,
+            # Z^{-1} and both step-length calls
+            w, zinv, isqrt_pairs = [], [], []
             for k in range(nblk):
-                wz, vz = np.linalg.eigh(z[k])
+                (wx, wz), (vx, vz) = np.linalg.eigh(np.stack((x[k], z[k])))
+                w.append(_nt_scaling(z[k], (wx, vx)))
                 if wz.min() <= 0:
                     raise np.linalg.LinAlgError("dual block lost definiteness")
                 zinv.append((vz / wz) @ vz.T)
-                z_eig.append((wz, vz))
+                isqrt_pairs.append((vx / np.sqrt(wx), vz / np.sqrt(wz)))
             wrdw = [_sym(w[k] @ rd[k] @ w[k]) for k in range(nblk)]
 
             # Schur complement M_ij = sum_k <A_i, W A_j W> (SPD)
@@ -365,20 +484,20 @@ def sdp_solve(
             lift = 1e-14 * (1.0 + np.abs(np.diag(m_schur)).max())
             np.copyto(lifted, m_schur)
             lifted[diagonal] += lift
-            factor = cho_factor(lifted, overwrite_a=True, check_finite=False)
+            factor = _cholesky_in_place(lifted)
 
             def solve_direction(sigma_mu):
                 rhs = b + _apply_forward(
-                    a_blocks, [wrdw[k] - sigma_mu * zinv[k] for k in range(nblk)]
+                    blocks, [wrdw[k] - sigma_mu * zinv[k] for k in range(nblk)]
                 )
-                dy = cho_solve(factor, rhs, check_finite=False)
+                dy = _cholesky_solve(factor, rhs)
                 # one round of iterative refinement against the exact matrix;
                 # the Schur complement turns severely ill-conditioned near the
                 # optimum and the raw factorization loses the direction
                 r = rhs - m_schur @ dy
                 if np.linalg.norm(r) > 1e-14 * (1.0 + np.linalg.norm(rhs)):
-                    dy = dy + cho_solve(factor, r, check_finite=False)
-                ady = _apply_adjoint(at_blocks, dy)
+                    dy = dy + _cholesky_solve(factor, r)
+                ady = _apply_adjoint(blocks, dy)
                 dz = [rd[k] - ady[k] for k in range(nblk)]
                 dx = [
                     _sym(sigma_mu * zinv[k] - x[k] - w[k] @ dz[k] @ w[k])
@@ -388,26 +507,21 @@ def sdp_solve(
                 # round-off; the Schur solve's error would otherwise leak into
                 # the residual.  A least-norm fix over all blocks pushes the
                 # localizing block out of the cone and collapses the steps.
-                defect = rp - _apply_forward(a_blocks, dx)
-                dx[0] = dx[0] + block0_fix(defect)
+                defect = rp - _apply_forward(blocks, dx)
+                dx[0] = dx[0] + ops.block0_fix(defect)
                 return dx, dy, dz
-
-            def step_lengths(dx, dz):
-                ap = min(_max_step(x_eig[k], dx[k]) for k in range(nblk))
-                ad = min(_max_step(z_eig[k], dz[k]) for k in range(nblk))
-                return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
 
             # predictor
             dx_a, dy_a, dz_a = solve_direction(0.0)
-            ap_a, ad_a = step_lengths(dx_a, dz_a)
+            ap_a, ad_a = _step_lengths(isqrt_pairs, dx_a, dz_a)
             mu_aff = sum(
-                float(np.tensordot(x[k] + ap_a * dx_a[k], z[k] + ad_a * dz_a[k]))
+                float(np.vdot(x[k] + ap_a * dx_a[k], z[k] + ad_a * dz_a[k]))
                 for k in range(nblk)
             ) / ntot
             sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
             # corrector (recentered target, no second-order term)
             dx, dy, dz = solve_direction(sigma * mu)
-            ap, ad = step_lengths(dx, dz)
+            ap, ad = _step_lengths(isqrt_pairs, dx, dz)
             if ap <= 1e-14 or ad <= 1e-14:
                 ended_by = "stall"
                 break

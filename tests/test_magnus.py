@@ -11,12 +11,13 @@ from gatesynth.magnus import (
     PiecewiseControl,
     PolyControl,
     ProblemSpec,
+    _simplex_weight,
     build_lambda,
     magnus_term,
 )
 from gatesynth.numerics import action_integral, propagate_reference
 from gatesynth.objective import principal_log
-from gatesynth.polymat import pm_eval
+from gatesynth.polymat import PolyMatrix, Ring, pm_eval
 
 RNG = np.random.default_rng(4242)
 
@@ -208,6 +209,53 @@ def test_term_matches_simplex_gauss_rule(system, k):
     expect = simplex_gauss(integrand, horizon, k)
     got = pm_eval(magnus_term(spec, k), x)
     assert np.abs(got - expect).max() <= 1e-12
+
+
+def per_choice_integrand(a):
+    """Order-k Magnus integrand at k fixed operators, four commutators a call."""
+
+    def comm(p, q):
+        return p @ q - q @ p
+
+    if len(a) == 1:
+        return a[0]
+    if len(a) == 2:
+        return 0.5 * comm(a[0], a[1])
+    return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
+
+
+def magnus_term_per_choice(spec, k):
+    """magnus_term with every nested commutator formed afresh for each choice."""
+    ops = (-1j * spec.h0, -1j * spec.hc)
+    coeffs = {}
+    for choice in itertools.product((0, 1), repeat=k):
+        lie = per_choice_integrand([ops[c] for c in choice])
+        if not lie.any():
+            continue
+        weights = {}
+        for powers in itertools.product(range(spec.m), repeat=sum(choice)):
+            it = iter(powers)
+            power, denom = _simplex_weight(tuple(next(it) if c else 0 for c in choice))
+            e = tuple(powers.count(i) for i in range(spec.m))
+            weights[e] = weights.get(e, 0j) + spec.horizon**power / denom
+        for e, w in weights.items():
+            coeffs[e] = coeffs[e] + w * lie if e in coeffs else w * lie
+    return PolyMatrix(Ring(spec.m), spec.dim, coeffs).coeffs
+
+
+@pytest.mark.parametrize("system", ["ibmq3", "ising3"])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_term_commutators_memoised_bit_identical(system, m, k):
+    # one commutator per distinct operand choice gives the same bytes, in the
+    # same key order, as four commutators for every choice
+    pair = ibmq3() if system == "ibmq3" else build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(m))
+    want = magnus_term_per_choice(spec, k)
+    got = magnus_term(spec, k).coeffs
+    assert list(got) == list(want)
+    for e, c in want.items():
+        assert got[e].tobytes() == c.tobytes()
 
 
 def test_degree_bounds():

@@ -29,6 +29,7 @@ from gatesynth.pop import (
     sdp_solve,
 )
 from gatesynth.pop import minimize as minimize_mod
+from gatesynth.pop import relax as relax_mod
 from gatesynth.pop import sdp as sdp_mod
 from gatesynth.pop.minimize import GAP_TOL
 from gatesynth.pop.polish import gradient_polys, hessian_polys
@@ -220,8 +221,9 @@ def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
     y = rng.standard_normal(prob.n_constraints)
 
     want = sum(np.einsum("nij,ij->n", a, x) for a, x in zip(stacks, xs))
-    assert_rel_close(sdp_mod._apply_forward(prob.a_blocks, xs), want)
-    got = sdp_mod._apply_adjoint([a.T for a in prob.a_blocks], y)
+    blocks = [sdp_mod._Block(a) for a in prob.a_blocks]
+    assert_rel_close(sdp_mod._apply_forward(blocks, xs), want)
+    got = sdp_mod._apply_adjoint(blocks, y)
     for g, a in zip(got, stacks):
         assert_rel_close(g, np.einsum("n,nij->ij", y, a))
     slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
@@ -232,6 +234,65 @@ def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
         for a, w in zip(stacks, ws)
     )
     assert_rel_close(sdp_mod._schur_assembler(prob.a_blocks, slabs)(ws), want)
+
+
+@pytest.mark.parametrize("case", sorted(SDP_OPERATOR_CASES))
+def test_sdp_bincount_operators_match_scipy_matvecs(case):
+    # the index-array operators add in csr_matvec's and csc_matvec's order:
+    # equal bits on the given blocks and on the solver's normalised ones
+    prob = SDP_OPERATOR_CASES[case]()
+    rng = np.random.default_rng(10)
+    y = rng.standard_normal(prob.n_constraints)
+    normalised = sdp_mod._Operators(prob.a_blocks).a_blocks
+    for a in (*prob.a_blocks, *normalised):
+        blk = sdp_mod._Block(a)
+        x = rng.standard_normal((blk.s, blk.s))
+        assert np.array_equal(blk.forward(x), a @ x.ravel())
+        assert np.array_equal(blk.adjoint(y), (a.T @ y).reshape(blk.s, blk.s))
+
+
+def max_step_one_matrix(eig, dm):
+    """Largest alpha with m + alpha*dm PSD, from eig = eigh(m), one eigvalsh a call."""
+    w, v = eig
+    linv = v / np.sqrt(w)
+    t = sdp_mod._sym(linv.T @ dm @ linv)
+    lam = np.linalg.eigvalsh(t).min()
+    if lam >= 0:
+        return np.inf
+    return -1.0 / lam
+
+
+def test_sdp_batched_step_lengths_match_one_matrix_calls():
+    # one stacked eigvalsh per block gives the steps of one call per matrix
+    rng = np.random.default_rng(11)
+    sizes = (10, 4)
+    for trial in range(20):
+        x = [random_spd(rng, s) for s in sizes]
+        z = [random_spd(rng, s) for s in sizes]
+        # every few trials one side has no blocking direction
+        dx = [np.eye(s) if trial % 3 == 0 else sdp_mod._sym(rng.standard_normal((s, s)))
+              for s in sizes]
+        dz = [sdp_mod._sym(rng.standard_normal((s, s))) * 3.0 for s in sizes]
+        x_eig = [np.linalg.eigh(m) for m in x]
+        z_eig = [np.linalg.eigh(m) for m in z]
+        pairs = [(vx / np.sqrt(wx), vz / np.sqrt(wz))
+                 for (wx, vx), (wz, vz) in zip(x_eig, z_eig)]
+        ap = min(max_step_one_matrix(e, d) for e, d in zip(x_eig, dx))
+        ad = min(max_step_one_matrix(e, d) for e, d in zip(z_eig, dz))
+        want = (min(1.0, sdp_mod.STEP_FRACTION * ap), min(1.0, sdp_mod.STEP_FRACTION * ad))
+        assert sdp_mod._step_lengths(pairs, dx, dz) == want
+
+
+def test_sdp_cholesky_failure_stalls(monkeypatch):
+    # a Schur matrix that dpotrf reports not positive definite ends the solve
+    # as a stall, with the best iterate so far
+    def not_positive_definite(a, **kwargs):
+        return a, 1
+
+    monkeypatch.setattr(sdp_mod.lapack, "dpotrf", not_positive_definite)
+    sol = sdp_solve(sdp_psd_boundary_2x2())
+    assert (sol.stop_reason, sol.iterations) == ("stall", 1)
+    assert sol.status == "numerical_failure"
 
 
 def test_sdp_primal_fix_exact_in_moment_block():
@@ -246,7 +307,8 @@ def test_sdp_primal_fix_exact_in_moment_block():
     s0, s1 = prob.block_sizes
     assert fix.shape == (s0, s0)
     np.testing.assert_array_equal(fix, fix.T)
-    got = sdp_mod._apply_forward(prob.a_blocks, [fix, np.zeros((s1, s1))])
+    blocks = [sdp_mod._Block(a) for a in prob.a_blocks]
+    got = sdp_mod._apply_forward(blocks, [fix, np.zeros((s1, s1))])
     assert np.linalg.norm(got - defect) <= 1e-13 * np.linalg.norm(defect)
 
 
@@ -302,7 +364,8 @@ def assert_same_solution(got, want):
 
 
 def test_sdp_solve_repeats_bit_identical():
-    # nothing a solve allocates outlives it: a repeat, and a repeat after a
+    # the operators a first solve derives and shares are read-only and the
+    # per-solve buffers die with the solve: a repeat, and a repeat after a
     # larger problem, reproduce the first solution exactly
     small, large = sdp_psd_boundary_2x2(), certify_ising_relaxation()
     first = sdp_solve(small)
@@ -393,6 +456,74 @@ def test_relax_memory_bounded():
     assert prob.block_sizes == (120, 36)
     assert prob.n_constraints == 1715
     assert peak < 32 * 2**20
+
+
+def certify_objective(x_seed):
+    # the certify-ising N=3, m=3 objective at one planted control
+    pair = build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3), label=pair.label)
+    lam = build_lambda(spec, 3)
+    xstar = np.random.default_rng([1, x_seed]).uniform(-1, 1, 3)
+    scaled, _, radius, order = relaxation_setup(build_objective(lam, pm_eval(lam, xstar)))
+    return scaled, radius, order
+
+
+def test_relax_shares_structure_per_key():
+    # two objectives with the same (m, order, radius) share every block and
+    # the index maps; only b and the constant term are their own
+    (p1, radius, order), (p2, _, _) = certify_objective(0), certify_objective(1)
+    prob1, rel1 = moment_relax(p1, radius, order)
+    prob2, rel2 = moment_relax(p2, radius, order)
+    assert all(a is b for a, b in zip(prob1.a_blocks, prob2.a_blocks))
+    assert all(a is b for a, b in zip(prob1.c_blocks, prob2.c_blocks))
+    assert rel1.pair_index is rel2.pair_index
+    assert rel1.moment_index is rel2.moment_index
+    assert prob1._shared is prob2._shared
+    assert not np.array_equal(prob1.b, prob2.b)
+    other, _ = moment_relax(p1, 2.0 * radius, order)
+    assert other.a_blocks[1] is not prob1.a_blocks[1]
+
+
+def test_relax_shared_arrays_read_only():
+    scaled, radius, order = certify_objective(0)
+    prob, rel = moment_relax(scaled, radius, order)
+    sdp_solve(prob)  # builds the shared solver operators
+    ops = prob._shared.operators
+    arrays = [rel.pair_index, *prob.c_blocks, ops.norms]
+    for blk in ops.blocks:
+        arrays += [blk.rows, blk.cols, blk.data]
+    for a in (*prob.a_blocks, *ops.a_blocks):
+        arrays += [a.data, a.indices, a.indptr]
+    for i, j, rows, sub in ops.slabs[0]:
+        arrays += [i, j, rows, sub.data, sub.indices, sub.indptr]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+    with pytest.raises(TypeError):
+        rel.moment_index[(0, 0, 0)] = 5
+    assert isinstance(prob.b, np.ndarray) and prob.b.flags.writeable
+
+
+def test_relax_second_solve_matches_fresh_problem():
+    # a relaxation built from the shared structure, and solved with operators
+    # a first solve left behind, matches a problem built and solved afresh
+    (p1, radius, order), (p2, _, _) = certify_objective(2), certify_objective(3)
+    sdp_solve(moment_relax(p1, radius, order)[0])
+    prob, _ = moment_relax(p2, radius, order)
+    template = relax_mod._structure.__wrapped__(p2.ring.controls, order, radius)[0]
+    fresh = template._with_rhs(prob.b.copy())
+    assert fresh.a_blocks[0] is not prob.a_blocks[0]
+    assert_same_solution(sdp_solve(prob), sdp_solve(fresh))
+
+
+def test_sdp_rhs_validated_on_every_twin():
+    prob = sdp_psd_boundary_2x2()
+    for bad in (np.array([1.0, np.nan]), np.array([1.0]), np.ones((2, 1))):
+        with pytest.raises(ValueError):
+            prob._with_rhs(bad)
+    twin = prob._with_rhs([2.0, 0.0])
+    assert twin.a_blocks is prob.a_blocks and twin._shared is prob._shared
+    np.testing.assert_array_equal(prob.b, [1.0, 0.0])
 
 
 def test_relax_patterns_at_point_mass():
