@@ -172,7 +172,7 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
             weights[e] = weights.get(e, 0j) + spec.horizon**power / denom
         for e, w in weights.items():
             coeffs[e] = coeffs[e] + w * lie if e in coeffs else w * lie
-    return PolyMatrix(Ring(m), spec.dim, coeffs)
+    return PolyMatrix._adopt(Ring(m), spec.dim, coeffs)
 
 
 def build_lambda(spec: ProblemSpec, n: int) -> PolyMatrix:

@@ -7,6 +7,16 @@ polynomials are stored as a map from exponent vectors to dense numpy
 coefficient matrices, which keeps products and commutators of large
 (2^N dimensional) operator families cheap; scalar entries are recovered on
 demand.  Coefficients must be finite: a NaN or inf is an error, never pruned.
+
+What is copied and what is shared: the public ``PolyMatrix(...)`` constructor
+copies and validates the caller's matrices, so a caller's array is never
+aliased.  Every stored coefficient matrix is read-only.  Arithmetic results
+(``+``, ``-``, ``@``, :meth:`PolyMatrix.scale`, and the Magnus terms) are
+built without a copy: a freshly computed matrix is checked for finiteness and
+pruned in place, once, and a coefficient an operation passes through unchanged
+is the operand's own read-only array, shared.  Both paths prune through one
+helper, so a result holds the same bytes, in the same key order, as the public
+constructor would give it.
 """
 
 from __future__ import annotations
@@ -65,6 +75,23 @@ def _product(a: dict, b: dict, mul) -> dict:
     return out
 
 
+def _pruned(e: tuple[int, ...], m: np.ndarray) -> np.ndarray | None:
+    """Coefficient matrix ``m`` of exponent ``e``, pruned in place and made
+    read-only; None when every entry is below ``PRUNE_EPS``.
+
+    Sub-threshold entries are zeroed so that entry() round-trips cleanly.
+    """
+    mag = np.abs(m)
+    peak = mag.max()
+    if not np.isfinite(peak):
+        raise ValueError(f"non-finite coefficient of {e}")
+    if peak < PRUNE_EPS:
+        return None
+    m[mag < PRUNE_EPS] = 0.0
+    m.setflags(write=False)
+    return m
+
+
 def _control_values(ring: Ring, x) -> np.ndarray:
     """Control values ``x`` as a float vector, one entry per ring slot."""
     x = np.asarray(x, dtype=float)
@@ -82,11 +109,12 @@ class Polynomial:
     an error.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_sorted")
 
     def __init__(self, ring: Ring, terms: dict | None = None):
         self.ring = ring
         self.terms = {}
+        self._sorted = None
         for exps, coeff in (terms or {}).items():
             exps = _exponents(ring, exps)
             c = complex(coeff)
@@ -125,9 +153,15 @@ class Polynomial:
     def constant_term(self) -> complex:
         return self.terms.get((0,) * self.ring.controls, 0j)
 
-    def sorted_terms(self):
-        """Terms in graded lexicographic order (deterministic iteration)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+    def sorted_terms(self) -> tuple:
+        """Terms in graded lexicographic order (deterministic iteration).
+
+        Sorted once per instance: a polynomial never changes after
+        construction.
+        """
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])))
+        return self._sorted
 
     def real_coeff_dict(self) -> dict[tuple[int, ...], float]:
         """Term map with coefficients coerced to real; error on large residues."""
@@ -262,29 +296,43 @@ class PolyMatrix:
     :meth:`from_entries`) but keeps products as dense numpy matrix products.
     """
 
-    __slots__ = ("ring", "dim", "coeffs")
+    __slots__ = ("ring", "dim", "coeffs", "_sorted")
 
     def __init__(self, ring: Ring, dim: int, coeffs: dict | None = None):
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        self.ring = ring
-        self.dim = dim
         cleaned: dict[tuple[int, ...], np.ndarray] = {}
         for exps, mat in (coeffs or {}).items():
             exps = _exponents(ring, exps)
-            mat = np.asarray(mat, dtype=complex)
+            mat = np.array(mat, dtype=complex, order="C")
             if mat.shape != (dim, dim):
                 raise ValueError(f"coefficient shape {mat.shape} != ({dim},{dim})")
-            cleaned[exps] = mat.copy()
+            cleaned[exps] = mat
+        self._set(ring, dim, cleaned)
+
+    @classmethod
+    def _adopt(cls, ring: Ring, dim: int, coeffs: dict) -> "PolyMatrix":
+        """Arithmetic result over ``coeffs``, taken without a copy.
+
+        Each writable matrix must be freshly computed and owned by no one
+        else: it is checked and pruned in place.  Each read-only one must be
+        a coefficient of an existing PolyMatrix, and is shared as it is.
+        """
+        out = object.__new__(cls)
+        out._set(ring, dim, coeffs)
+        return out
+
+    def _set(self, ring: Ring, dim: int, coeffs: dict):
+        """Store ``coeffs``: prune each writable matrix in place, keep each
+        read-only one as it is, and drop the matrices pruned to nothing."""
+        self.ring = ring
+        self.dim = dim
+        self._sorted = None
         self.coeffs = {}
-        for e, m in cleaned.items():
-            peak = np.abs(m).max()
-            if not np.isfinite(peak):
-                raise ValueError(f"non-finite coefficient of {e}")
-            if peak >= PRUNE_EPS:
-                # zero out sub-threshold entries so entry() round-trips cleanly
-                m[np.abs(m) < PRUNE_EPS] = 0.0
-                m.setflags(write=False)
+        for e, m in coeffs.items():
+            if m.flags.writeable:
+                m = _pruned(e, np.ascontiguousarray(m))
+            if m is not None:
                 self.coeffs[e] = m
 
     # -- constructors ------------------------------------------------------
@@ -335,8 +383,11 @@ class PolyMatrix:
     def max_entry_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def sorted_coeffs(self):
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
+    def sorted_coeffs(self) -> tuple:
+        """Coefficients in graded lexicographic order, sorted once per instance."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0])))
+        return self._sorted
 
     # -- arithmetic --------------------------------------------------------
 
@@ -345,34 +396,40 @@ class PolyMatrix:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
+    def _plus(self, terms) -> "PolyMatrix":
+        """self plus the (exponent, read-only matrix) pairs ``terms``."""
+        merged = dict(self.coeffs)
+        for e, m in terms:
+            merged[e] = merged[e] + m if e in merged else m
+        return PolyMatrix._adopt(self.ring, self.dim, merged)
+
     def __add__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         self._check_compat(other)
-        merged = {e: m for e, m in self.coeffs.items()}
-        for e, m in other.coeffs.items():
-            merged[e] = merged[e] + m if e in merged else m
-        return PolyMatrix(self.ring, self.dim, merged)
+        return self._plus(other.coeffs.items())
 
     def __neg__(self):
-        return PolyMatrix(self.ring, self.dim, {e: -m for e, m in self.coeffs.items()})
+        return PolyMatrix._adopt(self.ring, self.dim, {e: -m for e, m in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self + (-other)
+        self._check_compat(other)
+        # the sums of self + (-other), negating one coefficient at a time
+        return self._plus((e, _pruned(e, -m)) for e, m in other.coeffs.items())
 
     def __matmul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         self._check_compat(other)
-        return PolyMatrix(
+        return PolyMatrix._adopt(
             self.ring, self.dim, _product(self.coeffs, other.coeffs, operator.matmul)
         )
 
     def scale(self, factor) -> "PolyMatrix":
         """Multiply by a scalar."""
-        return PolyMatrix(
+        return PolyMatrix._adopt(
             self.ring, self.dim, {e: factor * m for e, m in self.coeffs.items()}
         )
 

@@ -10,6 +10,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, fields
+from math import comb
 
 import numpy as np
 
@@ -24,6 +25,12 @@ from gatesynth.pop.sdp import BOUND_STATUSES
 from gatesynth.workbench.targets import gen_target, trial_rng
 
 OK_STATUSES = ("rank-1", "polished")
+
+# Solver memory a run may plan for, in bytes.  sdp_solve keeps p x p float64
+# matrices (Schur accumulator and matrix, Cholesky factor, block-0
+# pseudo-inverse); one solve at p = 1000 peaked at 6 p^2 doubles, and 8 are
+# planned, so the budget admits p <= 4096.
+SDP_MEMORY_BUDGET = 2**30
 
 FIDELITY_FIXED_COLUMNS = [
     "trial",
@@ -73,6 +80,7 @@ class BenchConfig:
             raise ValueError("relaxation order must be at least 1")
         if self.radius is not None and not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError("ball radius must be finite and positive")
+        check_sdp_budget(self.control_dim, self.order, self.relax_order)
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,25 @@ def check_relax_order(generator: PolyMatrix, relax_order: int | None):
     if relax_order is not None and 2 * relax_order < degree:
         raise ValueError(
             f"relaxation order {relax_order} too small for objective degree {degree}"
+        )
+
+
+def check_sdp_budget(m: int, order: int, relax_order: int | None):
+    """Reject a run whose SDP would outgrow ``SDP_MEMORY_BUDGET``, before any build.
+
+    A nested commutator of Hc with itself vanishes, so an order-n generator
+    (Magnus order or BCH grade) has degree at most max(1, n - 1) in the m
+    controls; that is also the base relaxation order of its objective.  At
+    relaxation order r the SDP has p = C(m + 2r, 2r) - 1 constraints.
+    """
+    r = relax_order if relax_order is not None else max(1, order - 1)
+    p = comb(m + 2 * r, 2 * r) - 1
+    need = 8 * 8 * p * p
+    if need > SDP_MEMORY_BUDGET:
+        raise ValueError(
+            f"{m} controls at relaxation order {r} give {p} SDP constraints, "
+            f"about {need / 2**30:.1f} GiB of solver memory; the budget is "
+            f"{SDP_MEMORY_BUDGET / 2**30:g} GiB"
         )
 
 
@@ -270,8 +297,7 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
     """
     if not 2 <= n_min <= n_max <= 7:
         raise ValueError("qubit range must satisfy 2 <= min <= max <= 7")
-    reps = cfg.trials
-    records = []
+    specs = []
     for qubits in range(n_min, n_max + 1):
         pair = build_ising(qubits, cfg.coupling)
         spec = ProblemSpec(pair.h0, pair.hc, cfg.horizon,
@@ -281,8 +307,13 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
         warm = build_bench_generator(spec, cfg.order)
         check_relax_order(warm, cfg.relax_order)
         build_objective(warm, pm_eval(warm, np.zeros(spec.m)))
-        for rep in range(reps):
-            x_star = trial_rng(cfg.base_seed, rep).uniform(-1.0, 1.0, spec.m)
+        specs.append((qubits, spec))
+    records = []
+    # each repetition visits every size, so a slow spell of the host lands
+    # on all sizes alike rather than on one size's whole run
+    for rep in range(cfg.trials):
+        x_star = trial_rng(cfg.base_seed, rep).uniform(-1.0, 1.0, cfg.control_dim)
+        for qubits, spec in specs:
             t0 = time.perf_counter()
             generator = build_bench_generator(spec, cfg.order)
             omega = pm_eval(generator, x_star)
@@ -302,6 +333,7 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
             records.append(rec)
             if progress is not None:
                 progress(rec)
+    records.sort(key=lambda r: (r.qubits, r.rep))
     summary = summarize_timing(records)
     return records, summary
 

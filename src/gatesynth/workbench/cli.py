@@ -19,6 +19,7 @@ from gatesynth.workbench.bench import (
     BenchConfig,
     build_bench_generator,
     check_relax_order,
+    check_sdp_budget,
     fidelity_csv,
     make_spec,
     records_to_json,
@@ -129,6 +130,7 @@ def _handle_synth(args, control: str) -> int:
         raise ValueError("--trial must be non-negative")
     spec = _spec(args, control)
     order = _order(args, spec.is_piecewise())
+    check_sdp_budget(spec.m, order, args.relax_order)
     # run_trial reads only the target seed and the relaxation settings
     cfg = BenchConfig(trials=1, base_seed=args.seed,
                       relax_order=args.relax_order, radius=args.ball)

@@ -236,12 +236,16 @@ def test_criterion_8_timing_trends():
     # that reflects the size trend rather than machine load
     builds = [s["build_ms_min"] for s in summary["sizes"]]
     solves = [s["solve_ms_min"] for s in summary["sizes"]]
-    monotone = all(b2 >= b1 for b1, b2 in zip(builds, builds[1:]))
+    # the build's matrix work grows as 8^N, but up to N=4 a build is about
+    # 1 ms of fixed overhead and sizes that close cannot be ordered by
+    # timing; so the trend is read as N=6, where the matrix work dominates,
+    # against every size at least two qubits smaller
+    growth = builds[-1] / max(builds[:-2])
     spread = max(solves) / min(solves)
-    ok = monotone and spread < 2.0 and summary["failed"] == 0
+    ok = growth >= 2.0 and spread < 2.0 and summary["failed"] == 0
     report(8, ok,
-           f"build minima {['%.1f' % b for b in builds]} ms non-decreasing: "
-           f"{monotone}, solve spread {spread:.2f}x (<2x)")
+           f"build minima {['%.1f' % b for b in builds]} ms, N=6 over N<=4 "
+           f"{growth:.2f}x (>=2x), solve spread {spread:.2f}x (<2x)")
 
 
 def test_criterion_9_property_suites():

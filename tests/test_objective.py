@@ -1,10 +1,12 @@
 """Tests for objective construction and fidelity metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from gatesynth.hamlib import ibmq3
+from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
 from gatesynth.objective import (
@@ -201,3 +203,26 @@ def test_infidelity_range():
 def test_infidelity_shape_mismatch():
     with pytest.raises(ValueError):
         infidelity(np.eye(2), np.eye(3))
+
+
+def test_ising_build_memory_bounded():
+    # Ising N=7, m=7: an 8.5 MiB generator of 34 coefficients of 128 x 128.
+    # Arithmetic shares operand coefficients instead of copying them, so the
+    # build peaks below twice its result and the objective adds little to
+    # the generator it reads (2.75x and 2.1x when every result was copied)
+    pair = build_ising(7)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(7))
+    tracemalloc.start()
+    try:
+        lam = build_lambda(spec, 3)
+        _, build_peak = tracemalloc.get_traced_memory()
+        omega = pm_eval(lam, RNG.uniform(-1, 1, 7))
+        tracemalloc.reset_peak()
+        objective = build_objective(lam, omega)
+        _, objective_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(m.nbytes for m in lam.coeffs.values())
+    assert len(lam.coeffs) == 34 and objective.degree() == 4
+    assert build_peak < 2.0 * result
+    assert objective_peak < 1.25 * result

@@ -1,19 +1,31 @@
 """Tests for the sparse polynomial / polynomial-matrix layer."""
 
 import math
+import operator
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gatesynth.hamlib import ibmq3
-from gatesynth.magnus import PolyControl, ProblemSpec, _simplex_weight, magnus_term
+from gatesynth.bch import build_sigma
+from gatesynth.hamlib import build_ising, ibmq3
+from gatesynth.magnus import (
+    PiecewiseControl,
+    PolyControl,
+    ProblemSpec,
+    _simplex_weight,
+    build_lambda,
+    magnus_term,
+)
+from gatesynth.objective import build_objective
 from gatesynth.polymat import (
     Polynomial,
     PolyMatrix,
     Ring,
+    _product,
     frobenius_sq,
+    grlex_key,
     pm_commutator,
     pm_eval,
 )
@@ -237,6 +249,121 @@ def test_pm_dimension_mismatch():
     b = PolyMatrix.identity(ring, 3)
     with pytest.raises(ValueError):
         _ = a @ b
+
+
+def same_bytes(a: PolyMatrix, b: PolyMatrix) -> bool:
+    """Equal exponents in equal order, with byte-identical coefficients."""
+    return list(a.coeffs) == list(b.coeffs) and all(
+        ma.tobytes() == mb.tobytes() for ma, mb in zip(a.coeffs.values(), b.coeffs.values())
+    )
+
+
+def awkward_pm(ring, dim):
+    """Coefficients with entries below PRUNE_EPS, signed zeros and a tiny term."""
+    pm = random_pm(ring, dim)
+    coeffs = dict(pm.coeffs)
+    first = next(iter(coeffs))
+    m = coeffs[first].copy()
+    m[0, 0] = 3e-15 - 2e-15j
+    m[0, 1] = complex(-0.0, 1.5)
+    m[1, 0] = complex(2.0, -0.0)
+    coeffs[first] = m
+    coeffs[(dim,) * ring.controls] = np.full((dim, dim), 1e-15 + 0j)
+    return PolyMatrix(ring, dim, coeffs)
+
+
+def test_arithmetic_matches_validating_constructor():
+    # every result is what the public constructor makes of the same term map
+    ring, dim = Ring(2), 3
+    a, b = awkward_pm(ring, dim), awkward_pm(ring, dim)
+    # a and b share one coefficient exactly, so a - b cancels there; at
+    # (0, 0) b is exactly zero where a holds a -0.0 beside a nonzero part
+    shared = next(e for e in a.coeffs if e != (0, 0))
+    signed, zero = np.ones((dim, dim), complex), np.ones((dim, dim), complex)
+    signed[0, 1], zero[0, 1] = complex(-0.0, 1.5), 0.0
+    a = PolyMatrix(ring, dim, {**a.coeffs, (0, 0): signed})
+    b = PolyMatrix(ring, dim, {**b.coeffs, shared: a.coeffs[shared], (0, 0): zero})
+
+    def public(terms):
+        return PolyMatrix(ring, dim, terms)
+
+    def summed(x, y):
+        merged = dict(x.coeffs)
+        for e, m in y.coeffs.items():
+            merged[e] = merged[e] + m if e in merged else m
+        return public(merged)
+
+    negated = public({e: -m for e, m in b.coeffs.items()})
+    cases = {
+        "add": (a + b, summed(a, b)),
+        "neg": (-b, negated),
+        "sub": (a - b, summed(a, negated)),
+        "matmul": (a @ b, public(_product(a.coeffs, b.coeffs, operator.matmul))),
+        "scale": (a.scale(0.3 - 1e-16j), public({e: (0.3 - 1e-16j) * m for e, m in a.coeffs.items()})),
+        "commutator": (pm_commutator(a, b), summed(a @ b, -(b @ a))),
+    }
+    assert shared not in (a - b).coeffs
+    for name, (fast, reference) in cases.items():
+        assert same_bytes(fast, reference), name
+        assert same_bytes(fast, PolyMatrix(ring, dim, fast.coeffs)), name
+
+
+@pytest.mark.parametrize("qubits, m", [(2, 3), (3, 5), (5, 2)])
+def test_builds_match_validating_constructor(monkeypatch, qubits, m):
+    pair = build_ising(qubits)
+    poly = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(m))
+    piecewise = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(m))
+    omega = pm_eval(build_lambda(poly, 3), RNG.uniform(-1, 1, m))
+    fast = [build_lambda(poly, 3), build_sigma(piecewise, 4)]
+    fast_obj = build_objective(fast[0], omega)
+    # the same builds with every arithmetic result through the public constructor
+    monkeypatch.setattr(
+        PolyMatrix, "_adopt", classmethod(lambda cls, ring, dim, coeffs: cls(ring, dim, coeffs))
+    )
+    slow = [build_lambda(poly, 3), build_sigma(piecewise, 4)]
+    slow_obj = build_objective(slow[0], omega)
+    for f, s in zip(fast, slow):
+        assert same_bytes(f, s)
+    assert list(fast_obj.terms.items()) == list(slow_obj.terms.items())
+
+
+def test_results_read_only_and_never_alias_caller_arrays():
+    ring, dim = Ring(1), 3
+    mats = [RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim)) for _ in range(2)]
+    a = PolyMatrix(ring, dim, {(0,): mats[0], (1,): mats[1]})
+    b = PolyMatrix(ring, dim, {(2,): mats[1]})
+    results = [a, b, a + b, a - b, -a, a @ b, a.scale(2.0), pm_commutator(a, b)]
+    pair = ibmq3()
+    results.append(magnus_term(ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(2)), 3))
+    for r in results:
+        for m in r.coeffs.values():
+            assert not m.flags.writeable
+            assert not any(np.shares_memory(m, caller) for caller in mats)
+    saved = a.coeffs[(0,)].copy()
+    mats[0][:] = 0.0
+    np.testing.assert_array_equal(a.coeffs[(0,)], saved)
+
+
+def test_results_share_unchanged_operand_coefficients():
+    ring, dim = Ring(1), 2
+    a = PolyMatrix(ring, dim, {(0,): np.eye(dim), (1,): np.ones((dim, dim))})
+    b = PolyMatrix(ring, dim, {(1,): np.eye(dim), (2,): np.ones((dim, dim))})
+    total = a + b
+    assert total.coeffs[(0,)] is a.coeffs[(0,)]
+    assert total.coeffs[(2,)] is b.coeffs[(2,)]
+    assert not np.shares_memory(total.coeffs[(1,)], a.coeffs[(1,)])
+    assert (a - b).coeffs[(0,)] is a.coeffs[(0,)]
+
+
+def test_sorted_terms_computed_once_in_grlex_order():
+    ring = Ring(2)
+    p = random_poly(ring, max_terms=8)
+    order = p.sorted_terms()
+    assert order is p.sorted_terms()
+    assert [e for e, _ in order] == sorted(p.terms, key=grlex_key)
+    pm = random_pm(ring, 2)
+    assert pm.sorted_coeffs() is pm.sorted_coeffs()
+    assert [e for e, _ in pm.sorted_coeffs()] == sorted(pm.coeffs, key=grlex_key)
 
 
 # -- ordered simplex integration ----------------------------------------------

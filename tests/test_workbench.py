@@ -9,9 +9,11 @@ import pytest
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
 from gatesynth.numerics import action_integral, spectral_norm
+from gatesynth.workbench import bench, cli
 from gatesynth.workbench.bench import (
     BenchConfig,
     TrialRecord,
+    check_sdp_budget,
     fidelity_csv,
     make_spec,
     records_to_json,
@@ -263,9 +265,7 @@ def test_fidelity_csv_shape():
 def test_timing_bench_row_counts():
     cfg = BenchConfig(system="ising", trials=2, horizon=0.5)
     records, summary = run_timing_bench(cfg, n_min=2, n_max=3)
-    assert len(records) == 4
-    for n in (2, 3):
-        assert sum(r.qubits == n for r in records) == 2
+    assert [(r.qubits, r.rep) for r in records] == [(2, 0), (2, 1), (3, 0), (3, 1)]
     assert summary["failed"] == 0
     for r in records:
         assert r.build_ms > 0
@@ -356,6 +356,44 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sdp_budget_bounds_control_dim():
+    # p = C(m + 2r, 2r) - 1 constraints at relaxation order r; 8 p^2 doubles
+    # fit the 1 GiB budget up to p = 4096
+    check_sdp_budget(15, 3, None)       # order-3 Magnus, r = 2: p = 3875
+    check_sdp_budget(8, 4, None)        # grade-4 BCH, r = 3: p = 3002
+    check_sdp_budget(9, 3, None)        # grade 3 at m = 9, r = 2: p = 714
+    check_sdp_budget(16, 3, 1)          # an explicit order replaces the base one
+    for m, order, relax_order in ((16, 3, None), (9, 4, None), (7, 3, 4)):
+        with pytest.raises(ValueError, match="budget"):
+            check_sdp_budget(m, order, relax_order)
+    with pytest.raises(ValueError, match="budget"):
+        BenchConfig(control_dim=16)
+
+
+def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built past the memory budget")
+
+    for module in (bench, cli):
+        monkeypatch.setattr(module, "build_bench_generator", no_build)
+    monkeypatch.setattr(bench, "build_lambda", no_build)
+    monkeypatch.setattr(bench, "build_sigma", no_build)
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(problem_dict(m=16)))
+    out = tmp_path / "out.json"
+    for argv in (
+        ["synth", "--control-dim", "16"],
+        ["synth", "--problem", str(prob)],
+        ["synth-pw", "--control-dim", "9"],
+        ["synth", "--control-dim", "7", "--relax-order", "4"],
+        ["bench-fidelity", "--control-dim", "16", "--trials", "1"],
+        ["bench-timing", "--control-dim", "16", "--max-qubits", "2", "--trials", "1"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
 
