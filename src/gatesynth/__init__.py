@@ -42,7 +42,6 @@ from gatesynth.polymat import (
 )
 from gatesynth.pop import (
     MomentRelaxation,
-    PolishDivergenceError,
     SDPProblem,
     SDPSolution,
     SynthesisResult,
@@ -58,7 +57,6 @@ __all__ = [
     "BranchAmbiguityError",
     "MomentRelaxation",
     "PiecewiseControl",
-    "PolishDivergenceError",
     "PolyControl",
     "PolyMatrix",
     "Polynomial",

@@ -6,13 +6,12 @@ from gatesynth.pop.minimize import (
     minimize_global,
     relaxation_setup,
 )
-from gatesynth.pop.polish import PolishDivergenceError, newton_polish
+from gatesynth.pop.polish import newton_polish
 from gatesynth.pop.relax import MomentRelaxation, extract_minimizer, moment_relax
 from gatesynth.pop.sdp import SDPProblem, SDPSolution, sdp_solve
 
 __all__ = [
     "MomentRelaxation",
-    "PolishDivergenceError",
     "SDPProblem",
     "SDPSolution",
     "SynthesisResult",

@@ -1,10 +1,10 @@
 """Global minimization of the synthesis objective over a control ball.
 
 Pipeline: one moment relaxation at the base order -> interior-point SDP ->
-Newton polish from the first-order moments.  The SDP yields the certified
-lower bound; the moment point and its polish are the candidates, and the gap
-``value - bound`` certifies the best of them.  Deterministic multi-start
-polish runs only when that gap exceeds ``GAP_TOL``.
+one in-ball polish from the first-order moments.  The SDP yields the
+certified lower bound; the moment point and its polish are the candidates,
+and the gap ``value - bound`` certifies the lower-valued of them, or marks
+the result ``uncertified`` when it exceeds ``GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gatesynth.polymat import Polynomial
-from gatesynth.pop.polish import PolishDivergenceError, newton_polish
+from gatesynth.pop.polish import newton_polish, project_to_ball
 from gatesynth.pop.relax import extract_minimizer, moment_relax
 from gatesynth.pop.sdp import BOUND_STATUSES, SDPSolution, sdp_solve
 
-MULTISTART_SEED = 0xC0FFEE
-MULTISTART_COUNT = 32
 GAP_TOL = 1e-4
 
 
@@ -55,8 +53,6 @@ def relaxation_setup(
     deg = p.degree()
     if order is None:
         order = max(1, (deg + 1) // 2)
-    if 2 * order < deg:
-        raise ValueError(f"relaxation order {order} too small for degree {deg}")
     coeffs = p.real_coeff_dict().values()
     scale = max((abs(c) for c in coeffs), default=1.0) or 1.0
     return p * (1.0 / scale), scale, radius, order
@@ -81,31 +77,6 @@ def _certified_bound(relax, sol, scale: float) -> float:
     )
 
 
-def _multistart_points(m: int, radius: float) -> np.ndarray:
-    """32 scrambled low-discrepancy starts in the cube inscribed in the ball."""
-    # imported here: scipy.stats takes about 0.7 s to import, two thirds of
-    # `import gatesynth`, and only the multi-start needs it
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=m, scramble=True, seed=MULTISTART_SEED)
-    u = sob.random(MULTISTART_COUNT)
-    half = radius / math.sqrt(m)
-    return (2.0 * u - 1.0) * half
-
-
-def _merge_candidates(p: Polynomial, cands: list[np.ndarray]):
-    """Lowest value wins; exact value ties break by lexicographic order."""
-    best = None
-    for x in cands:
-        v = p.eval(x).real
-        key = (v, tuple(x))
-        if best is None or key < best[0]:
-            best = (key, x, v)
-    if best is None:
-        return None, math.inf
-    return best[1], best[2]
-
-
 def minimize_global(
     p: Polynomial,
     radius: float | None = None,
@@ -114,11 +85,11 @@ def minimize_global(
     """Certified global minimum of a real polynomial over the radius ball.
 
     One SDP at ``order`` (default ceil(deg/2)) gives the bound, and its
-    first-order moments start one Newton polish; the unpolished moment point
-    stays a candidate next to the polished one.  The status is ``rank-1``
-    when that moment matrix is numerically rank one, else ``polished``, and
-    ``failed`` when the SDP fails.  The multi-start runs only when the best
-    candidate's gap exceeds ``GAP_TOL``; its points compete on value.
+    first-order moments, projected into the ball, start one polish that
+    stays in the ball; the lower-valued of the moment point and its polish
+    is the result.  The status is ``rank-1`` when that moment matrix is
+    numerically rank one, else ``polished``; ``uncertified`` when the gap
+    exceeds ``GAP_TOL``, and ``failed`` when the SDP fails.
     """
     p_scaled, scale, radius, d = relaxation_setup(p, radius, order)
     t0 = time.perf_counter()
@@ -129,38 +100,23 @@ def minimize_global(
     timings = {"relax": t1 - t0, "solve": t2 - t1, "extract": 0.0, "polish": 0.0}
 
     bound = -math.inf
-    x_start = None
+    x_best, value = None, math.inf
     status = "failed"
     if sol.status in BOUND_STATUSES:
         bound = _certified_bound(relax, sol, scale)
         rank1 = extract_minimizer(relax, sol.y) is not None
         status = "rank-1" if rank1 else "polished"
-        x_start = relax.first_moments(sol.y)
-        timings["extract"] = time.perf_counter() - t2
-
-    t0 = time.perf_counter()
-    cands = []
-    if x_start is not None:
-        cands.append(x_start)
-        try:
-            cands.append(newton_polish(p, x_start, radius))
-        except PolishDivergenceError:
-            pass
-    moment_cands = list(cands)
-    x_best, value = _merge_candidates(p, cands)
-    if x_best is None or value - bound > GAP_TOL:
-        # the moment candidates are not certified: deterministic multi-start
-        for x0 in _multistart_points(p.ring.controls, radius):
-            try:
-                cands.append(newton_polish(p, x0, radius))
-            except PolishDivergenceError:
-                continue
-        x_best, value = _merge_candidates(p, cands)
-        if all(x_best is not c for c in moment_cands):
-            status = "polished"
-    timings["polish"] = time.perf_counter() - t0
-    if bound == -math.inf:
-        status = "failed"
+        x_start = project_to_ball(relax.first_moments(sol.y), radius)
+        t3 = time.perf_counter()
+        timings["extract"] = t3 - t2
+        x_pol = newton_polish(p, x_start, radius)
+        timings["polish"] = time.perf_counter() - t3
+        # the lower value wins, the moment point on a tie
+        x_best, value = min(
+            ((x, p.eval(x).real) for x in (x_start, x_pol)), key=lambda c: c[1]
+        )
+        if value - bound > GAP_TOL:
+            status = "uncertified"
     return SynthesisResult(
         x=x_best,
         value=value,

@@ -1,7 +1,12 @@
-"""Local refinement of a candidate minimizer by damped Newton descent.
+"""Local refinement of a candidate minimizer inside the control ball.
 
-Gradient and Hessian are exact: they come from symbolic differentiation of
-the polynomial, evaluated at the iterate, never from finite differences.
+Each step minimizes the exact quadratic model of p over the whole ball
+|z| <= R, the trust-region subproblem solved from one ``eigh`` of the
+Hessian (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), and
+backtracks on the segment towards that model minimizer.  The ball is convex,
+so every iterate stays in it.  Gradient and Hessian are exact: they come from
+symbolic differentiation of the polynomial, evaluated at the iterate, never
+from finite differences.
 """
 
 from __future__ import annotations
@@ -12,10 +17,7 @@ from gatesynth.polymat import Polynomial
 
 GRAD_TOL = 1e-12
 MAX_STEPS = 50
-
-
-class PolishDivergenceError(RuntimeError):
-    """Newton iterate left the trust region around the ball."""
+_EPS = np.finfo(float).eps
 
 
 def gradient_polys(p: Polynomial) -> list[Polynomial]:
@@ -23,8 +25,57 @@ def gradient_polys(p: Polynomial) -> list[Polynomial]:
 
 
 def hessian_polys(grads: list[Polynomial]) -> list[list[Polynomial]]:
+    """Second derivatives; entries (i, j) and (j, i) are one polynomial."""
     m = len(grads)
-    return [[grads[i].diff(j) for j in range(m)] for i in range(m)]
+    hess = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            hess[i][j] = hess[j][i] = grads[i].diff(j)
+    return hess
+
+
+def project_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    """x scaled radially onto the sphere if it lies outside the ball."""
+    r = np.linalg.norm(x)
+    return x * (radius / r) if r > radius else x
+
+
+def kkt_residual(g: np.ndarray, x: np.ndarray, radius: float) -> tuple[float, float]:
+    """|g + mu x| and mu, with mu = max(0, -g.x)/R^2 on the sphere, 0 inside."""
+    on_sphere = np.linalg.norm(x) >= radius * (1 - 1e-12)
+    mu = max(0.0, -(g @ x)) / radius**2 if on_sphere else 0.0
+    return float(np.linalg.norm(g + mu * x)), mu
+
+
+def _ball_model_min(w, q, c, radius, tiny):
+    """Minimizer of z.Hz/2 + c.z over |z| <= R, given H = q diag(w) q^T.
+
+    z = -(H + lam I)^-1 c: lam = 0 at an interior Newton point, else
+    |z| = R and lam solves the secular equation 1/|z(lam)| = 1/R, where
+    Newton's method rises monotonically from the left.  In the hard case c
+    has no weight on the lowest eigenvector and z fills up to the sphere
+    along it.
+    """
+    ct = q.T @ c
+    lam = max(0.0, tiny - w[0])
+    zt = -ct / (w + lam)
+    n = np.linalg.norm(zt)
+    if n <= radius:
+        if w[0] < -tiny:
+            # the hard case: the sign that lowers the model, + on a tie
+            rest = n**2 - zt[0] ** 2
+            zt[0] = np.sqrt(max(0.0, radius**2 - rest)) * (1.0 if ct[0] <= 0 else -1.0)
+        return q @ zt
+    for _ in range(100):
+        step = (n - radius) * n * n / (radius * np.sum(ct**2 / (w + lam) ** 3))
+        if not lam + step > lam:
+            break
+        lam += step
+        zt = -ct / (w + lam)
+        n = np.linalg.norm(zt)
+        if n <= radius * (1 + 1e-14):
+            break
+    return project_to_ball(q @ zt, radius)
 
 
 def newton_polish(
@@ -33,11 +84,16 @@ def newton_polish(
     radius: float,
     max_steps: int = MAX_STEPS,
 ) -> np.ndarray:
-    """Drive the gradient of p below ``GRAD_TOL`` starting from x0.
+    """Local minimizer of p over the ball |x| <= radius, from x0 projected into it.
 
-    Newton steps use the exact Hessian with a Levenberg-style diagonal shift
-    whenever it is not positive definite, and backtracking on the value.
-    Raises PolishDivergenceError if the iterate escapes twice the ball radius.
+    Each step heads for the model minimizer over the ball: the Newton point
+    whenever H is positive definite and that point lies inside.  The step
+    halves until p falls by 1e-4 of the model's decrease, up to the
+    evaluation noise of p; the test is on the whole model, not its linear
+    term, because the model minimizer can lie across negative curvature,
+    where g.d > 0.  The polish stops at a KKT point of the ball problem
+    (``kkt_residual`` at most ``GRAD_TOL`` and H + mu I positive
+    semidefinite), when the line search fails, or after ``max_steps``.
     """
     m = p.ring.controls
     x = np.array(x0, dtype=float)
@@ -45,52 +101,38 @@ def newton_polish(
         raise ValueError(f"start point must have shape ({m},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("start point must be finite")
+    x = project_to_ball(x, radius)
     grads = gradient_polys(p)
     hess = hessian_polys(grads)
-
-    def gval(pt):
-        return np.array([g.eval(pt).real for g in grads])
-
-    def hval(pt):
-        return np.array(
-            [[hess[i][j].eval(pt).real for j in range(m)] for i in range(m)]
-        )
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
 
     # value comparisons saturate at the evaluation noise of p itself
     coeff_scale = max((abs(c) for c in p.terms.values()), default=1.0)
-    noise = 64 * np.finfo(float).eps * coeff_scale * max(1.0, radius) ** max(
-        1, p.degree()
-    )
+    noise = 64 * _EPS * coeff_scale * max(1.0, radius) ** max(1, p.degree())
     fx = p.eval(x).real
     for _ in range(max_steps):
-        g = gval(x)
-        if np.linalg.norm(g) <= GRAD_TOL:
+        g = np.array([gk.eval(x).real for gk in grads])
+        h = np.empty((m, m))
+        for i, j in upper:
+            h[i, j] = h[j, i] = hess[i][j].eval(x).real
+        w, q = np.linalg.eigh(h)
+        tiny = _EPS * max(1.0, float(np.abs(w).max()))
+        res, mu = kkt_residual(g, x, radius)
+        if res <= GRAD_TOL and w[0] + mu >= -tiny:
             return x
-        h = hval(x)
-        shift = 0.0
-        while True:
-            try:
-                step = np.linalg.solve(h + shift * np.eye(m), -g)
-                if g @ step < 0:
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            shift = max(2 * shift, 1e-8 * (1 + abs(fx)))
-            if shift > 1e12:
-                step = -g
-                break
+        d = _ball_model_min(w, q, g - h @ x, radius, tiny) - x
+        gd, dhd = g @ d, d @ h @ d
         t = 1.0
         for _ in range(60):
-            cand = x + t * step
+            pred = t * gd + 0.5 * t * t * dhd
+            if not pred < 0:
+                return x
+            cand = x + t * d
             fc = p.eval(cand).real
-            if fc <= fx + 1e-4 * t * (g @ step) + noise:
+            if fc <= fx + 1e-4 * pred + noise:
                 x, fx = cand, fc
                 break
             t *= 0.5
         else:
             return x
-        if np.linalg.norm(x) > 2 * radius:
-            raise PolishDivergenceError(
-                f"iterate at |x|={np.linalg.norm(x):.3g} left the 2R region"
-            )
     return x

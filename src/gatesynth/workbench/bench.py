@@ -24,7 +24,7 @@ from gatesynth.pop import minimize_global, moment_relax, relaxation_setup, sdp_s
 from gatesynth.pop.sdp import BOUND_STATUSES
 from gatesynth.workbench.targets import gen_target, trial_rng
 
-OK_STATUSES = ("rank-1", "polished")
+OK_STATUSES = ("rank-1", "polished", "uncertified")
 
 # Solver memory a run may plan for, in bytes.  sdp_solve keeps p x p float64
 # matrices (Schur accumulator and matrix, Cholesky factor, block-0

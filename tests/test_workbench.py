@@ -425,6 +425,17 @@ def test_cli_synth_problem_file(tmp_path, capsys):
     assert len(payload["x_hat"]) == 2
 
 
+def test_cli_synth_small_ball_keeps_control_inside(tmp_path):
+    # planted trial 0 lies outside a ball of radius 0.8: the control must stay
+    # in the ball the bound covers, so the gap cannot go negative
+    out = tmp_path / "result.json"
+    rc = main(["synth", "--ball", "0.8", "--trial", "0", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["gap"] >= -1e-8
+    assert np.linalg.norm(payload["x_hat"]) <= 0.8 * (1 + 1e-12)
+
+
 def test_cli_synth_pw_rejects_poly_problem_file(tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(problem_dict(ctype="poly")))
