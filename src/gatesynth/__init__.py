@@ -46,7 +46,6 @@ from gatesynth.pop import (
     SDPSolution,
     SynthesisResult,
     ball_scan_minimum,
-    extract_minimizer,
     minimize_global,
     moment_relax,
     newton_polish,
@@ -79,7 +78,6 @@ __all__ = [
     "build_sigma",
     "cf4_propagate",
     "expm_antihermitian",
-    "extract_minimizer",
     "frobenius_sq",
     "gbchd_eq12",
     "ibmq3",

@@ -1,4 +1,4 @@
-"""Global polynomial minimization: moment relaxation, SDP solver, extraction."""
+"""Global polynomial minimization: moment relaxation, SDP solver, polish."""
 
 from gatesynth.pop.minimize import (
     SynthesisResult,
@@ -7,7 +7,7 @@ from gatesynth.pop.minimize import (
     relaxation_setup,
 )
 from gatesynth.pop.polish import newton_polish
-from gatesynth.pop.relax import MomentRelaxation, extract_minimizer, moment_relax
+from gatesynth.pop.relax import MomentRelaxation, moment_relax
 from gatesynth.pop.sdp import SDPProblem, SDPSolution, sdp_solve
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "SDPSolution",
     "SynthesisResult",
     "ball_scan_minimum",
-    "extract_minimizer",
     "minimize_global",
     "moment_relax",
     "newton_polish",

@@ -3,8 +3,9 @@
 Pipeline: one moment relaxation at the base order -> interior-point SDP ->
 one in-ball polish from the first-order moments.  The SDP yields the
 certified lower bound; the moment point and its polish are the candidates,
-and the gap ``value - bound`` certifies the lower-valued of them, or marks
-the result ``uncertified`` when it exceeds ``GAP_TOL``.
+and the gap ``value - bound`` alone sets the status: it certifies the
+lower-valued of them, or marks the result ``uncertified`` when it exceeds
+``GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from gatesynth.polymat import Polynomial
 from gatesynth.pop.polish import newton_polish, project_to_ball
-from gatesynth.pop.relax import extract_minimizer, moment_relax
+from gatesynth.pop.relax import moment_relax
 from gatesynth.pop.sdp import BOUND_STATUSES, SDPSolution, sdp_solve
 
 GAP_TOL = 1e-4
@@ -87,9 +88,10 @@ def minimize_global(
     One SDP at ``order`` (default ceil(deg/2)) gives the bound, and its
     first-order moments, projected into the ball, start one polish that
     stays in the ball; the lower-valued of the moment point and its polish
-    is the result.  The status is ``rank-1`` when that moment matrix is
-    numerically rank one, else ``polished``; ``uncertified`` when the gap
-    exceeds ``GAP_TOL``, and ``failed`` when the SDP fails.
+    is the result.  The status is ``failed`` when the SDP status carries no
+    bound, else ``polished`` (certified) when the gap is at most
+    ``GAP_TOL``, else ``uncertified``.  The moment matrix M_d(y), for a
+    flat-extension or rank check, is ``result.sdp.z_blocks[0]``.
     """
     p_scaled, scale, radius, d = relaxation_setup(p, radius, order)
     t0 = time.perf_counter()
@@ -97,26 +99,22 @@ def minimize_global(
     t1 = time.perf_counter()
     sol = sdp_solve(prob)
     t2 = time.perf_counter()
-    timings = {"relax": t1 - t0, "solve": t2 - t1, "extract": 0.0, "polish": 0.0}
+    timings = {"relax": t1 - t0, "solve": t2 - t1, "polish": 0.0}
 
     bound = -math.inf
     x_best, value = None, math.inf
     status = "failed"
     if sol.status in BOUND_STATUSES:
         bound = _certified_bound(relax, sol, scale)
-        rank1 = extract_minimizer(relax, sol.y) is not None
-        status = "rank-1" if rank1 else "polished"
         x_start = project_to_ball(relax.first_moments(sol.y), radius)
         t3 = time.perf_counter()
-        timings["extract"] = t3 - t2
         x_pol = newton_polish(p, x_start, radius)
         timings["polish"] = time.perf_counter() - t3
         # the lower value wins, the moment point on a tie
         x_best, value = min(
             ((x, p.eval(x).real) for x in (x_start, x_pol)), key=lambda c: c[1]
         )
-        if value - bound > GAP_TOL:
-            status = "uncertified"
+        status = "polished" if value - bound <= GAP_TOL else "uncertified"
     return SynthesisResult(
         x=x_best,
         value=value,

@@ -78,12 +78,7 @@ def _ball_model_min(w, q, c, radius, tiny):
     return project_to_ball(q @ zt, radius)
 
 
-def newton_polish(
-    p: Polynomial,
-    x0: np.ndarray,
-    radius: float,
-    max_steps: int = MAX_STEPS,
-) -> np.ndarray:
+def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
     """Local minimizer of p over the ball |x| <= radius, from x0 projected into it.
 
     Each step heads for the model minimizer over the ball: the Newton point
@@ -93,7 +88,7 @@ def newton_polish(
     term, because the model minimizer can lie across negative curvature,
     where g.d > 0.  The polish stops at a KKT point of the ball problem
     (``kkt_residual`` at most ``GRAD_TOL`` and H + mu I positive
-    semidefinite), when the line search fails, or after ``max_steps``.
+    semidefinite), when the line search fails, or after ``MAX_STEPS``.
     """
     m = p.ring.controls
     x = np.array(x0, dtype=float)
@@ -110,7 +105,7 @@ def newton_polish(
     coeff_scale = max((abs(c) for c in p.terms.values()), default=1.0)
     noise = 64 * _EPS * coeff_scale * max(1.0, radius) ** max(1, p.degree())
     fx = p.eval(x).real
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         g = np.array([gk.eval(x).real for gk in grads])
         h = np.empty((m, m))
         for i, j in upper:

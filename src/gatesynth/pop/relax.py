@@ -4,7 +4,9 @@ The order-d relaxation minimizes the linear functional L_y(p) over moment
 vectors y with PSD moment matrix M_d(y) and PSD localizing matrix
 M_{d-1}((R^2 - |x|^2) y).  It is encoded as a standard-form SDP whose dual
 variable IS the moment vector, so the solver returns moments directly and the
-primal value yields the certified lower bound p(0)-independent part.
+primal value yields the certified lower bound p(0)-independent part.  The
+solver's dual slack block 0, Z_0 = C_0 - A_0*(y), is M_d(y) up to the dual
+residual.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from scipy import sparse
 from gatesynth.polymat import Polynomial
 from gatesynth.pop.sdp import SDPProblem
 
-RANK1_TOL = 1e-6
 # relaxation structures kept, one per (m, order, radius)
 _STRUCTURES = 8
 
@@ -46,27 +47,17 @@ class MomentRelaxation:
     """Index bookkeeping for one relaxation instance.
 
     ``moment_index`` maps each exponent of degree <= 2*order to its slot in
-    the moment vector y (-1 for the constant y_0 = 1).  ``pair_index[i, j]``
-    is the slot of basis_i + basis_j in (y_0, y), i.e. its moment index plus
-    one, over the graded basis of degree <= order; the localizing basis is
-    the leading degree <= order - 1 block of that basis.  Both are read-only
-    and shared by every relaxation with the same (m, order, radius).
+    the moment vector y (-1 for the constant y_0 = 1), in graded order.  It
+    is read-only and shared by every relaxation with the same (m, order,
+    radius).  The moment matrix M_d(y) is not rebuilt here: the solver
+    returns it as ``SDPSolution.z_blocks[0]``.
     """
 
     n_vars: int
     order: int
     radius: float
-    pair_index: np.ndarray
     moment_index: Mapping
     constant_term: float
-
-    @property
-    def basis_size(self) -> int:
-        return self.pair_index.shape[0]
-
-    def moment_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Assemble M_d(y) from a solved moment vector (y excludes y_0 = 1)."""
-        return np.concatenate(([1.0], y))[self.pair_index]
 
     def point_moments(self, x: np.ndarray) -> np.ndarray:
         """Moment vector of the point mass at x (for tests and diagnostics)."""
@@ -78,8 +69,8 @@ class MomentRelaxation:
         return y
 
     def first_moments(self, y: np.ndarray) -> np.ndarray:
-        """Mean of the moment vector: M_d(y)[0, 1:m+1], the basis slots of x0..x{m-1}."""
-        return self.moment_matrix(y)[0, 1:self.n_vars + 1]
+        """Mean of the moment vector: x0..x{m-1} take slots 0..m-1 of graded y."""
+        return y[:self.n_vars].copy()
 
 
 def _split_patterns(s: int, n_y: int, terms) -> tuple[np.ndarray, sparse.csr_array]:
@@ -103,8 +94,10 @@ def _split_patterns(s: int, n_y: int, terms) -> tuple[np.ndarray, sparse.csr_arr
 @functools.lru_cache(maxsize=_STRUCTURES)
 def _structure(m: int, order: int, radius: float):
     """What the order-``order`` relaxation over the radius ball shares for
-    every objective in m variables: a template SDP (b = 0), the read-only
-    ``pair_index`` and the read-only ``moment_index``.
+    every objective in m variables: a template SDP (b = 0) and the read-only
+    ``moment_index``.  ``pair_index[i, j]`` is the slot of basis_i + basis_j
+    in (y_0, y), over the graded basis of degree <= order; the localizing
+    basis is the leading degree <= order - 1 block of that basis.
 
     The solver derives its operators from the template's blocks at the first
     solve, and every relaxation with this key shares them.
@@ -133,8 +126,7 @@ def _structure(m: int, order: int, radius: float):
         loc.append((pair_index[np.ix_(shift, shift)], -1.0))
     c_loc, a_loc = _split_patterns(nl, n_y, loc)
     template = SDPProblem((n, nl), (c_mom, c_loc), (a_mom, a_loc), np.zeros(n_y))
-    pair_index.setflags(write=False)
-    return template, pair_index, MappingProxyType(moment_index)
+    return template, MappingProxyType(moment_index)
 
 
 def moment_relax(
@@ -161,7 +153,7 @@ def moment_relax(
         raise ValueError(
             f"relaxation order {order} too small for degree {p.degree()}"
         )
-    template, pair_index, moment_index = _structure(m, order, float(radius))
+    template, moment_index = _structure(m, order, float(radius))
     b = np.zeros(template.n_constraints)
     constant = 0.0
     for e, c in coeffs.items():
@@ -174,17 +166,8 @@ def moment_relax(
         n_vars=m,
         order=order,
         radius=radius,
-        pair_index=pair_index,
         moment_index=moment_index,
         constant_term=constant,
     )
     return template._with_rhs(b), relax
 
-
-def extract_minimizer(relax: MomentRelaxation, y: np.ndarray):
-    """Read the minimizer off a numerically rank-1 moment matrix, else None."""
-    mm = relax.moment_matrix(np.asarray(y, dtype=float))
-    svals = np.linalg.svd(mm, compute_uv=False)
-    if svals[0] <= 0 or svals[1] / svals[0] >= RANK1_TOL:
-        return None
-    return relax.first_moments(y)

@@ -34,7 +34,7 @@ from scipy.linalg import lapack
 
 # relative duality gap (and residual scale) at which a solve is "optimal"
 TOL = 1e-8
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200
 # statuses whose iterate is close enough to the optimum to carry a bound
 BOUND_STATUSES = ("optimal", "stalled", "max_iterations")
 STEP_FRACTION = 0.98
@@ -162,6 +162,9 @@ class SDPSolution:
     reached 1e-12), "stall" (no progress in five iterations, a regression, a
     collapsed step, or an iterate or Schur matrix that lost definiteness),
     "max_iterations", or "infeasible" (b'y diverged).
+
+    For a moment relaxation the dual slack ``z_blocks[0]`` is the moment
+    matrix M(y), up to the dual residual.
     """
 
     status: str
@@ -379,24 +382,20 @@ def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def sdp_solve(
-    prob: SDPProblem,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SDPSolution:
+def sdp_solve(prob: SDPProblem) -> SDPSolution:
     """Path-following solve to relative duality gap ``TOL``.
 
     Each search direction is corrected in block 0 to satisfy
     A(dX) = b - A(X), so the primal residual of every constraint with an
     entry in block 0 falls to round-off and stays there.  The loop runs past
     ``TOL`` while the quality (worst of gap and residuals) or mu still
-    halves within five iterations, and returns the best iterate seen.
+    halves within five iterations (``MAX_ITER`` at most), and returns the
+    best iterate seen.
 
     Status is "optimal", "stalled" (steps collapsed with the iterate already
     near convergence), "max_iterations", "numerical_failure", or
     "suspected_infeasible"; the final iterate is always attached.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     nblk = len(prob.block_sizes)
     ntot = prob.total_dim
 
@@ -429,7 +428,7 @@ def sdp_solve(
     best = None
     halved_at = mu_at = np.inf  # quality and mu when patience was last reset
     patience = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp, rd = residuals()
         pv, dv = current_values()
         mu = sum(float(np.vdot(x[k], z[k])) for k in range(nblk)) / ntot

@@ -24,13 +24,12 @@ from gatesynth.pop import minimize_global, moment_relax, relaxation_setup, sdp_s
 from gatesynth.pop.sdp import BOUND_STATUSES
 from gatesynth.workbench.targets import gen_target, trial_rng
 
-OK_STATUSES = ("rank-1", "polished", "uncertified")
+OK_STATUSES = ("polished", "uncertified")
 
-# Solver memory a run may plan for, in bytes.  sdp_solve keeps p x p float64
-# matrices (Schur accumulator and matrix, Cholesky factor, block-0
-# pseudo-inverse); one solve at p = 1000 peaked at 6 p^2 doubles, and 8 are
-# planned, so the budget admits p <= 4096.
-SDP_MEMORY_BUDGET = 2**30
+# Memory a run may plan for, in bytes: the SDP solver's p x p matrices
+# (check_sdp_budget) or the product-log expansions of gbchd-report
+# (check_gbchd_budget).
+MEMORY_BUDGET = 2**30
 
 FIDELITY_FIXED_COLUMNS = [
     "trial",
@@ -150,21 +149,41 @@ def check_relax_order(generator: PolyMatrix, relax_order: int | None):
 
 
 def check_sdp_budget(m: int, order: int, relax_order: int | None):
-    """Reject a run whose SDP would outgrow ``SDP_MEMORY_BUDGET``, before any build.
+    """Reject a run whose SDP would outgrow ``MEMORY_BUDGET``, before any build.
 
     A nested commutator of Hc with itself vanishes, so an order-n generator
     (Magnus order or BCH grade) has degree at most max(1, n - 1) in the m
     controls; that is also the base relaxation order of its objective.  At
     relaxation order r the SDP has p = C(m + 2r, 2r) - 1 constraints.
+    sdp_solve keeps p x p float64 matrices (Schur accumulator and matrix,
+    Cholesky factor, block-0 pseudo-inverse); one solve at p = 1000 peaked at
+    6 p^2 doubles, and 8 are planned, so the budget admits p <= 4096.
     """
     r = relax_order if relax_order is not None else max(1, order - 1)
     p = comb(m + 2 * r, 2 * r) - 1
     need = 8 * 8 * p * p
-    if need > SDP_MEMORY_BUDGET:
+    if need > MEMORY_BUDGET:
         raise ValueError(
             f"{m} controls at relaxation order {r} give {p} SDP constraints, "
             f"about {need / 2**30:.1f} GiB of solver memory; the budget is "
-            f"{SDP_MEMORY_BUDGET / 2**30:g} GiB"
+            f"{MEMORY_BUDGET / 2**30:g} GiB"
+        )
+
+
+def check_gbchd_budget(m: int, dim: int, n: int):
+    """Reject a gbchd-report whose expansions would outgrow ``MEMORY_BUDGET``.
+
+    At grade n, Sigma and the explicit expansion have degree at most
+    max(1, n - 1) in the m slice amplitudes, so each holds up to
+    C(m + n - 1, n - 1) complex dim x dim coefficients.  Ten are planned; a
+    report peaked at up to 8.1 of them under tracemalloc (Ising N = 5-6).
+    """
+    terms = comb(m + max(1, n - 1), m)
+    need = 10 * 16 * dim * dim * terms
+    if need > MEMORY_BUDGET:
+        raise ValueError(
+            f"{m} slices at grade {n} give up to {terms} coefficients of {dim}x{dim}, "
+            f"about {need / 2**30:.1f} GiB; the budget is {MEMORY_BUDGET / 2**30:g} GiB"
         )
 
 
@@ -292,8 +311,8 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
     base order; the relaxed problem depends only on the objective's
     coefficients, never on N, so this is the phase whose cost stays flat as
     the system grows.
-    Minimizer extraction and polishing are excluded here (the fidelity bench
-    reports them) because their work varies with extraction luck, not size.
+    Polishing is excluded here (the fidelity bench reports it) because its
+    work varies with the start point, not size.
     """
     if not 2 <= n_min <= n_max <= 7:
         raise ValueError("qubit range must satisfy 2 <= min <= max <= 7")

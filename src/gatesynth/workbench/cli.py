@@ -18,8 +18,8 @@ from gatesynth.numerics import action_integral
 from gatesynth.workbench.bench import (
     BenchConfig,
     build_bench_generator,
+    check_gbchd_budget,
     check_relax_order,
-    check_sdp_budget,
     fidelity_csv,
     make_spec,
     records_to_json,
@@ -129,10 +129,11 @@ def _handle_synth(args, control: str) -> int:
     if args.trial < 0:
         raise ValueError("--trial must be non-negative")
     spec = _spec(args, control)
-    order = _order(args, spec.is_piecewise())
-    check_sdp_budget(spec.m, order, args.relax_order)
-    # run_trial reads only the target seed and the relaxation settings
-    cfg = BenchConfig(trials=1, base_seed=args.seed,
+    piecewise = spec.is_piecewise()
+    order = _order(args, piecewise)
+    # the run's own control model, order and horizon size the SDP budget check
+    cfg = BenchConfig(control="piecewise" if piecewise else "poly", control_dim=spec.m,
+                      order=order, horizon=spec.horizon, trials=1, base_seed=args.seed,
                       relax_order=args.relax_order, radius=args.ball)
     generator = build_bench_generator(spec, order)
     check_relax_order(generator, args.relax_order)
@@ -218,7 +219,9 @@ def _handle_target_gen(args) -> int:
 
 
 def _handle_gbchd_report(args) -> int:
-    report = adjudicate_gbchd(_spec(args, "piecewise"), n=args.order, samples=args.samples)
+    spec = _spec(args, "piecewise")
+    check_gbchd_budget(spec.m, spec.dim, args.order)
+    report = adjudicate_gbchd(spec, n=args.order, samples=args.samples)
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     return EXIT_OK
 

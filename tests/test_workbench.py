@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gatesynth import bch
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
 from gatesynth.numerics import action_integral, spectral_norm
@@ -190,7 +191,7 @@ def test_bench_config_validation():
 
 
 def test_trial_record_validation():
-    kw = dict(trial=0, seed=0, status="rank-1", objective=0.0, gap=0.0,
+    kw = dict(trial=0, seed=0, status="polished", objective=0.0, gap=0.0,
               build_ms=1.0, solve_ms=1.0, total_ms=2.0,
               x_star=np.zeros(3), x_hat=np.zeros(3))
     with pytest.raises(ValueError):
@@ -397,6 +398,31 @@ def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monk
         assert not out.exists()
 
 
+def test_cli_synth_budget_follows_its_own_problem(tmp_path, monkeypatch):
+    # one control at relaxation order 2 gives 4 SDP constraints; the budget
+    # must not be checked on the defaults of 3 controls (34 constraints)
+    monkeypatch.setattr(bench, "MEMORY_BUDGET", 10_000)
+    out = tmp_path / "result.json"
+    assert main(["synth", "--control-dim", "1", "--relax-order", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "polished"
+
+
+def test_cli_gbchd_report_past_budget_before_build(tmp_path, capsys, monkeypatch):
+    # Ising N=7 with 100 slices: each grade-3 expansion holds up to 5151
+    # coefficients of 128 x 128, about 1.35 GB, before any copy
+    def no_build(*args, **kwargs):
+        raise AssertionError("built past the memory budget")
+
+    monkeypatch.setattr(bch, "build_sigma", no_build)
+    monkeypatch.setattr(bch, "gbchd_eq12", no_build)
+    out = tmp_path / "report.json"
+    assert main(["gbchd-report", "--system", "ising", "--qubits", "7",
+                 "--control-dim", "100", "--out", str(out)]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_problem_file_replaces_system_flags(tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(problem_dict()))
@@ -420,7 +446,7 @@ def test_cli_synth_problem_file(tmp_path, capsys):
     rc = main(["synth", "--problem", str(prob), "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert payload["status"] in ("rank-1", "polished")
+    assert payload["status"] == "polished"
     assert payload["infid_prop"] <= 1e-5
     assert len(payload["x_hat"]) == 2
 
@@ -474,7 +500,7 @@ def test_cli_bench_fidelity_ising(tmp_path, capsys):
 
 
 def test_records_to_json_expands_arrays():
-    rec = TrialRecord(trial=0, seed=0, status="rank-1", objective=0.0, gap=0.0,
+    rec = TrialRecord(trial=0, seed=0, status="polished", objective=0.0, gap=0.0,
                       infid_gen=0.0, infid_prop=0.0, build_ms=1.0,
                       solve_ms=1.0, total_ms=2.0,
                       x_star=np.array([0.1, 0.2]), x_hat=np.array([0.3, 0.4]))
