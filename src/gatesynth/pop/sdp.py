@@ -12,13 +12,27 @@ add in the same order as scipy's CSR and CSC mat-vecs.  The Schur complement
 sum_k A_k (W_k (x) W_k) A_k^T is assembled from fixed-size column slabs of
 W (x) W: in a moment block every cell belongs to one constraint, so a block
 costs s^4 (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997, formula F3).
+Both sparse products of a slab run on ``csr_matvecs``, the kernel behind
+scipy's CSR @ dense, called without scipy's dispatch.
 
 What the solver derives from the constraint blocks alone (the normalised
 blocks, their index arrays, the Schur slabs and the moment-block
 pseudo-inverse) is built at the first solve and shared, read-only, by every
 problem made from the same blocks with another right-hand side; a moment
-relaxation's structure is such a problem.  The slab of W (x) W, the Schur
-matrix and its Cholesky factor live in buffers allocated once per solve.
+relaxation's structure is such a problem.  Buffers allocated once per solve
+hold the slab of W (x) W (which, once spent, takes T^T and the rows that U
+updates), the slab products T = A (W (x) W)[:, cells] and then
+U = A[rows, cells] T^T, the Schur accumulator and matrix, its Cholesky
+factor, and per block the (X_k, Z_k) pair and the two step-length
+congruences, each a (2, s_k, s_k) stack for one eigensolve.
+
+The eigensolves call numpy's LAPACK gufuncs, the ones under
+``np.linalg.eigh`` and ``eigvalsh``, directly.  Where np.linalg raises
+LinAlgError on a failed solve, a gufunc returns NaN (and warns); every use
+below tests the least eigenvalue with a comparison that NaN fails, and
+raises the same LinAlgError.  LAPACK returns eigenvalues in ascending order,
+so the least is the first.  Vector and matrix norms are sqrt(v . v), which
+is what ``np.linalg.norm`` computes for real input.
 """
 
 from __future__ import annotations
@@ -29,8 +43,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import sparse
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 # relative duality gap (and residual scale) at which a solve is "optimal"
 TOL = 1e-8
@@ -180,38 +196,69 @@ class SDPSolution:
     dual_residual: float = 0.0
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+def _sym(m: np.ndarray, out=None) -> np.ndarray:
+    """0.5 (m + m^T), written into ``out`` when given."""
+    out = np.add(m, m.T, out=out)
+    return np.multiply(out, 0.5, out=out)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` (2-norm, Frobenius) of a real array, without its wrapper."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _eigh(a: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix or stack.
+
+    NaN where the solve failed; see the module docstring.
+    """
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+def _least_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of each symmetric matrix in a stack; NaN where it failed."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")[:, 0]
 
 
 def _nt_scaling(z: np.ndarray, x_eig):
     """W with W Z W = X, from x_eig = eigh(X)."""
     wx, vx = x_eig
-    if wx.min() <= 0:
-        raise np.linalg.LinAlgError("primal block lost definiteness")
+    if not wx[0] > 0:
+        raise LinAlgError("primal block lost definiteness or its eigh failed")
     sx = vx * np.sqrt(wx)  # X^{1/2} = sx @ vx.T
     xh = sx @ vx.T
     inner = _sym(xh @ z @ xh)
-    wi, vi = np.linalg.eigh(inner)
-    if wi.min() <= 0:
-        raise np.linalg.LinAlgError("scaling core lost definiteness")
+    wi, vi = _eigh(inner)
+    if not wi[0] > 0:
+        raise LinAlgError("scaling core lost definiteness or its eigh failed")
     inner_isqrt = (vi / np.sqrt(wi)) @ vi.T
     return _sym(xh @ inner_isqrt @ xh)
 
 
-def _step_lengths(isqrt_pairs, dx, dz) -> tuple[float, float]:
+def _max_step(lam: float) -> float:
+    """Largest alpha with I + alpha T PSD, from T's least eigenvalue ``lam``."""
+    if lam >= 0:
+        return np.inf
+    if lam < 0:
+        return -1.0 / lam
+    raise LinAlgError("eigvalsh failed")
+
+
+def _step_lengths(isqrt_pairs, dx, dz, congruences) -> tuple[float, float]:
     """Primal and dual step lengths: STEP_FRACTION of the largest alpha with
     X + alpha dX and Z + alpha dZ PSD, capped at 1.
 
     ``isqrt_pairs[k]`` holds V / sqrt(w) from eigh(X_k) and from eigh(Z_k),
-    which act as M^{-1/2} = (V / sqrt(w)) @ V.T; one stacked eigvalsh per
-    block serves both sides.
+    which act as M^{-1/2} = (V / sqrt(w)) @ V.T.  The two congruences of
+    block k are written into the (2, s_k, s_k) buffer ``congruences[k]`` so
+    that one stacked eigensolve per block serves both sides.
     """
     steps = []
-    for (lx, lz), dxk, dzk in zip(isqrt_pairs, dx, dz):
-        t = np.stack((_sym(lx.T @ dxk @ lx), _sym(lz.T @ dzk @ lz)))
-        steps.append([np.inf if lam >= 0 else -1.0 / lam
-                      for lam in np.linalg.eigvalsh(t).min(axis=1)])
+    for (lx, lz), dxk, dzk, t in zip(isqrt_pairs, dx, dz, congruences):
+        _sym(lx.T @ dxk @ lx, out=t[0])
+        _sym(lz.T @ dzk @ lz, out=t[1])
+        steps.append([_max_step(lam) for lam in _least_eigenvalues(t)])
     ap = min(s[0] for s in steps)
     ad = min(s[1] for s in steps)
     return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
@@ -286,19 +333,35 @@ def _schur_slabs(a: sparse.csr_array, s: int) -> list:
     return slabs
 
 
+def _matvecs(a: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ x for a C-contiguous dense x, on flat buffers: scipy's kernel
+    for CSR @ dense, adding in its order, without its dispatch."""
+    out.fill(0.0)
+    n_row, n_col = a.shape
+    _sparsetools.csr_matvecs(
+        n_row, n_col, x.size // n_col, a.indptr, a.indices, a.data, x, out
+    )
+
+
 def _schur_assembler(a_blocks, slabs):
     """The map W -> symmetrised sum_k A_k (W_k (x) W_k) A_k^T.
 
     W (x) W is symmetric, so the rows of M that a slab's cells touch gain
-    A[rows, cells] (A (W (x) W)[:, cells])^T; the slab's column for cell
-    (i, j) is the outer product of W[:, i] and W[:, j].  The slab, the
-    accumulator and the returned matrix are buffers shared by every call, so
-    each call overwrites the matrix the previous one returned.
+    U = A[rows, cells] T^T with T = A (W (x) W)[:, cells]; the slab's column
+    for cell (i, j) is the outer product of W[:, i] and W[:, j].  Two flat
+    buffers serve every slab: the slab buffer holds those columns, then T^T
+    once T is formed, then the rows of the accumulator that U updates; the
+    other holds T, then U.  They, the accumulator and the returned matrix are
+    shared by every call, so each call overwrites the matrix the previous
+    one returned.
     """
     p = a_blocks[0].shape[0]
-    slab = np.empty(max(
-        a.shape[1] * cells.size for a, sl in zip(a_blocks, slabs) for cells, *_ in sl
-    ))
+    shapes = [
+        (a.shape[1], cells.size, rows.size)
+        for a, sl in zip(a_blocks, slabs) for cells, _, rows, _ in sl
+    ]
+    slab = np.empty(max(max(cols * n, n * p, r * p) for cols, n, r in shapes))
+    other = np.empty(max(p * max(n, r) for _, n, r in shapes))
     acc = np.empty((p, p))
     m = np.empty((p, p))
 
@@ -307,10 +370,23 @@ def _schur_assembler(a_blocks, slabs):
         for a, block_slabs, w in zip(a_blocks, slabs, w_blocks):
             s = w.shape[0]
             for i, j, rows, sub in block_slabs:
-                wi, wj = np.take(w, i, axis=1), np.take(w, j, axis=1)
-                kron_cols = slab[: s * s * i.size].reshape(s, s, i.size)
-                np.multiply(wi[:, None, :], wj[None, :, :], out=kron_cols)
-                acc[rows] += sub @ (a @ kron_cols.reshape(s * s, i.size)).T
+                n, r = i.size, rows.size
+                kron_cols = slab[: s * s * n]
+                # one product per entry, faster than a broadcast multiply;
+                # only the sign of a zero product can differ, and the sums
+                # in T start from +0, which hides it
+                np.einsum("ac,bc->abc", np.take(w, i, axis=1), np.take(w, j, axis=1),
+                          out=kron_cols.reshape(s, s, n))
+                t, tt = other[: p * n], slab[: n * p]
+                _matvecs(a, kron_cols, t)
+                np.copyto(tt.reshape(n, p), t.reshape(p, n).T)
+                u, gathered = other[: r * p], slab[: r * p].reshape(r, p)
+                _matvecs(sub, tt, u)
+                # acc[rows] += U without a temporary; the rows are in range,
+                # and mode="clip" lets take write straight into the buffer
+                np.take(acc, rows, axis=0, out=gathered, mode="clip")
+                gathered += u.reshape(r, p)
+                acc[rows] = gathered
         np.add(acc, acc.T, out=m)
         return np.multiply(m, 0.5, out=m)
 
@@ -369,7 +445,7 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of an SPD Fortran-order matrix, written over it."""
     factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
     if info > 0:
-        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+        raise LinAlgError(f"leading minor {info} is not positive definite")
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return factor
@@ -405,14 +481,21 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     norms, blocks = ops.norms, ops.blocks
     b = prob.b / norms
     p = b.shape[0]
-    b_norm = float(np.linalg.norm(b))
-    c_norms = [float(np.linalg.norm(c)) for c in c_blocks]
+    b_norm = _norm(b)
+    c_norms = [_norm(c) for c in c_blocks]
     schur = _schur_assembler(ops.a_blocks, ops.slabs)
     # the lifted Schur matrix, in Fortran order so that potrf factors it in place
     lifted = np.empty((p, p), order="F")
     diagonal = np.diag_indices(p)
 
-    x, y, z = _initial_point(prob.block_sizes, c_norms, b)
+    # X_k and Z_k live in one (2, s_k, s_k) stack for the stacked eigh
+    pairs = [np.empty((2, s, s)) for s in prob.block_sizes]
+    congruences = [np.empty((2, s, s)) for s in prob.block_sizes]
+    x0, y, z0 = _initial_point(prob.block_sizes, c_norms, b)
+    for pair, xk, zk in zip(pairs, x0, z0):
+        pair[0], pair[1] = xk, zk
+    x = [pair[0] for pair in pairs]
+    z = [pair[1] for pair in pairs]
 
     def residuals():
         rp = b - _apply_forward(blocks, x)
@@ -433,10 +516,8 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
         pv, dv = current_values()
         mu = sum(float(np.vdot(x[k], z[k])) for k in range(nblk)) / ntot
         gap_rel = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
-        rp_norm = float(np.linalg.norm(rp)) / (1.0 + b_norm)
-        rd_norm = max(
-            float(np.linalg.norm(rd[k])) / (1.0 + c_norms[k]) for k in range(nblk)
-        )
+        rp_norm = _norm(rp) / (1.0 + b_norm)
+        rd_norm = max(_norm(rd[k]) / (1.0 + c_norms[k]) for k in range(nblk))
         quality = max(gap_rel, rp_norm, rd_norm)
         if best is None or quality < best[0]:
             best = (
@@ -467,10 +548,10 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
             # Z^{-1} and both step-length calls
             w, zinv, isqrt_pairs = [], [], []
             for k in range(nblk):
-                (wx, wz), (vx, vz) = np.linalg.eigh(np.stack((x[k], z[k])))
+                (wx, wz), (vx, vz) = _eigh(pairs[k])
                 w.append(_nt_scaling(z[k], (wx, vx)))
-                if wz.min() <= 0:
-                    raise np.linalg.LinAlgError("dual block lost definiteness")
+                if not wz[0] > 0:
+                    raise LinAlgError("dual block lost definiteness or its eigh failed")
                 zinv.append((vz / wz) @ vz.T)
                 isqrt_pairs.append((vx / np.sqrt(wx), vz / np.sqrt(wz)))
             wrdw = [_sym(w[k] @ rd[k] @ w[k]) for k in range(nblk)]
@@ -494,7 +575,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
                 # the Schur complement turns severely ill-conditioned near the
                 # optimum and the raw factorization loses the direction
                 r = rhs - m_schur @ dy
-                if np.linalg.norm(r) > 1e-14 * (1.0 + np.linalg.norm(rhs)):
+                if _norm(r) > 1e-14 * (1.0 + _norm(rhs)):
                     dy = dy + _cholesky_solve(factor, r)
                 ady = _apply_adjoint(blocks, dy)
                 dz = [rd[k] - ady[k] for k in range(nblk)]
@@ -512,7 +593,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
 
             # predictor
             dx_a, dy_a, dz_a = solve_direction(0.0)
-            ap_a, ad_a = _step_lengths(isqrt_pairs, dx_a, dz_a)
+            ap_a, ad_a = _step_lengths(isqrt_pairs, dx_a, dz_a, congruences)
             mu_aff = sum(
                 float(np.vdot(x[k] + ap_a * dx_a[k], z[k] + ad_a * dz_a[k]))
                 for k in range(nblk)
@@ -520,18 +601,18 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
             sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
             # corrector (recentered target, no second-order term)
             dx, dy, dz = solve_direction(sigma * mu)
-            ap, ad = _step_lengths(isqrt_pairs, dx, dz)
+            ap, ad = _step_lengths(isqrt_pairs, dx, dz, congruences)
             if ap <= 1e-14 or ad <= 1e-14:
                 ended_by = "stall"
                 break
             for k in range(nblk):
-                x[k] = _sym(x[k] + ap * dx[k])
-                z[k] = _sym(z[k] + ad * dz[k])
+                _sym(x[k] + ap * dx[k], out=x[k])
+                _sym(z[k] + ad * dz[k], out=z[k])
             y = y + ad * dy
             if float(b @ y) > 1e12 * (1.0 + b_norm):
                 ended_by = "infeasible"
                 break
-        except np.linalg.LinAlgError:
+        except LinAlgError:
             ended_by = "stall"
             break
 
@@ -560,6 +641,6 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
         z_blocks=[zk.copy() for zk in z],
         iterations=it,
         stop_reason=ended_by,
-        primal_residual=float(np.linalg.norm(rp * norms)),
-        dual_residual=max(float(np.linalg.norm(r)) for r in rd),
+        primal_residual=_norm(rp * norms),
+        dual_residual=max(_norm(r) for r in rd),
     )

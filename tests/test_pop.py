@@ -1,10 +1,12 @@
 """Tests for the moment relaxation pipeline and the embedded SDP solver."""
 
 import functools
+import operator
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -274,7 +276,8 @@ def test_sdp_batched_step_lengths_match_one_matrix_calls():
         ap = min(max_step_one_matrix(e, d) for e, d in zip(x_eig, dx))
         ad = min(max_step_one_matrix(e, d) for e, d in zip(z_eig, dz))
         want = (min(1.0, sdp_mod.STEP_FRACTION * ap), min(1.0, sdp_mod.STEP_FRACTION * ad))
-        assert sdp_mod._step_lengths(pairs, dx, dz) == want
+        congruences = [np.empty((2, s, s)) for s in sizes]
+        assert sdp_mod._step_lengths(pairs, dx, dz, congruences) == want
 
 
 def test_sdp_cholesky_failure_stalls(monkeypatch):
@@ -284,6 +287,44 @@ def test_sdp_cholesky_failure_stalls(monkeypatch):
         return a, 1
 
     monkeypatch.setattr(sdp_mod.lapack, "dpotrf", not_positive_definite)
+    sol = sdp_solve(sdp_psd_boundary_2x2())
+    assert (sol.stop_reason, sol.iterations) == ("stall", 1)
+    assert sol.status == "numerical_failure"
+
+
+def failing_gufunc(gufunc, fail_at=None, matrix=None):
+    """``gufunc`` that rejects NaN input and whose ``fail_at``-th call leaves
+    NaN for one matrix of a stack (or for its one matrix), as a failed LAPACK
+    solve does."""
+    calls = []
+
+    def run(a, **kwargs):
+        assert not np.isnan(a).any(), "the solver computed on a failed eigensolve"
+        out = gufunc(a, **kwargs)
+        calls.append(None)
+        if len(calls) == fail_at:
+            for o in out if isinstance(out, tuple) else (out,):
+                o[matrix if a.ndim == 3 else ...] = np.nan
+        return out
+
+    return run
+
+
+@pytest.mark.parametrize("name, fail_at, matrix", [
+    ("eigh_lo", 1, 0),       # X of the stacked (X, Z) eigh
+    ("eigh_lo", 1, 1),       # Z of it
+    ("eigh_lo", 2, None),    # the NT scaling core
+    ("eigvalsh_lo", 1, 0),   # predictor primal step
+    ("eigvalsh_lo", 2, 1),   # corrector dual step
+])
+def test_sdp_eigensolve_failure_stalls(name, fail_at, matrix, monkeypatch):
+    # the LAPACK gufuncs return NaN where np.linalg raises LinAlgError; the
+    # solve must raise it too and stall at once, never step on NaN
+    real = sdp_mod._umath_linalg
+    fake = types.SimpleNamespace(eigh_lo=failing_gufunc(real.eigh_lo),
+                                 eigvalsh_lo=failing_gufunc(real.eigvalsh_lo))
+    setattr(fake, name, failing_gufunc(getattr(real, name), fail_at, matrix))
+    monkeypatch.setattr(sdp_mod, "_umath_linalg", fake)
     sol = sdp_solve(sdp_psd_boundary_2x2())
     assert (sol.stop_reason, sol.iterations) == ("stall", 1)
     assert sol.status == "numerical_failure"
@@ -347,6 +388,39 @@ def test_schur_buffers_reused_bit_identical(monkeypatch):
         assert np.array_equal(got, schur_allocating(prob.a_blocks, slabs, ws))
 
 
+def moment_relaxation(m, order):
+    # min x0^(2 order) on the ball in m controls: the moment block takes
+    # several Schur slabs at m=7, order 2 (s=36) and m=4, order 3 (s=35)
+    x0 = Polynomial.variable(Ring(m), 0)
+    return moment_relax(functools.reduce(operator.mul, [x0] * (2 * order)),
+                        1.05 * np.sqrt(m), order)[0]
+
+
+SCHUR_REFERENCE_CASES = {
+    # case: (problem, slab entries, slabs of block 0)
+    "moment_m7_order2": (lambda: moment_relaxation(7, 2), sdp_mod._SLAB_ENTRIES, 7),
+    "moment_m4_order3": (lambda: moment_relaxation(4, 3), sdp_mod._SLAB_ENTRIES, 6),
+    "dense_random_50": (sdp_dense_random, 50, 13),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_REFERENCE_CASES))
+def test_schur_assembler_matches_scipy_reference_bytes(case, monkeypatch):
+    # the csr_matvecs assembler writes the bytes of scipy's @ with fresh
+    # arrays per slab, on every call of one assembler
+    make, slab_entries, block0_slabs = SCHUR_REFERENCE_CASES[case]
+    monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", slab_entries)
+    prob = make()
+    slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+    assert len(slabs[0]) == block0_slabs
+    rng = np.random.default_rng(12)
+    shared = sdp_mod._schur_assembler(prob.a_blocks, slabs)
+    for _ in range(2):
+        ws = [random_spd(rng, s) for s in prob.block_sizes]
+        want = schur_allocating(prob.a_blocks, slabs, ws)
+        assert shared(ws).tobytes() == want.tobytes()
+
+
 def assert_same_solution(got, want):
     for name, value in vars(want).items():
         other = getattr(got, name)
@@ -366,6 +440,34 @@ def test_sdp_solve_repeats_bit_identical():
     assert_same_solution(sdp_solve(small), first)
     sdp_solve(large)
     assert_same_solution(sdp_solve(small), first)
+
+
+def solve_on_reference_path(prob, monkeypatch):
+    """sdp_solve with scipy's @ Schur assembly and np.linalg eigensolves and norms."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp_mod, "_schur_assembler", lambda a_blocks, slabs: (
+            functools.partial(schur_allocating, a_blocks, slabs)))
+        patch.setattr(sdp_mod, "_eigh", np.linalg.eigh)
+        patch.setattr(sdp_mod, "_least_eigenvalues",
+                      lambda a: np.linalg.eigvalsh(a).min(axis=1))
+        patch.setattr(sdp_mod, "_norm", lambda v: float(np.linalg.norm(v)))
+        return sdp_solve(prob)
+
+
+def planted_order3_relaxation():
+    # a planted-poly3 objective (degree 4) one above its base order: blocks
+    # (20, 10)
+    obj, _ = planted_instance(0)
+    scaled, _, radius, order = relaxation_setup(obj, order=3)
+    return moment_relax(scaled, radius, order)[0]
+
+
+@pytest.mark.parametrize("make", [certify_ising_relaxation, planted_order3_relaxation])
+def test_sdp_solve_matches_reference_path(make, monkeypatch):
+    # the lean kernels change no bit of a solve
+    prob = make()
+    want = solve_on_reference_path(prob, monkeypatch)
+    assert_same_solution(sdp_solve(prob), want)
 
 
 def test_sdp_stop_reason(monkeypatch):
