@@ -1,7 +1,6 @@
 """Gate synthesis by global polynomial optimization over truncated generators."""
 
 from gatesynth.bch import (
-    adjudicate_gbchd,
     bch_compose,
     build_sigma,
     gbchd_eq12,
@@ -69,7 +68,6 @@ __all__ = [
     "SystemPair",
     "action_integral",
     "adaptive_simpson",
-    "adjudicate_gbchd",
     "ball_scan_minimum",
     "bch_compose",
     "build_ising",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from gatesynth.magnus import ProblemSpec
+from gatesynth.polymat import control_values
 
 ANTIHERM_TOL = 1e-10
 STEP_DOUBLING_TOL = 1e-10
@@ -76,13 +77,6 @@ def _tree_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _checked_controls(spec: ProblemSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
-        raise ValueError(f"expected {spec.m} control values, got shape {x.shape}")
-    return x
-
-
 def _slice_product(h0, hc, coeffs: np.ndarray, h: float) -> np.ndarray:
     """Ordered product of exp(-i h (h0 + c hc)) over coeffs, first on the right.
 
@@ -116,7 +110,7 @@ def cf4_propagate(spec: ProblemSpec, x, steps: int) -> np.ndarray:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x = _checked_controls(spec, x)
+    x = control_values(spec.m, x)
     h = spec.horizon / steps
     starts = np.arange(steps) * h
     e1 = _envelope(spec, x, starts + _GAUSS_NODES[0] * h)
@@ -130,7 +124,7 @@ def cf4_propagate(spec: ProblemSpec, x, steps: int) -> np.ndarray:
 
 def propagate_piecewise(spec: ProblemSpec, x) -> np.ndarray:
     """Exact product of per-slice exponentials for a piecewise-constant drive."""
-    x = _checked_controls(spec, x)
+    x = control_values(spec.m, x)
     return _slice_product(spec.h0, spec.hc, x, spec.horizon / spec.m)
 
 
@@ -195,7 +189,7 @@ def action_integral(spec: ProblemSpec, x) -> float:
     Values below pi are the Magnus convergence regime.  Piecewise drives sum
     exact per-slice contributions; polynomial drives are integrated adaptively.
     """
-    x = _checked_controls(spec, x)
+    x = control_values(spec.m, x)
     if spec.is_piecewise():
         dt = spec.horizon / spec.m
         return float(

@@ -92,11 +92,11 @@ def _pruned(e: tuple[int, ...], m: np.ndarray) -> np.ndarray | None:
     return m
 
 
-def _control_values(ring: Ring, x) -> np.ndarray:
-    """Control values ``x`` as a float vector, one entry per ring slot."""
+def control_values(m: int, x) -> np.ndarray:
+    """Control values ``x`` as a float vector of length ``m``, else ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (ring.controls,):
-        raise ValueError(f"expected {ring.controls} control values, got shape {x.shape}")
+    if x.shape != (m,):
+        raise ValueError(f"expected {m} control values, got shape {x.shape}")
     return x
 
 
@@ -244,7 +244,7 @@ class Polynomial:
 
     def eval(self, x) -> complex:
         """Evaluate at control values ``x``."""
-        vals = _control_values(self.ring, x)
+        vals = control_values(self.ring.controls, x)
         acc = 0j
         for e, c in self.sorted_terms():
             term = c
@@ -434,7 +434,7 @@ class PolyMatrix:
         )
 
     def eval(self, x) -> np.ndarray:
-        vals = _control_values(self.ring, x)
+        vals = control_values(self.ring.controls, x)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for e, m in self.sorted_coeffs():
             w = 1.0

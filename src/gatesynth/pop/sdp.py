@@ -605,9 +605,11 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
             if ap <= 1e-14 or ad <= 1e-14:
                 ended_by = "stall"
                 break
+            # dX (block-0 fix included) and dZ are exactly symmetric, so
+            # plain adds keep the iterates exactly symmetric
             for k in range(nblk):
-                _sym(x[k] + ap * dx[k], out=x[k])
-                _sym(z[k] + ad * dz[k], out=z[k])
+                x[k] += ap * dx[k]
+                z[k] += ad * dz[k]
             y = y + ad * dy
             if float(b @ y) > 1e12 * (1.0 + b_norm):
                 ended_by = "infeasible"

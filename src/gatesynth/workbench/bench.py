@@ -27,8 +27,7 @@ from gatesynth.workbench.targets import gen_target, trial_rng
 OK_STATUSES = ("polished", "uncertified")
 
 # Memory a run may plan for, in bytes: the SDP solver's p x p matrices
-# (check_sdp_budget) or the product-log expansions of gbchd-report
-# (check_gbchd_budget).
+# (check_sdp_budget).
 MEMORY_BUDGET = 2**30
 
 FIDELITY_FIXED_COLUMNS = [
@@ -169,23 +168,6 @@ def check_sdp_budget(m: int, order: int, relax_order: int | None):
             f"{m} controls at relaxation order {r} give {p} SDP constraints, "
             f"about {need / 2**30:.1f} GiB of solver memory; the budget is "
             f"{MEMORY_BUDGET / 2**30:g} GiB"
-        )
-
-
-def check_gbchd_budget(m: int, dim: int, n: int):
-    """Reject a gbchd-report whose expansions would outgrow ``MEMORY_BUDGET``.
-
-    At grade n, Sigma and the explicit expansion have degree at most
-    max(1, n - 1) in the m slice amplitudes, so each holds up to
-    C(m + n - 1, n - 1) complex dim x dim coefficients.  Ten are planned; a
-    report peaked at up to 8.1 of them under tracemalloc (Ising N = 5-6).
-    """
-    terms = comb(m + max(1, n - 1), m)
-    need = 10 * 16 * dim * dim * terms
-    if need > MEMORY_BUDGET:
-        raise ValueError(
-            f"{m} slices at grade {n} give up to {terms} coefficients of {dim}x{dim}, "
-            f"about {need / 2**30:.1f} GiB; the budget is {MEMORY_BUDGET / 2**30:g} GiB"
         )
 
 

@@ -12,13 +12,11 @@ import argparse
 import json
 import sys
 
-from gatesynth.bch import adjudicate_gbchd
 from gatesynth.magnus import ProblemSpec
 from gatesynth.numerics import action_integral
 from gatesynth.workbench.bench import (
     BenchConfig,
     build_bench_generator,
-    check_gbchd_budget,
     check_relax_order,
     fidelity_csv,
     make_spec,
@@ -66,7 +64,6 @@ FLAGS = {
     "--control": dict(choices=("poly", "piecewise"), default="poly"),
     "--min-qubits": dict(type=int, default=2),
     "--max-qubits": dict(type=int, default=6),
-    "--samples": dict(type=int, default=8),
     "--out": dict(default=None),
 }
 SYSTEM = ("--system", "--qubits", "--coupling", "--horizon", "--control-dim")
@@ -218,14 +215,6 @@ def _handle_target_gen(args) -> int:
     return EXIT_OK
 
 
-def _handle_gbchd_report(args) -> int:
-    spec = _spec(args, "piecewise")
-    check_gbchd_budget(spec.m, spec.dim, args.order)
-    report = adjudicate_gbchd(spec, n=args.order, samples=args.samples)
-    _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-    return EXIT_OK
-
-
 # name -> (help, flags, per-command defaults, handler)
 COMMANDS = {
     "synth": ("solve one continuous-control problem",
@@ -244,9 +233,6 @@ COMMANDS = {
     "target-gen": ("emit planted targets as JSON",
                    (*SYSTEM, "--problem", "--seed", "--trials", "--out"), {"trials": 1},
                    _handle_target_gen),
-    "gbchd-report": ("compare the two product-log expansions",
-                     (*SYSTEM, "--order", "--samples", "--out"),
-                     {"control_dim": 2, "order": 3}, _handle_gbchd_report),
 }
 
 

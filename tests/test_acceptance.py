@@ -4,15 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  The whole file takes about a minute on two cores.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gatesynth.bch import adjudicate_gbchd, bch_compose, build_sigma
+from gatesynth.bch import bch_compose, build_sigma, gbchd_eq12
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import (
     PiecewiseControl,
@@ -190,21 +188,23 @@ def test_criterion_5_composition_error_scaling():
            f"{ratios.max():.1f}] (need >= {floor:.1f})")
 
 
-def test_criterion_6_product_log_adjudication(tmp_path):
-    # the report goes to a temporary directory so the suite never rewrites the
-    # tracked artifacts/gbchd_report.json (that file comes from the CLI)
+def test_criterion_6_product_log_adjudication():
+    # the fold and the explicit expansion differ at grade 3; the exact
+    # logarithm of the slice product decides which one is right
     spec = piecewise_spec(m=2)
-    result = adjudicate_gbchd(spec, n=3, samples=8)
-    path = os.path.join(tmp_path, "gbchd_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-    sep = result["separation"]
-    if sep < 1.0 and sep > 0:
-        sep = 1.0 / sep
-    ok = result["verdict"] in ("fold", "explicit") and sep >= 10.0
+    fold = build_sigma(spec, 3)
+    explicit = gbchd_eq12(spec, 3)
+    rng = np.random.default_rng(20260816)
+    errors = []
+    for _ in range(8):
+        x = rng.uniform(-1.0, 1.0, size=spec.m)
+        z_true = principal_log(propagate_piecewise(spec, x))
+        errors.append([np.linalg.norm(pm_eval(g, x) - z_true) for g in (fold, explicit)])
+    med_fold, med_explicit = np.median(errors, axis=0)
+    ok = bool(med_explicit >= 10.0 * med_fold)
     report(6, ok,
-           f"verdict={result['verdict']!r} at {sep:.1f}x separation "
-           f"(>=10x), report written to {path}")
+           f"median |Sigma - log U|_F over 8 controls: fold {med_fold:.3e}, "
+           f"explicit {med_explicit:.3e}, {med_explicit / med_fold:.1f}x (need >= 10x)")
 
 
 def test_criterion_7_certificate_validity(interp_runs, planted_log_runs,

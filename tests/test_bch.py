@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm, logm
 
 from gatesynth.bch import (
-    adjudicate_gbchd,
     bch_compose,
     build_sigma,
     gbchd_eq12,
@@ -244,34 +243,3 @@ def test_eq12_rejects_order_above_printed():
     spec = pw_spec(m=2)
     with pytest.raises(ValueError):
         gbchd_eq12(spec, 4)
-
-
-# -- adjudication ------------------------------------------------------------------------
-
-
-def test_adjudication_prefers_fold():
-    spec = pw_spec(horizon=0.2, m=2)
-    report = adjudicate_gbchd(spec, n=3, samples=8)
-    assert report["verdict"] == "fold"
-    assert report["separation"] >= 10.0
-    assert report["median_error_fold"] < report["median_error_explicit"]
-    assert len(report["samples"]) == 8
-
-
-def test_adjudication_report_fields():
-    spec = pw_spec(horizon=0.2, m=2)
-    report = adjudicate_gbchd(spec, n=3, samples=4)
-    for key in (
-        "system",
-        "horizon",
-        "slices",
-        "order",
-        "median_error_fold",
-        "median_error_explicit",
-        "separation",
-        "verdict",
-        "coefficient_gap_by_exponent",
-    ):
-        assert key in report
-    assert report["slices"] == 2
-    assert max(report["coefficient_gap_by_exponent"].values()) > 0.0

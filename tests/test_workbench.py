@@ -1,12 +1,14 @@
 """Tests for target generation, problem ingestion, benches, and the CLI."""
 
 import argparse
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatesynth import bch
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
 from gatesynth.numerics import action_integral, spectral_norm
@@ -288,7 +290,7 @@ def test_timing_bench_rejects_bad_range():
 
 def test_cli_rejects_unknown_command(capsys):
     # a flag the subcommand does not read is as unknown as the command
-    for argv in (["optimize-everything"], ["gbchd-report", "--seed", "5"],
+    for argv in (["optimize-everything"], ["gbchd-report"], ["target-gen", "--ball", "1"],
                  ["bench-timing", "--system", "ibmq3"], ["target-gen", "--order", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -300,11 +302,16 @@ SOLVE = {"--order", "--seed", "--relax-order", "--ball"}
 BATCH = {"--trials", "--format", "--quiet"}
 
 
-def test_cli_flag_sets():
+def parser_flags() -> dict:
+    """Each subcommand of the parser with the set of flags it accepts."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    flags = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
-             for name, sp in sub.choices.items()}
+    return {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()}
+
+
+def test_cli_flag_sets():
+    flags = parser_flags()
     assert flags == {
         "synth": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
         "synth-pw": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
@@ -312,9 +319,24 @@ def test_cli_flag_sets():
         "bench-timing": {"--coupling", "--horizon", "--control-dim"} | SOLVE | BATCH
         | {"--min-qubits", "--max-qubits", "--out"},
         "target-gen": SYSTEM | {"--problem", "--seed", "--trials", "--out"},
-        "gbchd-report": SYSTEM | {"--order", "--samples", "--out"},
     }
-    assert sum(len(f) for f in flags.values()) == 68
+    assert sum(len(f) for f in flags.values()) == 60
+
+
+def test_readme_flag_table_matches_parser():
+    # each README table row names its commands, then their flags; "system
+    # flags" stands for the five system flags
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+        names, flag_cell = line.strip("|").split("|")
+        flags = set(" ".join(re.findall(r"`([^`]+)`", flag_cell)).split())
+        if "system flags" in flag_cell:
+            flags |= SYSTEM
+        for name in re.findall(r"`([^`]+)`", names):
+            table[name] = flags
+    assert table == parser_flags()
 
 
 def test_cli_target_gen_deterministic(tmp_path):
@@ -344,7 +366,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
         (["synth", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
         (["synth-pw", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
-        (["gbchd-report", "--samples", "0", "--out", str(out)], "sample count"),
         (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
          "--qubits, --coupling"),
         (["bench-fidelity", "--trials", "1", "--ball", "-1", "--out", str(out)], "radius"),
@@ -408,21 +429,6 @@ def test_cli_synth_budget_follows_its_own_problem(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["status"] == "polished"
 
 
-def test_cli_gbchd_report_past_budget_before_build(tmp_path, capsys, monkeypatch):
-    # Ising N=7 with 100 slices: each grade-3 expansion holds up to 5151
-    # coefficients of 128 x 128, about 1.35 GB, before any copy
-    def no_build(*args, **kwargs):
-        raise AssertionError("built past the memory budget")
-
-    monkeypatch.setattr(bch, "build_sigma", no_build)
-    monkeypatch.setattr(bch, "gbchd_eq12", no_build)
-    out = tmp_path / "report.json"
-    assert main(["gbchd-report", "--system", "ising", "--qubits", "7",
-                 "--control-dim", "100", "--out", str(out)]) == 2
-    assert "budget" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_problem_file_replaces_system_flags(tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(problem_dict()))
@@ -466,17 +472,6 @@ def test_cli_synth_pw_rejects_poly_problem_file(tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(problem_dict(ctype="poly")))
     assert main(["synth-pw", "--problem", str(prob)]) == 2
-
-
-def test_cli_gbchd_report(tmp_path):
-    out = tmp_path / "report.json"
-    rc = main(["gbchd-report", "--samples", "4", "--out", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["slices"] == 2
-    assert report["order"] == 3
-    assert report["verdict"] in ("fold", "explicit", "inconclusive")
-    assert "coefficient_gap_by_exponent" in report
 
 
 def test_cli_bench_fidelity_json_format(tmp_path, capsys):
