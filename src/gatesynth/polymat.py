@@ -1,12 +1,14 @@
-"""Sparse complex multivariate polynomials and matrices with polynomial entries.
+"""Sparse real multivariate polynomials and complex matrix polynomials.
 
 Variables live in a fixed ring context of ``controls`` real optimization
 variables x0..x{m-1}; time never appears here, since the Magnus terms are
-built with their envelope integrals already in closed form.  Matrix-valued
-polynomials are stored as a map from exponent vectors to dense numpy
+built with their envelope integrals already in closed form.  Scalar
+polynomials have real coefficients: the objective is a real polynomial in
+real controls, and a complex coefficient is an error.  Matrix-valued
+polynomials are stored as a map from exponent vectors to dense complex numpy
 coefficient matrices, which keeps products and commutators of large
-(2^N dimensional) operator families cheap; scalar entries are recovered on
-demand.  Coefficients must be finite: a NaN or inf is an error, never pruned.
+(2^N dimensional) operator families cheap.  Coefficients must be finite: a
+NaN or inf is an error, never pruned.
 
 What is copied and what is shared: the public ``PolyMatrix(...)`` constructor
 copies and validates the caller's matrices, so a caller's array is never
@@ -21,7 +23,8 @@ constructor would give it.
 
 from __future__ import annotations
 
-import cmath
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,8 +34,6 @@ import numpy as np
 # coefficient produced here is a small-denominator rational times a Hamiltonian
 # entry, orders of magnitude above the threshold.
 PRUNE_EPS = 1e-14
-# Largest imaginary residue a coefficient may carry when read as real.
-IMAG_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ def _pruned(e: tuple[int, ...], m: np.ndarray) -> np.ndarray | None:
     """Coefficient matrix ``m`` of exponent ``e``, pruned in place and made
     read-only; None when every entry is below ``PRUNE_EPS``.
 
-    Sub-threshold entries are zeroed so that entry() round-trips cleanly.
+    Sub-threshold entries are zeroed, so every stored entry is either 0 or
+    at least ``PRUNE_EPS`` in magnitude.
     """
     mag = np.abs(m)
     peak = mag.max()
@@ -101,12 +103,12 @@ def control_values(m: int, x) -> np.ndarray:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with complex coefficients.
+    """Immutable sparse polynomial with real coefficients.
 
     ``terms`` maps exponent tuples (one entry per ring slot) to nonzero
-    complex coefficients.  Construction canonicalizes: anything below
-    ``PRUNE_EPS`` in magnitude is dropped, and a non-finite coefficient is
-    an error.
+    float coefficients.  Construction canonicalizes: anything below
+    ``PRUNE_EPS`` in magnitude is dropped, and a complex or non-finite
+    coefficient is an error.
     """
 
     __slots__ = ("ring", "terms", "_sorted")
@@ -117,8 +119,11 @@ class Polynomial:
         self._sorted = None
         for exps, coeff in (terms or {}).items():
             exps = _exponents(ring, exps)
-            c = complex(coeff)
-            if not cmath.isfinite(c):
+            # a float passes before the ABC check, which is far slower
+            if not (type(coeff) is float or isinstance(coeff, numbers.Real)):
+                raise ValueError(f"coefficient {coeff!r} of {exps} is not real")
+            c = float(coeff)
+            if not math.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c} of {exps}")
             if abs(c) >= PRUNE_EPS:
                 self.terms[exps] = c
@@ -130,11 +135,11 @@ class Polynomial:
         return cls(ring)
 
     @classmethod
-    def constant(cls, ring: Ring, value: complex) -> "Polynomial":
+    def constant(cls, ring: Ring, value: float) -> "Polynomial":
         return cls(ring, {(0,) * ring.controls: value})
 
     @classmethod
-    def variable(cls, ring: Ring, slot: int, coeff: complex = 1.0) -> "Polynomial":
+    def variable(cls, ring: Ring, slot: int, coeff: float = 1.0) -> "Polynomial":
         if not 0 <= slot < ring.controls:
             raise ValueError(f"slot {slot} outside ring arity {ring.controls}")
         e = [0] * ring.controls
@@ -150,8 +155,8 @@ class Polynomial:
         """Total degree; 0 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=0)
 
-    def constant_term(self) -> complex:
-        return self.terms.get((0,) * self.ring.controls, 0j)
+    def constant_term(self) -> float:
+        return self.terms.get((0,) * self.ring.controls, 0.0)
 
     def sorted_terms(self) -> tuple:
         """Terms in graded lexicographic order (deterministic iteration).
@@ -164,27 +169,21 @@ class Polynomial:
         return self._sorted
 
     def real_coeff_dict(self) -> dict[tuple[int, ...], float]:
-        """Term map with coefficients coerced to real; error on large residues."""
-        out = {}
-        for e, c in self.terms.items():
-            if abs(c.imag) > IMAG_TOL:
-                raise ValueError(
-                    f"coefficient {c} of {e} has imaginary residue above {IMAG_TOL}"
-                )
-            out[e] = c.real
-        return out
+        """A copy of ``terms``.  Kept for the benchmark workloads, which read
+        the coefficients through it."""
+        return dict(self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Real):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same_ring(self, other)
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0j) + c
+            merged[e] = merged.get(e, 0.0) + c
         return Polynomial(self.ring, merged)
 
     __radd__ = __add__
@@ -193,7 +192,7 @@ class Polynomial:
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Real):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -203,7 +202,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Real):
             return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -217,14 +216,11 @@ class Polynomial:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     def isclose(self, other: "Polynomial", tol: float = 1e-12) -> bool:
         _check_same_ring(self, other)
         keys = set(self.terms) | set(other.terms)
         return all(
-            abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) <= tol for k in keys
+            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
         )
 
     def diff(self, slot: int) -> "Polynomial":
@@ -242,17 +238,17 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x) -> complex:
+    def eval(self, x) -> float:
         """Evaluate at control values ``x``."""
         vals = control_values(self.ring.controls, x)
-        acc = 0j
+        acc = 0.0
         for e, c in self.sorted_terms():
             term = c
             for v, p in zip(vals, e):
                 if p:
                     term *= v**p
             acc += term
-        return acc
+        return float(acc)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (n, controls) array of real points."""
@@ -265,9 +261,9 @@ class Polynomial:
         powers = [
             np.vander(points[:, v], N=maxdeg + 1, increasing=True) for v in range(m)
         ]
-        acc = np.zeros(n, dtype=complex)
+        acc = np.zeros(n)
         for e, c in self.sorted_terms():
-            term = np.full(n, c, dtype=complex)
+            term = np.full(n, c)
             for v in range(m):
                 if e[v]:
                     term *= powers[v][:, e[v]]
@@ -291,9 +287,9 @@ class Polynomial:
 class PolyMatrix:
     """Square matrix of polynomials, stored as exponent -> coefficient matrix.
 
-    All entries share one ring context.  The representation is equivalent to
-    a d x d grid of :class:`Polynomial` (see :meth:`entry` /
-    :meth:`from_entries`) but keeps products as dense numpy matrix products.
+    All entries share one ring context.  Coefficient matrices are complex
+    (the generators are anti-Hermitian), and products are dense numpy matrix
+    products.
     """
 
     __slots__ = ("ring", "dim", "coeffs", "_sorted")
@@ -350,32 +346,7 @@ class PolyMatrix:
     def identity(cls, ring: Ring, dim: int) -> "PolyMatrix":
         return cls.constant(ring, np.eye(dim))
 
-    @classmethod
-    def from_entries(cls, grid) -> "PolyMatrix":
-        """Build from a d x d nested sequence of Polynomial entries."""
-        dim = len(grid)
-        ring = grid[0][0].ring
-        coeffs: dict[tuple[int, ...], np.ndarray] = {}
-        for i in range(dim):
-            if len(grid[i]) != dim:
-                raise ValueError("grid must be square")
-            for j in range(dim):
-                p = grid[i][j]
-                if p.ring != ring:
-                    raise ValueError("all entries must share one ring context")
-                for e, c in p.terms.items():
-                    if e not in coeffs:
-                        coeffs[e] = np.zeros((dim, dim), dtype=complex)
-                    coeffs[e][i, j] = c
-        return cls(ring, dim, coeffs)
-
     # -- access ------------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return Polynomial(self.ring, {e: m[i, j] for e, m in self.coeffs.items()})
-
-    def entries(self) -> list[list[Polynomial]]:
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -461,8 +432,8 @@ def frobenius_sq(a: PolyMatrix) -> Polynomial:
     """Squared Frobenius norm of a PolyMatrix as a real polynomial in x.
 
     For real control values, ||A(x)||_F^2 = sum over coefficient pairs of
-    x^(a+b) * <A_b, A_a>_F.  Pairing (a, b) with (b, a) keeps the result real
-    by construction; any larger imaginary residue is an error.
+    x^(a+b) * <A_b, A_a>_F.  Pairing (a, b) with (b, a) gives
+    2 Re<A_b, A_a>_F, so only real parts are ever summed.
     """
     items = a.sorted_coeffs()
     out: dict[tuple[int, ...], float] = {}

@@ -54,8 +54,7 @@ def relaxation_setup(
     deg = p.degree()
     if order is None:
         order = max(1, (deg + 1) // 2)
-    coeffs = p.real_coeff_dict().values()
-    scale = max((abs(c) for c in coeffs), default=1.0) or 1.0
+    scale = max((abs(c) for c in p.terms.values()), default=1.0) or 1.0
     return p * (1.0 / scale), scale, radius, order
 
 
@@ -112,7 +111,7 @@ def minimize_global(
         timings["polish"] = time.perf_counter() - t3
         # the lower value wins, the moment point on a tie
         x_best, value = min(
-            ((x, p.eval(x).real) for x in (x_start, x_pol)), key=lambda c: c[1]
+            ((x, p.eval(x)) for x in (x_start, x_pol)), key=lambda c: c[1]
         )
         status = "polished" if value - bound <= GAP_TOL else "uncertified"
     return SynthesisResult(
@@ -142,8 +141,8 @@ def ball_scan_minimum(
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         r = radius * rng.random(k) ** (1.0 / m)
         pts = g * r[:, None]
-        vals = p.eval_many(pts).real
+        vals = p.eval_many(pts)
         best = min(best, float(vals.min()))
         done += k
-    best = min(best, p.eval(np.zeros(m)).real)
+    best = min(best, p.eval(np.zeros(m)))
     return best

@@ -104,12 +104,12 @@ def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
     # value comparisons saturate at the evaluation noise of p itself
     coeff_scale = max((abs(c) for c in p.terms.values()), default=1.0)
     noise = 64 * _EPS * coeff_scale * max(1.0, radius) ** max(1, p.degree())
-    fx = p.eval(x).real
+    fx = p.eval(x)
     for _ in range(MAX_STEPS):
-        g = np.array([gk.eval(x).real for gk in grads])
+        g = np.array([gk.eval(x) for gk in grads])
         h = np.empty((m, m))
         for i, j in upper:
-            h[i, j] = h[j, i] = hess[i][j].eval(x).real
+            h[i, j] = h[j, i] = hess[i][j].eval(x)
         w, q = np.linalg.eigh(h)
         tiny = _EPS * max(1.0, float(np.abs(w).max()))
         res, mu = kkt_residual(g, x, radius)
@@ -123,7 +123,7 @@ def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
             if not pred < 0:
                 return x
             cand = x + t * d
-            fc = p.eval(cand).real
+            fc = p.eval(cand)
             if fc <= fx + 1e-4 * pred + noise:
                 x, fx = cand, fc
                 break

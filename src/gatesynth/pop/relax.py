@@ -145,7 +145,6 @@ def moment_relax(
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    coeffs = p.real_coeff_dict()
     m = p.ring.controls
     if m < 1:
         raise ValueError("objective needs at least one variable")
@@ -156,7 +155,7 @@ def moment_relax(
     template, moment_index = _structure(m, order, float(radius))
     b = np.zeros(template.n_constraints)
     constant = 0.0
-    for e, c in coeffs.items():
+    for e, c in p.terms.items():
         idx = moment_index[e]
         if idx < 0:
             constant = c

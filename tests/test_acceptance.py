@@ -269,7 +269,7 @@ def test_criterion_9_property_suites():
     target = gen_target(spec_c, 404, 0)
     obj = build_objective(lam, target.generator)
     pts = rng.uniform(-2.0, 2.0, size=(1000, 3))
-    vals = obj.eval_many(pts).real
+    vals = obj.eval_many(pts)
     ok_nn = bool(vals.min() >= -1e-9 * (1.0 + np.abs(vals).max()))
     details.append(f"nonneg_min={vals.min():.1e}")
 
@@ -298,8 +298,8 @@ def test_criterion_9_property_suites():
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (obj.eval(x + e).real - obj.eval(x - e).real) / (2 * h)
-            rel = abs(grads[k].eval(x).real - fd) / max(1.0, abs(fd))
+            fd = (obj.eval(x + e) - obj.eval(x - e)) / (2 * h)
+            rel = abs(grads[k].eval(x) - fd) / max(1.0, abs(fd))
             worst_g = max(worst_g, rel)
     ok_g = worst_g <= 1e-6
     details.append(f"grad_rel={worst_g:.1e}")

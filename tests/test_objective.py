@@ -135,8 +135,7 @@ def test_objective_matches_numeric_norm():
     for _ in range(20):
         x = RNG.uniform(-1.5, 1.5, size=3)
         direct = np.linalg.norm(pm_eval(lam, x) - omega, "fro") ** 2
-        assert p.eval(x).real == pytest.approx(direct, rel=1e-10, abs=1e-12)
-        assert p.eval(x).imag == 0.0
+        assert p.eval(x) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_objective_nonnegative():
@@ -145,7 +144,7 @@ def test_objective_nonnegative():
     p = build_objective(lam, omega)
     pts = RNG.uniform(-2, 2, size=(1000, 3))
     vals = p.eval_many(pts)
-    assert np.all(vals.real >= -1e-12)
+    assert np.all(vals >= -1e-12)
 
 
 def test_objective_rejects_nan_target():

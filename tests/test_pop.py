@@ -665,7 +665,7 @@ def test_extract_planted_single_control():
     # minimizer, so its moment matrix (the dual slack of block 0) is rank
     # one and the first moments land within 1e-4 before any polish
     obj, xstar = planted_instance(3, m=1, horizon=0.5)
-    scale = max(abs(c) for c in obj.real_coeff_dict().values())
+    scale = max(abs(c) for c in obj.terms.values())
     prob, relax = moment_relax(obj * (1.0 / scale), 1.05, 2)
     sol = sdp_solve(prob)
     assert rank_ratio(sol.z_blocks[0]) < 1e-6
@@ -712,8 +712,8 @@ def test_polish_gradient_matches_finite_differences():
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd = (obj.eval(x + e).real - obj.eval(x - e).real) / (2 * h)
-            sym = grads[k].eval(x).real
+            fd = (obj.eval(x + e) - obj.eval(x - e)) / (2 * h)
+            sym = grads[k].eval(x)
             assert abs(sym - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -728,8 +728,8 @@ def test_polish_hessian_matches_finite_differences():
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fd = (grads[i].eval(x + e).real - grads[i].eval(x - e).real) / (2 * h)
-            sym = hess[i][j].eval(x).real
+            fd = (grads[i].eval(x + e) - grads[i].eval(x - e)) / (2 * h)
+            sym = hess[i][j].eval(x)
             assert abs(sym - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -741,7 +741,7 @@ def test_polish_concave_ends_on_sphere():
     p = Polynomial.constant(r, 0.0) - x * x
     got = newton_polish(p, np.array([0.1]), 0.4)
     assert abs(abs(got[0]) - 0.4) <= 1e-15
-    assert abs(p.eval(got).real + 0.16) <= 1e-15
+    assert abs(p.eval(got) + 0.16) <= 1e-15
     res, mu = kkt_residual(np.array([-2.0 * got[0]]), got, 0.4)
     assert res <= GRAD_TOL
     assert mu == pytest.approx(2.0)
@@ -760,7 +760,7 @@ def test_polish_projects_start_into_ball():
 
 
 def _kkt_at(p, x, radius):
-    g = np.array([gk.eval(x).real for gk in gradient_polys(p)])
+    g = np.array([gk.eval(x) for gk in gradient_polys(p)])
     return kkt_residual(g, x, radius)[0]
 
 
@@ -920,7 +920,7 @@ def test_extraction_soundness_pre_polish():
         if rank_ratio(sol.z_blocks[0]) < 1e-6:
             x = relax.first_moments(sol.y)
             bound = minimize_mod._certified_bound(relax, sol, scale)
-            assert obj.eval(x).real - bound <= 1e-5
+            assert obj.eval(x) - bound <= 1e-5
 
 
 @pytest.mark.parametrize("qubits, m, stream", [(3, 3, 0), (5, 5, 4)])
@@ -938,7 +938,7 @@ def test_ising_certificate_feasible_iterate(qubits, m, stream):
     sol = sdp_solve(prob)
     bound = minimize_mod._certified_bound(relax, sol, scale)
     assert sol.primal_residual <= 1e-12 * (1 + np.linalg.norm(prob.b))
-    assert obj.eval(xstar).real - bound <= GAP_TOL
+    assert obj.eval(xstar) - bound <= GAP_TOL
     assert sol.iterations <= 40
 
 
@@ -1001,7 +1001,7 @@ def test_polish_saddle_start_deterministic():
     (pick,) = picks
     assert abs(abs(pick) - 1.0) <= 1e-12
     # the minimum is 0, so the value is the gap against the exact bound
-    assert p.eval(np.array([pick])).real <= GAP_TOL
+    assert p.eval(np.array([pick])) <= GAP_TOL
     res = minimize_global(p)
     assert res.gap <= GAP_TOL
 
