@@ -95,12 +95,16 @@ def test_prune_small_coefficients():
     assert p.is_zero()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, -math.inf)])
 def test_nonfinite_coefficient_raises(bad):
-    # a NaN fails the magnitude test of pruning, so it must be caught first
-    with pytest.raises(ValueError, match="non-finite"):
-        Polynomial(Ring(1), {(1,): bad})
-    for entry in (bad, complex(0.0, bad)):
+    # a NaN fails the magnitude test of pruning, so it must be caught first;
+    # a complex value is only a PolyMatrix coefficient
+    entries = [bad]
+    if not isinstance(bad, complex):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polynomial(Ring(1), {(1,): bad})
+        entries.append(complex(0.0, bad))
+    for entry in entries:
         mat = np.eye(2, dtype=complex)
         mat[0, 1] = entry
         with pytest.raises(ValueError, match="non-finite"):
@@ -215,6 +219,26 @@ def test_pm_constant_product_matches_numpy():
     assert np.allclose(prod.coeffs[(0,)], a @ b)
 
 
+def test_pm_mul_matches_entrywise_convolution():
+    # scalar oracle: convolve the coefficients of each entry product by hand
+    ring = Ring(2)
+    a = random_pm(ring, 2, max_terms=3, max_deg=2)
+    b = random_pm(ring, 2, max_terms=3, max_deg=2)
+    prod = a @ b
+    expect = {}
+    for ea, ma in a.coeffs.items():
+        for eb, mb in b.coeffs.items():
+            e = tuple(u + v for u, v in zip(ea, eb))
+            acc = expect.setdefault(e, np.zeros((2, 2), dtype=complex))
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        acc[i, j] += ma[i, k] * mb[k, j]
+    assert set(prod.coeffs) <= set(expect)
+    for e, m in expect.items():
+        np.testing.assert_allclose(prod.coeffs.get(e, 0), m, rtol=1e-12, atol=1e-12)
+
+
 def test_pm_mul_matches_pointwise_product():
     # oracle independent of _product: a polynomial product evaluates to the
     # product of the evaluated matrices
@@ -226,12 +250,16 @@ def test_pm_mul_matches_pointwise_product():
         np.testing.assert_allclose(prod.eval(x), a.eval(x) @ b.eval(x), rtol=1e-12, atol=1e-12)
 
 
-def test_pm_eval_matches_coefficient_sum():
+def test_pm_eval_matches_entry_eval():
+    # each entry is the scalar polynomial sum_e x^e M_e[i, j], evaluated here
     ring = Ring(2)
     pm = random_pm(ring, 3)
     x = RNG.uniform(-1, 1, size=2)
-    expected = sum(x[0] ** e[0] * x[1] ** e[1] * m for e, m in pm.coeffs.items())
-    np.testing.assert_allclose(pm_eval(pm, x), expected, rtol=1e-13, atol=1e-13)
+    dense = pm_eval(pm, x)
+    for i in range(3):
+        for j in range(3):
+            entry = sum(x[0] ** e[0] * x[1] ** e[1] * m[i, j] for e, m in pm.coeffs.items())
+            assert dense[i, j] == pytest.approx(entry, abs=1e-12)
 
 
 def test_pm_commutator_antisymmetric_and_numeric():
