@@ -90,6 +90,8 @@ def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
     (``kkt_residual`` at most ``GRAD_TOL`` and H + mu I positive
     semidefinite), when the line search fails, or after ``MAX_STEPS``.
     """
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
     m = p.ring.controls
     x = np.array(x0, dtype=float)
     if x.shape != (m,):

@@ -99,8 +99,8 @@ def _structure(m: int, order: int, radius: float):
     in (y_0, y), over the graded basis of degree <= order; the localizing
     basis is the leading degree <= order - 1 block of that basis.
 
-    The solver derives its operators from the template's blocks at the first
-    solve, and every relaxation with this key shares them.
+    The template builds the solver operators from its blocks, once per key,
+    and every relaxation with this key shares them.
     """
     basis = monomials_up_to(m, order)
     n = len(basis)
@@ -141,7 +141,7 @@ def moment_relax(
 
     Everything but b and the constant term depends only on (m, order,
     radius), and relaxations with the same key share it read-only, solver
-    operators included.
+    operators included: the first call for a key builds them.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")

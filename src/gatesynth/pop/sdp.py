@@ -16,15 +16,15 @@ Both sparse products of a slab run on ``csr_matvecs``, the kernel behind
 scipy's CSR @ dense, called without scipy's dispatch.
 
 What the solver derives from the constraint blocks alone (the normalised
-blocks, their index arrays, the Schur slabs and the moment-block
-pseudo-inverse) is built at the first solve and shared, read-only, by every
-problem made from the same blocks with another right-hand side; a moment
-relaxation's structure is such a problem.  Buffers allocated once per solve
-hold the slab of W (x) W (which, once spent, takes T^T and the rows that U
-updates), the slab products T = A (W (x) W)[:, cells] and then
-U = A[rows, cells] T^T, the Schur accumulator and matrix, its Cholesky
-factor, and per block the (X_k, Z_k) pair and the two step-length
-congruences, each a (2, s_k, s_k) stack for one eigensolve.
+blocks, their index arrays, the Schur slabs and the block-0 row norms) is
+built with the problem and shared, read-only, by every problem made from the
+same blocks with another right-hand side; a moment relaxation's structure is
+such a problem.  Buffers allocated once per solve hold the slab of W (x) W
+(which, once spent, takes T^T and the rows that U updates), the slab
+products T = A (W (x) W)[:, cells] and then U = A[rows, cells] T^T, the
+Schur accumulator and matrix, its Cholesky factor, and per block the
+(X_k, Z_k) pair and the two step-length congruences, each a (2, s_k, s_k)
+stack for one eigensolve.
 
 The eigensolves call numpy's LAPACK gufuncs, the ones under
 ``np.linalg.eigh`` and ``eigvalsh``, directly.  Where np.linalg raises
@@ -38,7 +38,6 @@ is what ``np.linalg.norm`` computes for real input.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,12 +104,15 @@ class SDPProblem:
     CSR matrix, row i holding block k of A_i in row-major order; a dense
     (n_constraints, s_k, s_k) stack is accepted and converted.  ``b`` is the
     right-hand side, with at least one constraint.  Every entry must be
-    finite.  The validated cost and constraint blocks are read-only copies.
+    finite and no constraint zero.  The validated cost and constraint blocks
+    are read-only copies.
 
-    The solver keeps A(X) = b to round-off by a fix in block 0 alone, so only
-    constraints with an entry in block 0 are fixed exactly; for the others
-    (none in a moment relaxation, whose block 0 carries every moment) the
-    residual falls with the steps.
+    No cell of block 0 may carry two constraints.  A moment relaxation's
+    moment block has this form, since its cell (i, j) holds the one moment of
+    basis_i + basis_j.  So A_0 A_0^T is diagonal, and the fix by which the
+    solver keeps A(X) = b to round-off is a per-row division in block 0.
+    Only constraints with an entry in block 0 are fixed exactly; for the
+    others (none in a moment relaxation) the residual falls with the steps.
     """
 
     block_sizes: tuple[int, ...]
@@ -122,6 +124,8 @@ class SDPProblem:
         sizes = tuple(int(s) for s in self.block_sizes)
         if not sizes or any(s <= 0 for s in sizes):
             raise ValueError("block sizes must be positive")
+        if not len(self.c_blocks) == len(self.a_blocks) == len(sizes):
+            raise ValueError("want one cost and one constraint block per block size")
         b = _checked_rhs(self.b)
         p = b.shape[0]
         if p == 0:
@@ -142,12 +146,14 @@ class SDPProblem:
                 raise ValueError(f"constraint block {k} is not symmetric")
             cs.append(0.5 * (c + c.T))
             As.append(sparse.csr_array(0.5 * (a + at)))
+        if np.bincount(As[0].indices).max(initial=0) > 1:
+            raise ValueError("a cell of block 0 carries more than one constraint")
         _read_only(*cs, *As)
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "c_blocks", tuple(cs))
         object.__setattr__(self, "a_blocks", tuple(As))
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_shared", _SharedBlocks(self.a_blocks))
+        object.__setattr__(self, "_ops", _Operators(self.a_blocks))
 
     def _with_rhs(self, b) -> SDPProblem:
         """This problem with right-hand side ``b``, which is validated.
@@ -396,13 +402,18 @@ def _schur_assembler(a_blocks, slabs):
 def _block0_fix(a0: sparse.csr_array):
     """Map a defect to the least-norm block-0 correction X_0 with A_0(X_0) = defect.
 
-    X_0 = A_0*((A_0 A_0^T)^+ defect).  The other blocks get no correction, so
-    the fix is exact for every constraint with an entry in block 0.
+    X_0 = A_0*(defect / d), with d the squared block-0 norm of each row:
+    the rows have disjoint supports, so A_0 A_0^T = diag(d).  A row with
+    d = 0 gets no fix, as under the pseudo-inverse.  The other blocks get no
+    correction, so the fix is exact for every constraint with an entry in
+    block 0.
     """
-    g_pinv = np.linalg.pinv((a0 @ a0.T).toarray(), hermitian=True)
-    _read_only(g_pinv)
     block = _Block(a0)
-    return lambda defect: block.adjoint(g_pinv @ defect)
+    # d adds each row's squares in stored order, as the sparse product would
+    d = np.bincount(block.rows, block.data * block.data, minlength=block.p)
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    _read_only(inv)
+    return lambda defect: block.adjoint(inv * defect)
 
 
 class _Operators:
@@ -425,20 +436,6 @@ class _Operators:
         self.block0_fix = _block0_fix(self.a_blocks[0])
         _read_only(norms, *self.a_blocks,
                    *(part for sl in self.slabs for slab in sl for part in slab))
-
-
-class _SharedBlocks:
-    """The constraint blocks that problems differing only in b share.
-
-    The solver operators are built at the first solve of any of them.
-    """
-
-    def __init__(self, a_blocks):
-        self.a_blocks = a_blocks
-
-    @functools.cached_property
-    def operators(self) -> _Operators:
-        return _Operators(self.a_blocks)
 
 
 def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
@@ -476,7 +473,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     ntot = prob.total_dim
 
     # the solve runs on unit-norm constraints; y is mapped back at the end
-    ops = prob._shared.operators
+    ops = prob._ops
     c_blocks = prob.c_blocks
     norms, blocks = ops.norms, ops.blocks
     b = prob.b / norms

@@ -154,11 +154,11 @@ def check_sdp_budget(m: int, order: int, relax_order: int | None):
     (Magnus order or BCH grade) has degree at most max(1, n - 1) in the m
     controls; that is also the base relaxation order of its objective.  At
     relaxation order r the SDP has p = C(m + 2r, 2r) - 1 constraints.
-    sdp_solve keeps p x p float64 matrices (Schur accumulator and matrix,
-    Cholesky factor, block-0 pseudo-inverse) and two Schur slab buffers,
-    each up to p x (the largest slab's cells or rows), 0.67 p^2 at m = 10,
-    order 2; one solve there (p = 1000) peaked at 5.5 p^2 doubles, and 8 are
-    planned, so the budget admits p <= 4096.
+    sdp_solve keeps three p x p float64 matrices (Schur accumulator and
+    matrix, Cholesky factor) and two Schur slab buffers, each up to
+    p x (the largest slab's cells or rows), 0.67 p^2 at m = 10, order 2; one
+    solve there (p = 1000) peaked at 4.5 p^2 doubles, and 8 are planned, so
+    the budget admits p <= 4096.
     """
     r = relax_order if relax_order is not None else max(1, order - 1)
     p = comb(m + 2 * r, 2 * r) - 1

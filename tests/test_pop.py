@@ -74,12 +74,24 @@ def sdp_block_structure():
     return SDPProblem((1, 1), c, a, np.array([1.0, 2.0]))
 
 
+def kernel_blocks(sizes, stacks):
+    """Constraint blocks as SDPProblem validates and symmetrises them, for
+    the kernel tests, but without its block-0 rule: rows may share cells."""
+    p = len(stacks[0])
+    a_blocks = []
+    for k, (s, a) in enumerate(zip(sizes, stacks)):
+        rows = sdp_mod._constraint_rows(a, p, s, k)
+        at = rows[:, np.arange(s * s).reshape(s, s).T.ravel()]
+        a_blocks.append(sparse.csr_array(0.5 * (rows + at)))
+    return types.SimpleNamespace(block_sizes=tuple(sizes), a_blocks=tuple(a_blocks),
+                                 n_constraints=p)
+
+
 def sdp_duplicated_constraint():
-    # the same constraint written twice (A2 = 2 A1, b2 = 2 b1) is linearly
-    # dependent but consistent: A A^T is singular and the solve must not care
+    # the same constraint written twice (A2 = 2 A1): both rows hold cell
+    # (0, 0) of block 0, which SDPProblem rejects and the kernels must handle
     e00 = np.diag([1.0, 0.0])
-    return SDPProblem((2,), (np.eye(2),), (np.stack([e00, 2.0 * e00]),),
-                      np.array([1.0, 2.0]))
+    return kernel_blocks((2,), (np.stack([e00, 2.0 * e00]),))
 
 
 def certify_ising_relaxation():
@@ -111,9 +123,8 @@ def test_sdp_identity_cost_3x3():
 
 def test_sdp_rejects_zero_constraint():
     z = np.zeros((2, 2))
-    prob = SDPProblem((2,), (np.eye(2),), (z[None],), np.array([0.0]))
-    with pytest.raises(ValueError):
-        sdp_solve(prob)
+    with pytest.raises(ValueError, match="identically zero"):
+        SDPProblem((2,), (np.eye(2),), (z[None],), np.array([0.0]))
 
 
 def test_sdp_rejects_no_constraints():
@@ -131,6 +142,13 @@ def test_sdp_validates_shapes():
             (np.eye(2)[None],),
             np.array([1.0]),
         )
+    # a block count that differs from block_sizes is rejected, whether the
+    # extra blocks would be dropped or the missing ones looked up
+    a, z = np.eye(2)[None], np.zeros((1, 3, 3))
+    with pytest.raises(ValueError, match="per block size"):
+        SDPProblem((2,), (np.eye(2), np.eye(3)), (a, z), np.array([1.0]))
+    with pytest.raises(ValueError, match="per block size"):
+        SDPProblem((2, 3), (np.eye(2),), (a,), np.array([1.0]))
 
 
 @pytest.mark.parametrize("where", ["b", "cost", "dense_constraint", "csr_constraint"])
@@ -159,9 +177,18 @@ def test_sdp_block_structure():
 
 
 def test_sdp_duplicated_constraint():
-    sol = sdp_solve(sdp_duplicated_constraint())
-    assert sol.status == "optimal"
-    assert abs(sol.primal_value - 1.0) < 1e-8
+    # a cell of block 0 in two constraints is rejected when the problem is
+    # built: the same constraint written twice, and two distinct rows that
+    # share cell (0, 0)
+    e00 = np.diag([1.0, 0.0])
+    b = np.array([1.0, 2.0])
+    for second in (2.0 * e00, np.eye(2)):
+        with pytest.raises(ValueError, match="block 0"):
+            SDPProblem((2,), (np.eye(2),), (np.stack([e00, second]),), b)
+    # rows may share cells of the other blocks
+    prob = SDPProblem((1, 2), (np.eye(1), np.eye(2)),
+                      (np.array([1.0, 0.0]).reshape(2, 1, 1), np.stack([e00, np.eye(2)])), b)
+    assert prob.n_constraints == 2
 
 
 def test_sdp_dense_stacks_become_csr_rows():
@@ -330,6 +357,13 @@ def test_sdp_eigensolve_failure_stalls(name, fail_at, matrix, monkeypatch):
     assert sol.status == "numerical_failure"
 
 
+def pinv_block0_fix(a0):
+    """The block-0 fix A_0*((A_0 A_0^T)^+ defect), through a dense pseudo-inverse."""
+    g_pinv = np.linalg.pinv((a0 @ a0.T).toarray(), hermitian=True)
+    block = sdp_mod._Block(a0)
+    return lambda defect: block.adjoint(g_pinv @ defect)
+
+
 def test_sdp_primal_fix_exact_in_moment_block():
     # the moment block carries every moment on disjoint cells, so A_0 A_0^T
     # is diagonal and the block-0 fix meets any defect; block 1 is left alone
@@ -339,12 +373,21 @@ def test_sdp_primal_fix_exact_in_moment_block():
     np.testing.assert_array_equal(gram, np.diag(np.diag(gram)))
     defect = np.random.default_rng(6).standard_normal(prob.n_constraints)
     fix = sdp_mod._block0_fix(a0)(defect)
+    assert np.array_equal(fix, pinv_block0_fix(a0)(defect))
     s0, s1 = prob.block_sizes
     assert fix.shape == (s0, s0)
     np.testing.assert_array_equal(fix, fix.T)
     blocks = [sdp_mod._Block(a) for a in prob.a_blocks]
     got = sdp_mod._apply_forward(blocks, [fix, np.zeros((s1, s1))])
     assert np.linalg.norm(got - defect) <= 1e-13 * np.linalg.norm(defect)
+    # a constraint with no block-0 entry gets no fix, as under the
+    # pseudo-inverse: the second row of the block-structure problem
+    a0 = sdp_block_structure().a_blocks[0]
+    fix0 = sdp_mod._block0_fix(a0)
+    assert np.array_equal(fix0(np.array([0.0, 1.0])), np.zeros((1, 1)))
+    defect = np.array([0.5, -3.0])
+    assert np.array_equal(fix0(defect), [[0.5]])
+    assert np.array_equal(fix0(defect), pinv_block0_fix(a0)(defect))
 
 
 def sdp_dense_random():
@@ -354,8 +397,7 @@ def sdp_dense_random():
     for s in sizes:
         g = rng.standard_normal((6, s, s))
         stacks.append(g + g.transpose(0, 2, 1))
-    costs = tuple(np.eye(s) for s in sizes)
-    return SDPProblem(sizes, costs, tuple(stacks), rng.standard_normal(6))
+    return kernel_blocks(sizes, stacks)
 
 
 def schur_allocating(a_blocks, slabs, w_blocks):
@@ -432,7 +474,7 @@ def assert_same_solution(got, want):
 
 
 def test_sdp_solve_repeats_bit_identical():
-    # the operators a first solve derives and shares are read-only and the
+    # the operators a problem shares with its twins are read-only and the
     # per-solve buffers die with the solve: a repeat, and a repeat after a
     # larger problem, reproduce the first solution exactly
     small, large = sdp_psd_boundary_2x2(), certify_ising_relaxation()
@@ -443,8 +485,10 @@ def test_sdp_solve_repeats_bit_identical():
 
 
 def solve_on_reference_path(prob, monkeypatch):
-    """sdp_solve with scipy's @ Schur assembly and np.linalg eigensolves and norms."""
+    """sdp_solve with scipy's @ Schur assembly, np.linalg eigensolves and norms,
+    and the block-0 fix through the dense pseudo-inverse."""
     with monkeypatch.context() as patch:
+        patch.setattr(prob._ops, "block0_fix", pinv_block0_fix(prob._ops.a_blocks[0]))
         patch.setattr(sdp_mod, "_schur_assembler", lambda a_blocks, slabs: (
             functools.partial(schur_allocating, a_blocks, slabs)))
         patch.setattr(sdp_mod, "_eigh", np.linalg.eigh)
@@ -464,7 +508,7 @@ def planted_order3_relaxation():
 
 @pytest.mark.parametrize("make", [certify_ising_relaxation, planted_order3_relaxation])
 def test_sdp_solve_matches_reference_path(make, monkeypatch):
-    # the lean kernels change no bit of a solve
+    # the lean kernels and the per-row block-0 fix change no bit of a solve
     prob = make()
     want = solve_on_reference_path(prob, monkeypatch)
     assert_same_solution(sdp_solve(prob), want)
@@ -573,7 +617,7 @@ def test_relax_shares_structure_per_key():
     assert all(a is b for a, b in zip(prob1.a_blocks, prob2.a_blocks))
     assert all(a is b for a, b in zip(prob1.c_blocks, prob2.c_blocks))
     assert rel1.moment_index is rel2.moment_index
-    assert prob1._shared is prob2._shared
+    assert prob1._ops is prob2._ops
     assert not np.array_equal(prob1.b, prob2.b)
     other, _ = moment_relax(p1, 2.0 * radius, order)
     assert other.a_blocks[1] is not prob1.a_blocks[1]
@@ -582,8 +626,7 @@ def test_relax_shares_structure_per_key():
 def test_relax_shared_arrays_read_only():
     scaled, radius, order = certify_objective(0)
     prob, rel = moment_relax(scaled, radius, order)
-    sdp_solve(prob)  # builds the shared solver operators
-    ops = prob._shared.operators
+    ops = prob._ops
     arrays = [*prob.c_blocks, ops.norms]
     for blk in ops.blocks:
         arrays += [blk.rows, blk.cols, blk.data]
@@ -600,8 +643,8 @@ def test_relax_shared_arrays_read_only():
 
 
 def test_relax_second_solve_matches_fresh_problem():
-    # a relaxation built from the shared structure, and solved with operators
-    # a first solve left behind, matches a problem built and solved afresh
+    # a relaxation built from the shared structure, solved after another
+    # relaxation of its key, matches a problem built and solved afresh
     (p1, radius, order), (p2, _, _) = certify_objective(2), certify_objective(3)
     sdp_solve(moment_relax(p1, radius, order)[0])
     prob, _ = moment_relax(p2, radius, order)
@@ -617,7 +660,7 @@ def test_sdp_rhs_validated_on_every_twin():
         with pytest.raises(ValueError):
             prob._with_rhs(bad)
     twin = prob._with_rhs([2.0, 0.0])
-    assert twin.a_blocks is prob.a_blocks and twin._shared is prob._shared
+    assert twin.a_blocks is prob.a_blocks and twin._ops is prob._ops
     np.testing.assert_array_equal(prob.b, [1.0, 0.0])
 
 
@@ -827,6 +870,11 @@ def test_polish_validates_start_shape():
     for start in (np.array([1.0]), np.array([np.nan, 0.0])):
         with pytest.raises(ValueError):
             newton_polish(p, start, 1.0)
+    # the radius must be finite and positive: 0 would divide by zero in
+    # kkt_residual, and -1, NaN and inf describe no ball
+    for radius in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            newton_polish(p, np.array([0.3, 0.2]), radius)
 
 
 # ---------------------------------------------------------- minimize_global
