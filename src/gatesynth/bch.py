@@ -46,63 +46,42 @@ def slice_generator(spec: ProblemSpec, index: int) -> PolyMatrix:
     )
 
 
-def _graded_add(acc: GradedOp, grade: int, term: PolyMatrix, limit: int):
-    if grade > limit or term.is_zero():
-        return
-    if grade in acc:
-        acc[grade] = acc[grade] + term
-    else:
-        acc[grade] = term
+def _graded_add(acc: GradedOp, grade: int, term: PolyMatrix):
+    if not term.is_zero():
+        acc[grade] = acc[grade] + term if grade in acc else term
 
 
-def _graded_bch(x: GradedOp, y: GradedOp, n: int) -> GradedOp:
-    """Grade-<=n truncation of log(e^X e^Y) for graded operands.
+def _graded_bch(x: PolyMatrix, y: GradedOp, n: int) -> GradedOp:
+    """Grade-<=n truncation of log(e^X e^Y) for a grade-1 X and a graded Y
+    with no grade above n.
 
     Words beyond four letters have grade >= 5 and never contribute at n <= 4.
     """
     out: GradedOp = {}
-    for a, xa in x.items():
-        _graded_add(out, a, xa, n)
+    _graded_add(out, 1, x)
     for b, yb in y.items():
-        _graded_add(out, b, yb, n)
-    if n >= 2:
-        for a, xa in x.items():
-            for b, yb in y.items():
-                if a + b <= n:
-                    _graded_add(out, a + b, pm_commutator(xa, yb).scale(0.5), n)
-    if n >= 3:
-        for a, xa in x.items():
-            for b, xb in x.items():
-                for c, yc in y.items():
-                    if a + b + c <= n:
-                        term = pm_commutator(xa, pm_commutator(xb, yc))
-                        _graded_add(out, a + b + c, term.scale(1.0 / 12.0), n)
-        for a, ya in y.items():
-            for b, yb in y.items():
-                for c, xc in x.items():
-                    if a + b + c <= n:
-                        term = pm_commutator(ya, pm_commutator(yb, xc))
-                        _graded_add(out, a + b + c, term.scale(1.0 / 12.0), n)
-    if n >= 4:
-        for a, ya in y.items():
-            for b, xb in x.items():
-                for c, xc in x.items():
-                    for d, yd in y.items():
-                        if a + b + c + d <= n:
-                            term = pm_commutator(
-                                ya, pm_commutator(xb, pm_commutator(xc, yd))
-                            )
-                            _graded_add(
-                                out, a + b + c + d, term.scale(-1.0 / 24.0), n
-                            )
+        _graded_add(out, b, yb)
+    for b, yb in y.items():
+        if b + 1 <= n:
+            _graded_add(out, b + 1, pm_commutator(x, yb).scale(0.5))
+    for c, yc in y.items():
+        if c + 2 <= n:
+            _graded_add(out, c + 2, pm_commutator(x, pm_commutator(x, yc)).scale(1.0 / 12.0))
+    for a, ya in y.items():
+        for b, yb in y.items():
+            if a + b + 1 <= n:
+                term = pm_commutator(ya, pm_commutator(yb, x))
+                _graded_add(out, a + b + 1, term.scale(1.0 / 12.0))
+    for a, ya in y.items():
+        for d, yd in y.items():
+            if a + d + 2 <= n:
+                term = pm_commutator(ya, pm_commutator(x, pm_commutator(x, yd)))
+                _graded_add(out, a + d + 2, term.scale(-1.0 / 24.0))
     return out
 
 
 def _graded_sum(acc: GradedOp, ring: Ring, dim: int) -> PolyMatrix:
-    total = PolyMatrix.zero(ring, dim)
-    for g in sorted(acc):
-        total = total + acc[g]
-    return total
+    return sum((acc[g] for g in sorted(acc)), PolyMatrix.zero(ring, dim))
 
 
 def bch_compose(x: PolyMatrix, y: PolyMatrix, n: int) -> PolyMatrix:
@@ -111,8 +90,7 @@ def bch_compose(x: PolyMatrix, y: PolyMatrix, n: int) -> PolyMatrix:
         raise ValueError(f"truncation grade {n} outside 1..4")
     if x.ring != y.ring or x.dim != y.dim:
         raise ValueError("operands must share ring context and dimension")
-    out = _graded_bch({1: x}, {1: y}, n)
-    return _graded_sum(out, x.ring, x.dim)
+    return _graded_sum(_graded_bch(x, {1: y}, n), x.ring, x.dim)
 
 
 def build_sigma(spec: ProblemSpec, n: int) -> PolyMatrix:
@@ -127,7 +105,7 @@ def build_sigma(spec: ProblemSpec, n: int) -> PolyMatrix:
         raise ValueError(f"truncation grade {n} outside 1..4")
     acc: GradedOp = {1: slice_generator(spec, 1)}
     for i in range(2, spec.m + 1):
-        acc = _graded_bch({1: slice_generator(spec, i)}, acc, n)
+        acc = _graded_bch(slice_generator(spec, i), acc, n)
     return _graded_sum(acc, Ring(spec.m), spec.dim)
 
 

@@ -23,6 +23,7 @@ constructor would give it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -102,21 +103,94 @@ def control_values(m: int, x) -> np.ndarray:
     return x
 
 
+def _lowered(e: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Exponent tuple ``e`` with one power less of variable ``v``."""
+    return e[:v] + (e[v] - 1,) + e[v + 1 :]
+
+
+class MonomialTable:
+    """The monomials a polynomial is evaluated from, each computed once.
+
+    The rows are every monomial dividing a term, in graded lexicographic
+    order: row 0 is the constant 1, every other row an earlier row (its
+    parent) times its first variable, so values at n points fill a (rows, n)
+    array with one gather and one multiply per degree.  ``coeffs`` holds the
+    polynomial's coefficient of each row, so p = coeffs @ values; it and the
+    derivative weights are read-only.
+    """
+
+    __slots__ = ("exponents", "coeffs", "_index", "_steps", "_derivatives")
+
+    def __init__(self, poly: "Polynomial"):
+        rows = {d for e in poly.terms for d in itertools.product(*(range(k + 1) for k in e))}
+        self.exponents = tuple(sorted(rows, key=grlex_key))
+        self._index = {e: i for i, e in enumerate(self.exponents)}
+        self.coeffs = np.array([poly.terms.get(e, 0.0) for e in self.exponents])
+        self.coeffs.setflags(write=False)
+        self._derivatives = None
+        self._steps, lo = [], 1
+        for _, level in itertools.groupby(self.exponents[1:], key=sum):
+            level = list(level)
+            var = [next(k for k, p in enumerate(e) if p) for e in level]
+            parent = [self._index[_lowered(e, v)] for e, v in zip(level, var)]
+            self._steps.append((lo, lo + len(var), np.array(parent), np.array(var)))
+            lo += len(var)
+
+    def monomials(self, xt: np.ndarray) -> np.ndarray:
+        """Every row's value at the n columns of an (m, n) array of points."""
+        t = np.empty((len(self.coeffs), xt.shape[1]))
+        t[:1] = 1.0
+        for lo, hi, parent, var in self._steps:
+            np.multiply(t[parent], xt[var], out=t[lo:hi])
+        return t
+
+    def jet(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value (the bits ``eval`` gives), gradient and Hessian at one point.
+
+        Exact: d x^e / dx_k = e_k x^(e - u_k), and e - u_k is a row, so row e
+        with coefficient c weighs c e_k on row e - u_k of gradient entry k and
+        c (e_k (e_l - [k = l])) on row e - u_k - u_l of Hessian entry (k, l).
+        The weights are built on first use.  The product may round (k, l)
+        and (l, k) apart, so the Hessian is their mean.
+        """
+        m = len(x)
+        if self._derivatives is None:
+            w = np.zeros((m + m * m, len(self.coeffs)))
+            for e, c in zip(self.exponents, self.coeffs):
+                for k in (k for k in range(m) if c and e[k]):
+                    f = _lowered(e, k)
+                    w[k, self._index[f]] = c * e[k]
+                    for l in (l for l in range(m) if f[l]):
+                        w[m + k * m + l, self._index[_lowered(f, l)]] = c * (e[k] * f[l])
+            w.setflags(write=False)
+            self._derivatives = w
+        t = self.monomials(x[:, None])
+        d = self._derivatives @ t[:, 0]
+        h = d[m:].reshape(m, m)
+        return float((self.coeffs @ t)[0]), d[:m], 0.5 * (h + h.T)
+
+
+# Points are evaluated in chunks whose monomial values take this many doubles
+# (512 KiB), so that the working set stays in cache.
+_CHUNK_DOUBLES = 1 << 16
+
+
 class Polynomial:
     """Immutable sparse polynomial with real coefficients.
 
     ``terms`` maps exponent tuples (one entry per ring slot) to nonzero
     float coefficients.  Construction canonicalizes: anything below
     ``PRUNE_EPS`` in magnitude is dropped, and a complex or non-finite
-    coefficient is an error.
+    coefficient is an error.  Every evaluation, derivatives included, goes
+    through one :class:`MonomialTable`, built on first use.
     """
 
-    __slots__ = ("ring", "terms", "_sorted")
+    __slots__ = ("ring", "terms", "_table")
 
     def __init__(self, ring: Ring, terms: dict | None = None):
         self.ring = ring
         self.terms = {}
-        self._sorted = None
+        self._table = None
         for exps, coeff in (terms or {}).items():
             exps = _exponents(ring, exps)
             # a float passes before the ABC check, which is far slower
@@ -158,16 +232,6 @@ class Polynomial:
     def constant_term(self) -> float:
         return self.terms.get((0,) * self.ring.controls, 0.0)
 
-    def sorted_terms(self) -> tuple:
-        """Terms in graded lexicographic order (deterministic iteration).
-
-        Sorted once per instance: a polynomial never changes after
-        construction.
-        """
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])))
-        return self._sorted
-
     def real_coeff_dict(self) -> dict[tuple[int, ...], float]:
         """A copy of ``terms``.  Kept for the benchmark workloads, which read
         the coefficients through it."""
@@ -192,9 +256,7 @@ class Polynomial:
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, numbers.Real):
-            other = Polynomial.constant(self.ring, other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (Polynomial, numbers.Real)):
             return NotImplemented
         return self + (-other)
 
@@ -227,61 +289,45 @@ class Polynomial:
         """Formal partial derivative with respect to one slot."""
         if not 0 <= slot < self.ring.controls:
             raise ValueError(f"slot {slot} outside ring arity {self.ring.controls}")
-        out = {}
-        for e, c in self.terms.items():
-            if e[slot] == 0:
-                continue
-            d = list(e)
-            d[slot] -= 1
-            out[tuple(d)] = c * e[slot]
-        return Polynomial(self.ring, out)
+        return Polynomial(
+            self.ring, {_lowered(e, slot): c * e[slot] for e, c in self.terms.items() if e[slot]}
+        )
 
     # -- evaluation --------------------------------------------------------
 
+    def monomial_table(self) -> MonomialTable:
+        """The table every evaluation reads, built once per instance."""
+        if self._table is None:
+            self._table = MonomialTable(self)
+        return self._table
+
     def eval(self, x) -> float:
-        """Evaluate at control values ``x``."""
-        vals = control_values(self.ring.controls, x)
-        acc = 0.0
-        for e, c in self.sorted_terms():
-            term = c
-            for v, p in zip(vals, e):
-                if p:
-                    term *= v**p
-            acc += term
-        return float(acc)
+        """Value at control values ``x``: ``eval_many`` on one point."""
+        return float(self.eval_many(control_values(self.ring.controls, x)[None])[0])
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at an (n, controls) array of real points."""
+        """Values at an (n, controls) array of real points, from the monomial
+        table in chunks of at most ``_CHUNK_DOUBLES`` monomial values."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.ring.controls:
             raise ValueError("points must have shape (n, controls)")
-        maxdeg = self.degree()
-        n, m = points.shape
-        # powers[v][p] = column v raised to p
-        powers = [
-            np.vander(points[:, v], N=maxdeg + 1, increasing=True) for v in range(m)
-        ]
-        acc = np.zeros(n)
-        for e, c in self.sorted_terms():
-            term = np.full(n, c)
-            for v in range(m):
-                if e[v]:
-                    term *= powers[v][:, e[v]]
-            acc += term
-        return acc
+        table = self.monomial_table()
+        out = np.empty(len(points))
+        chunk = max(1, _CHUNK_DOUBLES // max(1, len(table.coeffs)))
+        for lo in range(0, len(points), chunk):
+            xt = np.ascontiguousarray(points[lo : lo + chunk].T)
+            out[lo : lo + chunk] = table.coeffs @ table.monomials(xt)
+        return out
+
+    def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value (as ``eval`` gives it), exact gradient and exact Hessian at ``x``."""
+        return self.monomial_table().jet(control_values(self.ring.controls, x))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i}^{p}" if p > 1 else f"x{i}"
-                for i, p in enumerate(e)
-                if p
-            )
-            bits.append(f"({c:g}){'*' + mono if mono else ''}")
-        return " + ".join(bits)
+        return " + ".join(
+            f"({c:g})" + "".join(f"*x{i}^{p}" if p > 1 else f"*x{i}" for i, p in enumerate(e) if p)
+            for e, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        ) or "0"
 
 
 class PolyMatrix:
@@ -408,11 +454,7 @@ class PolyMatrix:
         vals = control_values(self.ring.controls, x)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for e, m in self.sorted_coeffs():
-            w = 1.0
-            for v, p in zip(vals, e):
-                if p:
-                    w *= v**p
-            acc += w * m
+            acc += math.prod(v**p for v, p in zip(vals, e) if p) * m
         return acc
 
     def __repr__(self):

@@ -4,9 +4,10 @@ Each step minimizes the exact quadratic model of p over the whole ball
 |z| <= R, the trust-region subproblem solved from one ``eigh`` of the
 Hessian (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), and
 backtracks on the segment towards that model minimizer.  The ball is convex,
-so every iterate stays in it.  Gradient and Hessian are exact: they come from
-symbolic differentiation of the polynomial, evaluated at the iterate, never
-from finite differences.
+so every iterate stays in it.  Value, gradient and Hessian come from one call
+to :meth:`Polynomial.jet`, which reads them off the polynomial's monomial
+table: the derivatives are exact, taken from the exponents, never from finite
+differences.
 """
 
 from __future__ import annotations
@@ -18,20 +19,6 @@ from gatesynth.polymat import Polynomial
 GRAD_TOL = 1e-12
 MAX_STEPS = 50
 _EPS = np.finfo(float).eps
-
-
-def gradient_polys(p: Polynomial) -> list[Polynomial]:
-    return [p.diff(k) for k in range(p.ring.controls)]
-
-
-def hessian_polys(grads: list[Polynomial]) -> list[list[Polynomial]]:
-    """Second derivatives; entries (i, j) and (j, i) are one polynomial."""
-    m = len(grads)
-    hess = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            hess[i][j] = hess[j][i] = grads[i].diff(j)
-    return hess
 
 
 def project_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -99,19 +86,12 @@ def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("start point must be finite")
     x = project_to_ball(x, radius)
-    grads = gradient_polys(p)
-    hess = hessian_polys(grads)
-    upper = [(i, j) for i in range(m) for j in range(i, m)]
 
     # value comparisons saturate at the evaluation noise of p itself
     coeff_scale = max((abs(c) for c in p.terms.values()), default=1.0)
     noise = 64 * _EPS * coeff_scale * max(1.0, radius) ** max(1, p.degree())
-    fx = p.eval(x)
     for _ in range(MAX_STEPS):
-        g = np.array([gk.eval(x) for gk in grads])
-        h = np.empty((m, m))
-        for i, j in upper:
-            h[i, j] = h[j, i] = hess[i][j].eval(x)
+        fx, g, h = p.jet(x)
         w, q = np.linalg.eigh(h)
         tiny = _EPS * max(1.0, float(np.abs(w).max()))
         res, mu = kkt_residual(g, x, radius)
@@ -125,9 +105,8 @@ def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
             if not pred < 0:
                 return x
             cand = x + t * d
-            fc = p.eval(cand)
-            if fc <= fx + 1e-4 * pred + noise:
-                x, fx = cand, fc
+            if p.eval(cand) <= fx + 1e-4 * pred + noise:
+                x = cand
                 break
             t *= 0.5
         else:

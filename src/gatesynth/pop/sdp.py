@@ -523,7 +523,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
                 rp_norm,
                 rd_norm,
                 [xk.copy() for xk in x],
-                y.copy(),
+                y,  # rebound by each step, never written in place
                 [zk.copy() for zk in z],
             )
         # patience runs out only when neither the quality nor mu has halved

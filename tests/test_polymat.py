@@ -169,6 +169,40 @@ def test_eval_many_matches_eval():
         assert vals[k] == pytest.approx(p.eval(pts[k]), rel=1e-12, abs=1e-12)
 
 
+def test_monomial_table_is_graded_downward_closure():
+    ring = Ring(2)
+    p = Polynomial(ring, {(2, 1): 3.0, (0, 3): -1.0, (0, 0): 0.5})
+    table = p.monomial_table()
+    assert p.monomial_table() is table
+    closure = {(a, b) for ea, eb in p.terms for a in range(ea + 1) for b in range(eb + 1)}
+    assert table.exponents == tuple(sorted(closure, key=grlex_key))
+    rows = dict(zip(table.exponents, table.coeffs))
+    assert {e: c for e, c in rows.items() if c} == p.terms
+    assert not table.coeffs.flags.writeable
+
+
+def test_eval_many_chunks_match_eval():
+    # 84 rows take 780 points per chunk, so 2000 points span three chunks
+    ring = Ring(3)
+    rng = np.random.default_rng(5)
+    terms = {e: rng.normal() for e in map(tuple, np.ndindex(7, 7, 7)) if sum(e) <= 6}
+    p = Polynomial(ring, terms)
+    pts = rng.uniform(-1.2, 1.2, size=(2000, 3))
+    vals = p.eval_many(pts)
+    assert len(p.monomial_table().coeffs) == 84
+    for k in range(0, 2000, 7):
+        assert vals[k] == pytest.approx(p.eval(pts[k]), rel=1e-12, abs=1e-12)
+
+
+def test_eval_zero_and_arity_zero():
+    assert Polynomial.zero(Ring(2)).eval([0.3, -1.0]) == 0.0
+    c = Polynomial.constant(Ring(0), 2.5)
+    assert c.eval([]) == 2.5
+    np.testing.assert_array_equal(c.eval_many(np.zeros((3, 0))), [2.5, 2.5, 2.5])
+    value, grad, hess = Polynomial.constant(Ring(2), 2.5).jet([1.0, 2.0])
+    assert value == 2.5 and not grad.any() and not hess.any()
+
+
 def test_diff_formal():
     ring = Ring(2)
     p = Polynomial(ring, {(3, 1): 2.0, (0, 2): 1.0, (0, 0): 7.0})
@@ -394,12 +428,11 @@ def test_results_share_unchanged_operand_coefficients():
     assert (a - b).coeffs[(0,)] is a.coeffs[(0,)]
 
 
-def test_sorted_terms_computed_once_in_grlex_order():
+def test_sorted_coeffs_computed_once_in_grlex_order():
+    # scalar polynomials keep their order in the monomial table
+    # (test_monomial_table_is_graded_downward_closure)
     ring = Ring(2)
-    p = random_poly(ring, max_terms=8)
-    order = p.sorted_terms()
-    assert order is p.sorted_terms()
-    assert [e for e, _ in order] == sorted(p.terms, key=grlex_key)
+    random_poly(ring, max_terms=8)  # keeps the draws of the tests below
     pm = random_pm(ring, 2)
     assert pm.sorted_coeffs() is pm.sorted_coeffs()
     assert [e for e, _ in pm.sorted_coeffs()] == sorted(pm.coeffs, key=grlex_key)

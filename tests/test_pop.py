@@ -34,7 +34,7 @@ from gatesynth.pop import polish as polish_mod
 from gatesynth.pop import relax as relax_mod
 from gatesynth.pop import sdp as sdp_mod
 from gatesynth.pop.minimize import GAP_TOL
-from gatesynth.pop.polish import GRAD_TOL, gradient_polys, hessian_polys, kkt_residual
+from gatesynth.pop.polish import GRAD_TOL, kkt_residual
 from gatesynth.pop.relax import monomials_up_to
 from gatesynth.workbench.targets import gen_target, trial_rng
 
@@ -748,32 +748,61 @@ def test_polish_quartic_flat_minimum():
 def test_polish_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     obj, _ = planted_instance(5)
-    grads = gradient_polys(obj)
     h = 1e-5
     for _ in range(10):
         x = rng.uniform(-1, 1, 3)
+        _, grad, _ = obj.jet(x)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
             fd = (obj.eval(x + e) - obj.eval(x - e)) / (2 * h)
-            sym = grads[k].eval(x)
-            assert abs(sym - fd) <= 1e-6 * max(1.0, abs(fd))
+            assert abs(grad[k] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_polish_hessian_matches_finite_differences():
     rng = np.random.default_rng(12)
     obj, _ = planted_instance(6)
-    grads = gradient_polys(obj)
-    hess = hessian_polys(grads)
     h = 1e-5
     x = rng.uniform(-1, 1, 3)
+    _, _, hess = obj.jet(x)
     for i in range(3):
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            fd = (grads[i].eval(x + e) - grads[i].eval(x - e)) / (2 * h)
-            sym = hess[i][j].eval(x)
-            assert abs(sym - fd) <= 1e-6 * max(1.0, abs(fd))
+            fd = (obj.jet(x + e)[1][i] - obj.jet(x - e)[1][i]) / (2 * h)
+            assert abs(hess[i, j] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def _piecewise_objective(seed):
+    """Planted objective of the grade-4 BCH generator on 3 slices (degree 6)."""
+    pair = ibmq3()
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(3), label="ibmq3")
+    sigma = build_sigma(spec, 4)
+    xstar = np.random.default_rng(seed).uniform(-1, 1, 3)
+    return build_objective(sigma, principal_log(expm_antihermitian(pm_eval(sigma, xstar))))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: planted_instance(3)[0], lambda: _piecewise_objective(4),
+     lambda: planted_instance(5, m=7, horizon=0.5)[0]],
+    ids=["poly_m3", "piecewise_grade4", "poly_m7"],
+)
+def test_jet_matches_diff_polynomials(make):
+    # the table's exact derivatives against the formal ones, built by diff
+    obj = make()
+    m = obj.ring.controls
+    grads = [obj.diff(k) for k in range(m)]
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        x = rng.uniform(-1, 1, m)
+        value, grad, hess = obj.jet(x)
+        assert value == obj.eval(x)
+        g_ref = np.array([gk.eval(x) for gk in grads])
+        h_ref = np.array([[gk.diff(l).eval(x) for l in range(m)] for gk in grads])
+        assert np.abs(grad - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        assert np.abs(hess - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+        assert np.array_equal(hess, hess.T)
 
 
 def test_polish_concave_ends_on_sphere():
@@ -803,8 +832,7 @@ def test_polish_projects_start_into_ball():
 
 
 def _kkt_at(p, x, radius):
-    g = np.array([gk.eval(x) for gk in gradient_polys(p)])
-    return kkt_residual(g, x, radius)[0]
+    return kkt_residual(p.jet(x)[1], x, radius)[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
