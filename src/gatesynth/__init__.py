@@ -34,7 +34,6 @@ from gatesynth.objective import (
 from gatesynth.polymat import (
     Polynomial,
     PolyMatrix,
-    Ring,
     frobenius_sq,
     pm_commutator,
     pm_eval,
@@ -61,7 +60,6 @@ __all__ = [
     "ProblemSpec",
     "PropagationError",
     "QuadratureError",
-    "Ring",
     "SDPProblem",
     "SDPSolution",
     "SynthesisResult",

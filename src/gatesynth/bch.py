@@ -16,7 +16,7 @@ criterion 6 measures it).
 from __future__ import annotations
 
 from gatesynth.magnus import PiecewiseControl, ProblemSpec
-from gatesynth.polymat import PolyMatrix, Ring, pm_commutator
+from gatesynth.polymat import PolyMatrix, pm_commutator
 
 GradedOp = dict[int, PolyMatrix]
 
@@ -33,11 +33,10 @@ def slice_generator(spec: ProblemSpec, index: int) -> PolyMatrix:
     if not 1 <= index <= m:
         raise ValueError(f"slice index {index} outside 1..{m}")
     dt = spec.horizon / m
-    ring = Ring(m)
     e1 = [0] * m
     e1[index - 1] = 1
     return PolyMatrix(
-        ring,
+        m,
         spec.dim,
         {
             (0,) * m: -1j * dt * spec.h0,
@@ -80,17 +79,17 @@ def _graded_bch(x: PolyMatrix, y: GradedOp, n: int) -> GradedOp:
     return out
 
 
-def _graded_sum(acc: GradedOp, ring: Ring, dim: int) -> PolyMatrix:
-    return sum((acc[g] for g in sorted(acc)), PolyMatrix.zero(ring, dim))
+def _graded_sum(acc: GradedOp, controls: int, dim: int) -> PolyMatrix:
+    return sum((acc[g] for g in sorted(acc)), PolyMatrix.zero(controls, dim))
 
 
 def bch_compose(x: PolyMatrix, y: PolyMatrix, n: int) -> PolyMatrix:
     """log(e^X e^Y) truncated at grade n (X, Y treated as grade-1 atoms)."""
     if not 1 <= n <= 4:
         raise ValueError(f"truncation grade {n} outside 1..4")
-    if x.ring != y.ring or x.dim != y.dim:
-        raise ValueError("operands must share ring context and dimension")
-    return _graded_sum(_graded_bch(x, {1: y}, n), x.ring, x.dim)
+    if x.controls != y.controls or x.dim != y.dim:
+        raise ValueError("operands must share their control count and dimension")
+    return _graded_sum(_graded_bch(x, {1: y}, n), x.controls, x.dim)
 
 
 def build_sigma(spec: ProblemSpec, n: int) -> PolyMatrix:
@@ -106,7 +105,7 @@ def build_sigma(spec: ProblemSpec, n: int) -> PolyMatrix:
     acc: GradedOp = {1: slice_generator(spec, 1)}
     for i in range(2, spec.m + 1):
         acc = _graded_bch(slice_generator(spec, i), acc, n)
-    return _graded_sum(acc, Ring(spec.m), spec.dim)
+    return _graded_sum(acc, spec.m, spec.dim)
 
 
 def gbchd_eq12(spec: ProblemSpec, n: int) -> PolyMatrix:

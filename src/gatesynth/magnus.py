@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gatesynth.polymat import PolyMatrix, Ring
+from gatesynth.polymat import PolyMatrix
 
 HERMITICITY_TOL = 1e-12
 
@@ -172,7 +172,7 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
             weights[e] = weights.get(e, 0j) + spec.horizon**power / denom
         for e, w in weights.items():
             coeffs[e] = coeffs[e] + w * lie if e in coeffs else w * lie
-    return PolyMatrix._adopt(Ring(m), spec.dim, coeffs)
+    return PolyMatrix._adopt(m, spec.dim, coeffs)
 
 
 def build_lambda(spec: ProblemSpec, n: int) -> PolyMatrix:

@@ -60,7 +60,7 @@ def build_objective(g: PolyMatrix, omega: np.ndarray) -> Polynomial:
         raise ValueError(
             f"target shape {omega.shape} does not match generator dim {g.dim}"
         )
-    diff = g - PolyMatrix.constant(g.ring, omega)
+    diff = g - PolyMatrix.constant(g.controls, omega)
     return frobenius_sq(diff)
 
 

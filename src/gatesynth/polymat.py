@@ -1,13 +1,21 @@
 """Sparse real multivariate polynomials and complex matrix polynomials.
 
-Variables live in a fixed ring context of ``controls`` real optimization
-variables x0..x{m-1}; time never appears here, since the Magnus terms are
-built with their envelope integrals already in closed form.  Scalar
-polynomials have real coefficients: the objective is a real polynomial in
-real controls, and a complex coefficient is an error.  Matrix-valued
-polynomials are stored as a map from exponent vectors to dense complex numpy
-coefficient matrices, which keeps products and commutators of large
-(2^N dimensional) operator families cheap.  Coefficients must be finite: a
+A polynomial is a map from exponent tuples to coefficients over ``controls``
+real variables x0..x{m-1}, a plain non-negative int that the constructors
+check; there is no ring object, and no time variable, since the Magnus terms
+are built with their envelope integrals already in closed form.
+
+``PolyMatrix`` holds the generators: dense complex numpy coefficient
+matrices, with the ``+``, ``-``, ``@``, scaling and commutators the Magnus
+and BCH builds need, which keeps products of large (2^N dimensional)
+operator families cheap.  ``Polynomial`` holds one thing, the objective
+||G(x) - omega||_F^2 that :func:`frobenius_sq` forms: a real polynomial in
+real controls, so a complex coefficient is an error.  It is only scaled and
+evaluated, so it keeps scalar ``*``, evaluation through one monomial table
+(value, gradient and Hessian) and two readers outside that path: ``diff``,
+the formal derivative that the table's exact derivatives are tested
+against, and ``real_coeff_dict``, which the benchmark workloads read.  It
+has no sum or product of two polynomials.  Coefficients must be finite: a
 NaN or inf is an error, never pruned.
 
 What is copied and what is shared: the public ``PolyMatrix(...)`` constructor
@@ -26,8 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,42 +43,33 @@ import numpy as np
 PRUNE_EPS = 1e-14
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Variable context: ``controls`` x-slots."""
-
-    controls: int
-
-    def __post_init__(self):
-        if self.controls < 0:
-            raise ValueError("ring arity must be non-negative")
-
-
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
     """Sort key for graded lexicographic monomial order."""
     return (sum(exponents), exponents)
 
 
-def _check_same_ring(a, b):
-    if a.ring != b.ring:
-        raise ValueError(f"ring context mismatch: {a.ring} vs {b.ring}")
+def _arity(controls) -> int:
+    """``controls`` as a count of control variables, else ValueError."""
+    if not isinstance(controls, numbers.Integral) or controls < 0:
+        raise ValueError(f"control count must be a non-negative int, got {controls!r}")
+    return int(controls)
 
 
-def _exponents(ring: Ring, exps) -> tuple[int, ...]:
-    """Exponent vector as an int tuple: one non-negative entry per ring slot."""
+def _exponents(controls: int, exps) -> tuple[int, ...]:
+    """Exponent vector as an int tuple: one non-negative entry per control."""
     exps = tuple(int(e) for e in exps)
-    if len(exps) != ring.controls or any(e < 0 for e in exps):
-        raise ValueError(f"bad exponent vector {exps} for ring arity {ring.controls}")
+    if len(exps) != controls or any(e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for {controls} controls")
     return exps
 
 
-def _product(a: dict, b: dict, mul) -> dict:
-    """Term map of a product: ``mul(ca, cb)`` summed at each exponent ea + eb."""
+def _product(a: dict, b: dict) -> dict:
+    """Term map of a matrix product: ``ca @ cb`` summed at each exponent ea + eb."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(p + q for p, q in zip(ea, eb))
-            block = mul(ca, cb)
+            block = ca @ cb
             out[e] = out[e] + block if e in out else block
     return out
 
@@ -178,21 +175,21 @@ _CHUNK_DOUBLES = 1 << 16
 class Polynomial:
     """Immutable sparse polynomial with real coefficients.
 
-    ``terms`` maps exponent tuples (one entry per ring slot) to nonzero
-    float coefficients.  Construction canonicalizes: anything below
-    ``PRUNE_EPS`` in magnitude is dropped, and a complex or non-finite
-    coefficient is an error.  Every evaluation, derivatives included, goes
-    through one :class:`MonomialTable`, built on first use.
+    ``terms`` maps exponent tuples (one entry per control) to nonzero float
+    coefficients.  Construction canonicalizes: anything below ``PRUNE_EPS``
+    in magnitude is dropped, and a complex or non-finite coefficient is an
+    error.  Every evaluation, derivatives included, goes through one
+    :class:`MonomialTable`, built on first use.
     """
 
-    __slots__ = ("ring", "terms", "_table")
+    __slots__ = ("controls", "terms", "_table")
 
-    def __init__(self, ring: Ring, terms: dict | None = None):
-        self.ring = ring
+    def __init__(self, controls: int, terms: dict | None = None):
+        self.controls = _arity(controls)
         self.terms = {}
         self._table = None
         for exps, coeff in (terms or {}).items():
-            exps = _exponents(ring, exps)
+            exps = _exponents(self.controls, exps)
             # a float passes before the ABC check, which is far slower
             if not (type(coeff) is float or isinstance(coeff, numbers.Real)):
                 raise ValueError(f"coefficient {coeff!r} of {exps} is not real")
@@ -202,96 +199,29 @@ class Polynomial:
             if abs(c) >= PRUNE_EPS:
                 self.terms[exps] = c
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "Polynomial":
-        return cls(ring)
-
-    @classmethod
-    def constant(cls, ring: Ring, value: float) -> "Polynomial":
-        return cls(ring, {(0,) * ring.controls: value})
-
-    @classmethod
-    def variable(cls, ring: Ring, slot: int, coeff: float = 1.0) -> "Polynomial":
-        if not 0 <= slot < ring.controls:
-            raise ValueError(f"slot {slot} outside ring arity {ring.controls}")
-        e = [0] * ring.controls
-        e[slot] = 1
-        return cls(ring, {tuple(e): coeff})
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=0)
-
-    def constant_term(self) -> float:
-        return self.terms.get((0,) * self.ring.controls, 0.0)
 
     def real_coeff_dict(self) -> dict[tuple[int, ...], float]:
         """A copy of ``terms``.  Kept for the benchmark workloads, which read
         the coefficients through it."""
         return dict(self.terms)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, numbers.Real):
-            other = Polynomial.constant(self.ring, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        _check_same_ring(self, other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0.0) + c
-        return Polynomial(self.ring, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, (Polynomial, numbers.Real)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            return Polynomial(self.ring, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
+        """Every coefficient times a real scalar."""
+        if not isinstance(other, numbers.Real):
             return NotImplemented
-        _check_same_ring(self, other)
-        return Polynomial(self.ring, _product(self.terms, other.terms, operator.mul))
+        return Polynomial(self.controls, {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def isclose(self, other: "Polynomial", tol: float = 1e-12) -> bool:
-        _check_same_ring(self, other)
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
-
     def diff(self, slot: int) -> "Polynomial":
-        """Formal partial derivative with respect to one slot."""
-        if not 0 <= slot < self.ring.controls:
-            raise ValueError(f"slot {slot} outside ring arity {self.ring.controls}")
-        return Polynomial(
-            self.ring, {_lowered(e, slot): c * e[slot] for e, c in self.terms.items() if e[slot]}
-        )
+        """Formal partial derivative with respect to one control."""
+        if not 0 <= slot < self.controls:
+            raise ValueError(f"slot {slot} outside {self.controls} controls")
+        terms = {_lowered(e, slot): c * e[slot] for e, c in self.terms.items() if e[slot]}
+        return Polynomial(self.controls, terms)
 
     # -- evaluation --------------------------------------------------------
 
@@ -303,13 +233,13 @@ class Polynomial:
 
     def eval(self, x) -> float:
         """Value at control values ``x``: ``eval_many`` on one point."""
-        return float(self.eval_many(control_values(self.ring.controls, x)[None])[0])
+        return float(self.eval_many(control_values(self.controls, x)[None])[0])
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Values at an (n, controls) array of real points, from the monomial
         table in chunks of at most ``_CHUNK_DOUBLES`` monomial values."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.ring.controls:
+        if points.ndim != 2 or points.shape[1] != self.controls:
             raise ValueError("points must have shape (n, controls)")
         table = self.monomial_table()
         out = np.empty(len(points))
@@ -321,7 +251,7 @@ class Polynomial:
 
     def jet(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         """Value (as ``eval`` gives it), exact gradient and exact Hessian at ``x``."""
-        return self.monomial_table().jet(control_values(self.ring.controls, x))
+        return self.monomial_table().jet(control_values(self.controls, x))
 
     def __repr__(self):
         return " + ".join(
@@ -333,27 +263,28 @@ class Polynomial:
 class PolyMatrix:
     """Square matrix of polynomials, stored as exponent -> coefficient matrix.
 
-    All entries share one ring context.  Coefficient matrices are complex
-    (the generators are anti-Hermitian), and products are dense numpy matrix
-    products.
+    All entries share one count of controls.  Coefficient matrices are
+    complex (the generators are anti-Hermitian), and products are dense
+    numpy matrix products.
     """
 
-    __slots__ = ("ring", "dim", "coeffs", "_sorted")
+    __slots__ = ("controls", "dim", "coeffs", "_sorted")
 
-    def __init__(self, ring: Ring, dim: int, coeffs: dict | None = None):
+    def __init__(self, controls: int, dim: int, coeffs: dict | None = None):
+        controls = _arity(controls)
         if dim <= 0:
             raise ValueError("dimension must be positive")
         cleaned: dict[tuple[int, ...], np.ndarray] = {}
         for exps, mat in (coeffs or {}).items():
-            exps = _exponents(ring, exps)
+            exps = _exponents(controls, exps)
             mat = np.array(mat, dtype=complex, order="C")
             if mat.shape != (dim, dim):
                 raise ValueError(f"coefficient shape {mat.shape} != ({dim},{dim})")
             cleaned[exps] = mat
-        self._set(ring, dim, cleaned)
+        self._set(controls, dim, cleaned)
 
     @classmethod
-    def _adopt(cls, ring: Ring, dim: int, coeffs: dict) -> "PolyMatrix":
+    def _adopt(cls, controls: int, dim: int, coeffs: dict) -> "PolyMatrix":
         """Arithmetic result over ``coeffs``, taken without a copy.
 
         Each writable matrix must be freshly computed and owned by no one
@@ -361,13 +292,13 @@ class PolyMatrix:
         a coefficient of an existing PolyMatrix, and is shared as it is.
         """
         out = object.__new__(cls)
-        out._set(ring, dim, coeffs)
+        out._set(controls, dim, coeffs)
         return out
 
-    def _set(self, ring: Ring, dim: int, coeffs: dict):
+    def _set(self, controls: int, dim: int, coeffs: dict):
         """Store ``coeffs``: prune each writable matrix in place, keep each
         read-only one as it is, and drop the matrices pruned to nothing."""
-        self.ring = ring
+        self.controls = controls
         self.dim = dim
         self._sorted = None
         self.coeffs = {}
@@ -380,17 +311,13 @@ class PolyMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring: Ring, dim: int) -> "PolyMatrix":
-        return cls(ring, dim)
+    def zero(cls, controls: int, dim: int) -> "PolyMatrix":
+        return cls(controls, dim)
 
     @classmethod
-    def constant(cls, ring: Ring, mat: np.ndarray) -> "PolyMatrix":
+    def constant(cls, controls: int, mat: np.ndarray) -> "PolyMatrix":
         mat = np.asarray(mat, dtype=complex)
-        return cls(ring, mat.shape[0], {(0,) * ring.controls: mat})
-
-    @classmethod
-    def identity(cls, ring: Ring, dim: int) -> "PolyMatrix":
-        return cls.constant(ring, np.eye(dim))
+        return cls(controls, mat.shape[0], {(0,) * controls: mat})
 
     # -- access ------------------------------------------------------------
 
@@ -409,25 +336,24 @@ class PolyMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def _check_compat(self, other):
-        _check_same_ring(self, other)
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if (self.controls, self.dim) != (other.controls, other.dim):
+            raise ValueError(
+                f"operands differ: {self.controls} controls, dimension {self.dim} vs "
+                f"{other.controls} controls, dimension {other.dim}"
+            )
 
     def _plus(self, terms) -> "PolyMatrix":
         """self plus the (exponent, read-only matrix) pairs ``terms``."""
         merged = dict(self.coeffs)
         for e, m in terms:
             merged[e] = merged[e] + m if e in merged else m
-        return PolyMatrix._adopt(self.ring, self.dim, merged)
+        return PolyMatrix._adopt(self.controls, self.dim, merged)
 
     def __add__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         self._check_compat(other)
         return self._plus(other.coeffs.items())
-
-    def __neg__(self):
-        return PolyMatrix._adopt(self.ring, self.dim, {e: -m for e, m in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -440,25 +366,23 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         self._check_compat(other)
-        return PolyMatrix._adopt(
-            self.ring, self.dim, _product(self.coeffs, other.coeffs, operator.matmul)
-        )
+        return PolyMatrix._adopt(self.controls, self.dim, _product(self.coeffs, other.coeffs))
 
     def scale(self, factor) -> "PolyMatrix":
         """Multiply by a scalar."""
         return PolyMatrix._adopt(
-            self.ring, self.dim, {e: factor * m for e, m in self.coeffs.items()}
+            self.controls, self.dim, {e: factor * m for e, m in self.coeffs.items()}
         )
 
     def eval(self, x) -> np.ndarray:
-        vals = control_values(self.ring.controls, x)
+        vals = control_values(self.controls, x)
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for e, m in self.sorted_coeffs():
             acc += math.prod(v**p for v, p in zip(vals, e) if p) * m
         return acc
 
     def __repr__(self):
-        return f"PolyMatrix(dim={self.dim}, ring={self.ring}, terms={len(self.coeffs)})"
+        return f"PolyMatrix(dim={self.dim}, controls={self.controls}, terms={len(self.coeffs)})"
 
 
 def pm_commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -487,4 +411,4 @@ def frobenius_sq(a: PolyMatrix) -> Polynomial:
             ip = np.vdot(mb, ma)  # conj(B) . A
             key = tuple(p + q for p, q in zip(ea, eb))
             out[key] = out.get(key, 0.0) + 2.0 * float(ip.real)
-    return Polynomial(a.ring, out)
+    return Polynomial(a.controls, out)

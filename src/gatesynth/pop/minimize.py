@@ -50,7 +50,7 @@ def relaxation_setup(
     the base order ceil(deg/2).
     """
     if radius is None:
-        radius = math.sqrt(p.ring.controls) * 1.05
+        radius = math.sqrt(p.controls) * 1.05
     deg = p.degree()
     if order is None:
         order = max(1, (deg + 1) // 2)
@@ -130,7 +130,7 @@ def ball_scan_minimum(
     p: Polynomial, radius: float, count: int = 1_000_000, seed: int = 7
 ) -> float:
     """Minimum of p over a deterministic uniform sample of the ball."""
-    m = p.ring.controls
+    m = p.controls
     rng = np.random.default_rng(seed)
     best = math.inf
     chunk = 200_000

@@ -79,7 +79,7 @@ def newton_polish(p: Polynomial, x0: np.ndarray, radius: float) -> np.ndarray:
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    m = p.ring.controls
+    m = p.controls
     x = np.array(x0, dtype=float)
     if x.shape != (m,):
         raise ValueError(f"start point must have shape ({m},)")

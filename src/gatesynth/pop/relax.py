@@ -145,7 +145,7 @@ def moment_relax(
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    m = p.ring.controls
+    m = p.controls
     if m < 1:
         raise ValueError("objective needs at least one variable")
     if 2 * order < p.degree():

@@ -61,12 +61,12 @@ FLAGS = {
     "--trials": dict(type=int, default=None),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--quiet": dict(action="store_true"),
-    "--control": dict(choices=("poly", "piecewise"), default="poly"),
+    "--control": dict(choices=("poly", "piecewise"), default="poly", action=_SystemFlag),
     "--min-qubits": dict(type=int, default=2),
     "--max-qubits": dict(type=int, default=6),
     "--out": dict(default=None),
 }
-SYSTEM = ("--system", "--qubits", "--coupling", "--horizon", "--control-dim")
+SYSTEM = ("--system", "--qubits", "--coupling", "--horizon", "--control-dim", "--control")
 SOLVE = ("--order", "--seed", "--relax-order", "--ball")
 BATCH = ("--trials", "--format", "--quiet")
 
@@ -108,24 +108,18 @@ def _check_system_flags(args):
         raise ValueError(f"--system ibmq3 does not read {', '.join(ising_only)}")
 
 
-def _spec(args, control: str) -> ProblemSpec:
+def _spec(args) -> ProblemSpec:
     """The run's problem: the ``--problem`` file, else the system flags."""
-    problem = getattr(args, "problem", None)
-    if problem is None:
-        return make_spec(args.system, args.qubits, args.coupling, control,
-                         args.control_dim, args.horizon)
-    spec = load_problem(problem)
-    if control == "piecewise" and not spec.is_piecewise():
-        raise ProblemFileError(
-            "synth-pw requires a piecewise control model in the problem file"
-        )
-    return spec
+    if args.problem is not None:
+        return load_problem(args.problem)
+    return make_spec(args.system, args.qubits, args.coupling, args.control,
+                     args.control_dim, args.horizon)
 
 
-def _handle_synth(args, control: str) -> int:
+def _handle_synth(args) -> int:
     if args.trial < 0:
         raise ValueError("--trial must be non-negative")
-    spec = _spec(args, control)
+    spec = _spec(args)
     piecewise = spec.is_piecewise()
     order = _order(args, piecewise)
     # the run's own control model, order and horizon size the SDP budget check
@@ -197,7 +191,7 @@ def _handle_bench_timing(args) -> int:
 
 
 def _handle_target_gen(args) -> int:
-    spec = _spec(args, "poly")
+    spec = _spec(args)
     if args.trials < 1:
         raise ValueError("trial count must be at least 1")
     targets = []
@@ -217,15 +211,10 @@ def _handle_target_gen(args) -> int:
 
 # name -> (help, flags, per-command defaults, handler)
 COMMANDS = {
-    "synth": ("solve one continuous-control problem",
-              (*SYSTEM, "--problem", *SOLVE, "--trial", "--out"), {},
-              lambda args: _handle_synth(args, "poly")),
-    "synth-pw": ("solve one piecewise-constant problem",
-                 (*SYSTEM, "--problem", *SOLVE, "--trial", "--out"), {},
-                 lambda args: _handle_synth(args, "piecewise")),
+    "synth": ("solve one synthesis problem",
+              (*SYSTEM, "--problem", *SOLVE, "--trial", "--out"), {}, _handle_synth),
     "bench-fidelity": ("planted-target recovery batch",
-                       (*SYSTEM, *SOLVE, *BATCH, "--control", "--out"), {},
-                       _handle_bench_fidelity),
+                       (*SYSTEM, *SOLVE, *BATCH, "--out"), {}, _handle_bench_fidelity),
     "bench-timing": ("build/solve timing over Ising sizes",
                      ("--coupling", "--horizon", "--control-dim", *SOLVE, *BATCH,
                       "--min-qubits", "--max-qubits", "--out"),

@@ -12,7 +12,7 @@ from gatesynth.bch import (
 )
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
-from gatesynth.polymat import PolyMatrix, Ring, pm_eval
+from gatesynth.polymat import PolyMatrix, pm_eval
 
 RNG = np.random.default_rng(31337)
 
@@ -29,7 +29,7 @@ def random_antihermitian(d, cap):
 
 
 def as_const(mat):
-    return PolyMatrix.constant(Ring(0), mat)
+    return PolyMatrix.constant(0, mat)
 
 
 # -- slice generators -----------------------------------------------------------

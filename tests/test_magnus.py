@@ -17,7 +17,7 @@ from gatesynth.magnus import (
 )
 from gatesynth.numerics import action_integral, propagate_reference
 from gatesynth.objective import principal_log
-from gatesynth.polymat import PolyMatrix, Ring, pm_eval
+from gatesynth.polymat import PolyMatrix, pm_eval
 
 RNG = np.random.default_rng(4242)
 
@@ -240,7 +240,7 @@ def magnus_term_per_choice(spec, k):
             weights[e] = weights.get(e, 0j) + spec.horizon**power / denom
         for e, w in weights.items():
             coeffs[e] = coeffs[e] + w * lie if e in coeffs else w * lie
-    return PolyMatrix(Ring(spec.m), spec.dim, coeffs).coeffs
+    return PolyMatrix(spec.m, spec.dim, coeffs).coeffs
 
 
 @pytest.mark.parametrize("system", ["ibmq3", "ising3"])

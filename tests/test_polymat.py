@@ -22,7 +22,6 @@ from gatesynth.objective import build_objective
 from gatesynth.polymat import (
     Polynomial,
     PolyMatrix,
-    Ring,
     _product,
     frobenius_sq,
     grlex_key,
@@ -33,66 +32,50 @@ from gatesynth.polymat import (
 RNG = np.random.default_rng(20260816)
 
 
-def random_poly(ring, max_terms=6, max_deg=3):
+def random_poly(controls, max_terms=6, max_deg=3):
     terms = {}
     for _ in range(RNG.integers(1, max_terms + 1)):
-        e = tuple(int(v) for v in RNG.integers(0, max_deg + 1, size=ring.controls))
+        e = tuple(int(v) for v in RNG.integers(0, max_deg + 1, size=controls))
         terms[e] = terms.get(e, 0) + RNG.normal()
-    return Polynomial(ring, terms)
+    return Polynomial(controls, terms)
 
 
-def random_pm(ring, dim, max_terms=4, max_deg=2):
+def random_pm(controls, dim, max_terms=4, max_deg=2):
     coeffs = {}
     for _ in range(max_terms):
-        e = tuple(int(v) for v in RNG.integers(0, max_deg + 1, size=ring.controls))
+        e = tuple(int(v) for v in RNG.integers(0, max_deg + 1, size=controls))
         m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
         coeffs[e] = coeffs.get(e, 0) + m
-    return PolyMatrix(ring, dim, coeffs)
+    return PolyMatrix(controls, dim, coeffs)
 
 
 # -- scalar polynomial basics ------------------------------------------------
 
 
-def test_add_merges_like_terms():
-    ring = Ring(2)
-    p = Polynomial(ring, {(1, 0): 2.0, (0, 1): 1.0})
-    q = Polynomial(ring, {(1, 0): 3.0, (0, 0): -1.0})
-    s = p + q
-    assert s.terms == {(1, 0): 5.0, (0, 1): 1.0, (0, 0): -1.0}
-
-
-def test_add_cancels_to_zero():
-    ring = Ring(1)
-    p = Polynomial(ring, {(2,): 1.5})
-    assert (p + (-p)).is_zero()
-
-
-def test_mul_univariate():
-    ring = Ring(1)
-    p = Polynomial(ring, {(1,): 1.0, (0,): 1.0})  # x + 1
-    q = Polynomial(ring, {(1,): 1.0, (0,): -1.0})  # x - 1
-    assert (p * q).terms == {(2,): 1.0, (0,): -1.0}
-
-
-def test_mul_cross_terms():
-    ring = Ring(2)
-    p = Polynomial(ring, {(1, 0): 1.0})  # x0
-    q = Polynomial(ring, {(0, 1): 2.0, (0, 0): 1.0})  # 2 x1 + 1
-    assert (p * q).terms == {(1, 1): 2.0, (1, 0): 1.0}
-
-
 def test_scalar_ops():
-    ring = Ring(1)
-    p = Polynomial(ring, {(1,): 2.0})
-    assert (3 * p).terms == {(1,): 6.0}
-    assert (p + 1).terms == {(1,): 2.0, (0,): 1.0}
-    assert (1 - p).terms == {(1,): -2.0, (0,): 1.0}
+    # a real scalar scales every coefficient; there is no sum or product of
+    # two polynomials
+    p = Polynomial(1, {(1,): 2.0, (0,): -1.0})
+    assert (3 * p).terms == {(1,): 6.0, (0,): -3.0}
+    assert (p * 0.5).terms == {(1,): 1.0, (0,): -0.5}
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, p)
+
+
+def test_negative_control_count_raises():
+    # the count of controls is checked where a polynomial is built
+    for bad in (-1, 1.0, None):
+        with pytest.raises(ValueError, match="control count"):
+            Polynomial(bad)
+        with pytest.raises(ValueError, match="control count"):
+            PolyMatrix(bad, 2)
+    assert Polynomial(0).controls == 0 and PolyMatrix(0, 2).controls == 0
 
 
 def test_prune_small_coefficients():
-    ring = Ring(1)
-    p = Polynomial(ring, {(1,): 1e-15})
-    assert p.is_zero()
+    p = Polynomial(1, {(1,): 1e-15})
+    assert p.terms == {}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, -math.inf)])
@@ -102,52 +85,48 @@ def test_nonfinite_coefficient_raises(bad):
     entries = [bad]
     if not isinstance(bad, complex):
         with pytest.raises(ValueError, match="non-finite"):
-            Polynomial(Ring(1), {(1,): bad})
+            Polynomial(1, {(1,): bad})
         entries.append(complex(0.0, bad))
     for entry in entries:
         mat = np.eye(2, dtype=complex)
         mat[0, 1] = entry
         with pytest.raises(ValueError, match="non-finite"):
-            PolyMatrix(Ring(1), 2, {(0,): mat})
+            PolyMatrix(1, 2, {(0,): mat})
 
 
 @pytest.mark.parametrize("coeff", [1j, np.complex128(1), complex(2.0, 0.0)])
 def test_complex_coefficient_raises(coeff):
     # an imaginary part is never dropped, not even a zero one
     with pytest.raises(ValueError, match=r"of \(1,\) is not real"):
-        Polynomial(Ring(1), {(1,): coeff})
+        Polynomial(1, {(1,): coeff})
 
 
 def test_complex_scalar_raises():
-    p = Polynomial(Ring(1), {(1,): 2.0})
-    for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(TypeError):
-            op(p, 1j)
-        with pytest.raises(TypeError):
-            op(1j, p)
+    p = Polynomial(1, {(1,): 2.0})
+    with pytest.raises(TypeError):
+        p * 1j
+    with pytest.raises(TypeError):
+        1j * p
 
 
 def test_numpy_real_scalars_stored_as_float():
-    ring = Ring(1)
-    p = Polynomial(ring, {(1,): np.float64(2.5), (0,): np.int64(3)})
-    q = p * np.float32(2.0) + np.int32(1)
-    for poly in (p, q):
+    p = Polynomial(1, {(1,): np.float64(2.5), (0,): np.int64(3)})
+    q = p * np.float32(2.0)
+    for poly in (p, q, np.int32(2) * p):
         assert all(type(c) is float for c in poly.terms.values())
-    assert q.terms == {(1,): 5.0, (0,): 7.0}
+    assert q.terms == {(1,): 5.0, (0,): 6.0}
     assert type(p.eval([1.0])) is float
 
 
 def test_eval_simple():
-    ring = Ring(2)
-    p = Polynomial(ring, {(2, 0): 1.0, (0, 1): -3.0, (0, 0): 0.5})
+    p = Polynomial(2, {(2, 0): 1.0, (0, 1): -3.0, (0, 0): 0.5})
     val = p.eval([2.0, 1.0])
     assert val == pytest.approx(4.0 - 3.0 + 0.5)
 
 
 def test_eval_extended_precision_oracle():
     # evaluate a moderately large random polynomial against mpmath at 50 digits
-    ring = Ring(3)
-    p = random_poly(ring, max_terms=12, max_deg=4)
+    p = random_poly(3, max_terms=12, max_deg=4)
     x = RNG.uniform(-1.3, 1.3, size=3)
     with mpmath.workdps(50):
         acc = mpmath.mpf(0)
@@ -161,8 +140,7 @@ def test_eval_extended_precision_oracle():
 
 
 def test_eval_many_matches_eval():
-    ring = Ring(2)
-    p = random_poly(ring, max_terms=8, max_deg=3)
+    p = random_poly(2, max_terms=8, max_deg=3)
     pts = RNG.uniform(-2, 2, size=(40, 2))
     vals = p.eval_many(pts)
     for k in range(40):
@@ -170,8 +148,7 @@ def test_eval_many_matches_eval():
 
 
 def test_monomial_table_is_graded_downward_closure():
-    ring = Ring(2)
-    p = Polynomial(ring, {(2, 1): 3.0, (0, 3): -1.0, (0, 0): 0.5})
+    p = Polynomial(2, {(2, 1): 3.0, (0, 3): -1.0, (0, 0): 0.5})
     table = p.monomial_table()
     assert p.monomial_table() is table
     closure = {(a, b) for ea, eb in p.terms for a in range(ea + 1) for b in range(eb + 1)}
@@ -183,10 +160,9 @@ def test_monomial_table_is_graded_downward_closure():
 
 def test_eval_many_chunks_match_eval():
     # 84 rows take 780 points per chunk, so 2000 points span three chunks
-    ring = Ring(3)
     rng = np.random.default_rng(5)
     terms = {e: rng.normal() for e in map(tuple, np.ndindex(7, 7, 7)) if sum(e) <= 6}
-    p = Polynomial(ring, terms)
+    p = Polynomial(3, terms)
     pts = rng.uniform(-1.2, 1.2, size=(2000, 3))
     vals = p.eval_many(pts)
     assert len(p.monomial_table().coeffs) == 84
@@ -195,17 +171,16 @@ def test_eval_many_chunks_match_eval():
 
 
 def test_eval_zero_and_arity_zero():
-    assert Polynomial.zero(Ring(2)).eval([0.3, -1.0]) == 0.0
-    c = Polynomial.constant(Ring(0), 2.5)
+    assert Polynomial(2).eval([0.3, -1.0]) == 0.0
+    c = Polynomial(0, {(): 2.5})
     assert c.eval([]) == 2.5
     np.testing.assert_array_equal(c.eval_many(np.zeros((3, 0))), [2.5, 2.5, 2.5])
-    value, grad, hess = Polynomial.constant(Ring(2), 2.5).jet([1.0, 2.0])
+    value, grad, hess = Polynomial(2, {(0, 0): 2.5}).jet([1.0, 2.0])
     assert value == 2.5 and not grad.any() and not hess.any()
 
 
 def test_diff_formal():
-    ring = Ring(2)
-    p = Polynomial(ring, {(3, 1): 2.0, (0, 2): 1.0, (0, 0): 7.0})
+    p = Polynomial(2, {(3, 1): 2.0, (0, 2): 1.0, (0, 0): 7.0})
     dx0 = p.diff(0)
     assert dx0.terms == {(2, 1): 6.0}
     dx1 = p.diff(1)
@@ -213,51 +188,57 @@ def test_diff_formal():
 
 
 def test_ring_mismatch_raises():
-    p = Polynomial(Ring(1), {(1,): 1.0})
-    q = Polynomial(Ring(2), {(1, 0): 1.0})
-    with pytest.raises(ValueError):
-        _ = p + q
+    # matrix polynomials over different control counts never combine
+    a = random_pm(1, 2)
+    b = random_pm(2, 2)
+    for op in (operator.add, operator.sub, operator.matmul):
+        with pytest.raises(ValueError, match="controls"):
+            op(a, b)
+
+
+def close(a: PolyMatrix, b: PolyMatrix, tol: float) -> bool:
+    """Equal coefficients up to ``tol``, a missing exponent counting as zero."""
+    return all(
+        np.abs(a.coeffs.get(e, 0) - b.coeffs.get(e, 0)).max() <= tol
+        for e in set(a.coeffs) | set(b.coeffs)
+    )
 
 
 def test_ring_laws_random():
-    ring = Ring(3)
+    # matrix polynomials form a ring: + commutes and associates, @ associates
+    # and distributes over +
     for _ in range(25):
-        a = random_poly(ring)
-        b = random_poly(ring)
-        c = random_poly(ring)
-        assert (a + b).isclose(b + a)
-        assert ((a + b) + c).isclose(a + (b + c))
-        assert (a * b).isclose(b * a)
-        assert ((a * b) * c).isclose(a * (b * c), tol=1e-9)
-        assert (a * (b + c)).isclose(a * b + a * c, tol=1e-10)
+        a, b, c = (random_pm(3, 2, max_terms=3, max_deg=2) for _ in range(3))
+        assert close(a + b, b + a, 1e-12)
+        assert close((a + b) + c, a + (b + c), 1e-12)
+        assert close((a @ b) @ c, a @ (b @ c), 1e-9)
+        assert close(a @ (b + c), a @ b + a @ c, 1e-10)
+        assert close((a + b) @ c, a @ c + b @ c, 1e-10)
 
 
 def test_degree_and_constant():
-    ring = Ring(2)
-    p = Polynomial(ring, {(2, 1): 1.0, (0, 0): 4.0})
+    p = Polynomial(2, {(2, 1): 1.0, (0, 0): 4.0})
     assert p.degree() == 3
-    assert p.constant_term() == 4.0
-    assert Polynomial.zero(ring).degree() == 0
+    assert Polynomial(2, {(0, 0): 4.0}).degree() == 0
+    assert Polynomial(2).degree() == 0
 
 
 # -- matrix layer --------------------------------------------------------------
 
 
 def test_pm_constant_product_matches_numpy():
-    ring = Ring(1)
     a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
     b = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-    pa = PolyMatrix.constant(ring, a)
-    pb = PolyMatrix.constant(ring, b)
+    pa = PolyMatrix.constant(1, a)
+    pb = PolyMatrix.constant(1, b)
     prod = pa @ pb
     assert np.allclose(prod.coeffs[(0,)], a @ b)
 
 
 def test_pm_mul_matches_entrywise_convolution():
     # scalar oracle: convolve the coefficients of each entry product by hand
-    ring = Ring(2)
-    a = random_pm(ring, 2, max_terms=3, max_deg=2)
-    b = random_pm(ring, 2, max_terms=3, max_deg=2)
+    a = random_pm(2, 2, max_terms=3, max_deg=2)
+    b = random_pm(2, 2, max_terms=3, max_deg=2)
     prod = a @ b
     expect = {}
     for ea, ma in a.coeffs.items():
@@ -276,9 +257,8 @@ def test_pm_mul_matches_entrywise_convolution():
 def test_pm_mul_matches_pointwise_product():
     # oracle independent of _product: a polynomial product evaluates to the
     # product of the evaluated matrices
-    ring = Ring(2)
-    a = random_pm(ring, 2, max_terms=3, max_deg=2)
-    b = random_pm(ring, 2, max_terms=3, max_deg=2)
+    a = random_pm(2, 2, max_terms=3, max_deg=2)
+    b = random_pm(2, 2, max_terms=3, max_deg=2)
     prod = a @ b
     for x in RNG.uniform(-1.5, 1.5, size=(10, 2)):
         np.testing.assert_allclose(prod.eval(x), a.eval(x) @ b.eval(x), rtol=1e-12, atol=1e-12)
@@ -286,8 +266,7 @@ def test_pm_mul_matches_pointwise_product():
 
 def test_pm_eval_matches_entry_eval():
     # each entry is the scalar polynomial sum_e x^e M_e[i, j], evaluated here
-    ring = Ring(2)
-    pm = random_pm(ring, 3)
+    pm = random_pm(2, 3)
     x = RNG.uniform(-1, 1, size=2)
     dense = pm_eval(pm, x)
     for i in range(3):
@@ -297,9 +276,8 @@ def test_pm_eval_matches_entry_eval():
 
 
 def test_pm_commutator_antisymmetric_and_numeric():
-    ring = Ring(1)
-    a = random_pm(ring, 3, max_terms=2, max_deg=1)
-    b = random_pm(ring, 3, max_terms=2, max_deg=1)
+    a = random_pm(1, 3, max_terms=2, max_deg=1)
+    b = random_pm(1, 3, max_terms=2, max_deg=1)
     c = pm_commutator(a, b)
     c2 = pm_commutator(b, a)
     x = np.array([0.7])
@@ -309,17 +287,15 @@ def test_pm_commutator_antisymmetric_and_numeric():
 
 
 def test_pm_commutator_of_constants():
-    ring = Ring(1)
     h0 = np.diag([0.0, 1.0, 2.0]).astype(complex)
     hc = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    c = pm_commutator(PolyMatrix.constant(ring, h0), PolyMatrix.constant(ring, hc))
+    c = pm_commutator(PolyMatrix.constant(1, h0), PolyMatrix.constant(1, hc))
     assert np.allclose(c.coeffs[(0,)], h0 @ hc - hc @ h0)
 
 
 def test_pm_dimension_mismatch():
-    ring = Ring(1)
-    a = PolyMatrix.identity(ring, 2)
-    b = PolyMatrix.identity(ring, 3)
+    a = PolyMatrix.constant(1, np.eye(2))
+    b = PolyMatrix.constant(1, np.eye(3))
     with pytest.raises(ValueError):
         _ = a @ b
 
@@ -331,9 +307,9 @@ def same_bytes(a: PolyMatrix, b: PolyMatrix) -> bool:
     )
 
 
-def awkward_pm(ring, dim):
+def awkward_pm(controls, dim):
     """Coefficients with entries below PRUNE_EPS, signed zeros and a tiny term."""
-    pm = random_pm(ring, dim)
+    pm = random_pm(controls, dim)
     coeffs = dict(pm.coeffs)
     first = next(iter(coeffs))
     m = coeffs[first].copy()
@@ -341,24 +317,24 @@ def awkward_pm(ring, dim):
     m[0, 1] = complex(-0.0, 1.5)
     m[1, 0] = complex(2.0, -0.0)
     coeffs[first] = m
-    coeffs[(dim,) * ring.controls] = np.full((dim, dim), 1e-15 + 0j)
-    return PolyMatrix(ring, dim, coeffs)
+    coeffs[(dim,) * controls] = np.full((dim, dim), 1e-15 + 0j)
+    return PolyMatrix(controls, dim, coeffs)
 
 
 def test_arithmetic_matches_validating_constructor():
     # every result is what the public constructor makes of the same term map
-    ring, dim = Ring(2), 3
-    a, b = awkward_pm(ring, dim), awkward_pm(ring, dim)
+    controls, dim = 2, 3
+    a, b = awkward_pm(controls, dim), awkward_pm(controls, dim)
     # a and b share one coefficient exactly, so a - b cancels there; at
     # (0, 0) b is exactly zero where a holds a -0.0 beside a nonzero part
     shared = next(e for e in a.coeffs if e != (0, 0))
     signed, zero = np.ones((dim, dim), complex), np.ones((dim, dim), complex)
     signed[0, 1], zero[0, 1] = complex(-0.0, 1.5), 0.0
-    a = PolyMatrix(ring, dim, {**a.coeffs, (0, 0): signed})
-    b = PolyMatrix(ring, dim, {**b.coeffs, shared: a.coeffs[shared], (0, 0): zero})
+    a = PolyMatrix(controls, dim, {**a.coeffs, (0, 0): signed})
+    b = PolyMatrix(controls, dim, {**b.coeffs, shared: a.coeffs[shared], (0, 0): zero})
 
     def public(terms):
-        return PolyMatrix(ring, dim, terms)
+        return PolyMatrix(controls, dim, terms)
 
     def summed(x, y):
         merged = dict(x.coeffs)
@@ -369,16 +345,15 @@ def test_arithmetic_matches_validating_constructor():
     negated = public({e: -m for e, m in b.coeffs.items()})
     cases = {
         "add": (a + b, summed(a, b)),
-        "neg": (-b, negated),
         "sub": (a - b, summed(a, negated)),
-        "matmul": (a @ b, public(_product(a.coeffs, b.coeffs, operator.matmul))),
+        "matmul": (a @ b, public(_product(a.coeffs, b.coeffs))),
         "scale": (a.scale(0.3 - 1e-16j), public({e: (0.3 - 1e-16j) * m for e, m in a.coeffs.items()})),
-        "commutator": (pm_commutator(a, b), summed(a @ b, -(b @ a))),
+        "commutator": (pm_commutator(a, b), summed(a @ b, (b @ a).scale(-1.0))),
     }
     assert shared not in (a - b).coeffs
     for name, (fast, reference) in cases.items():
         assert same_bytes(fast, reference), name
-        assert same_bytes(fast, PolyMatrix(ring, dim, fast.coeffs)), name
+        assert same_bytes(fast, PolyMatrix(controls, dim, fast.coeffs)), name
 
 
 @pytest.mark.parametrize("qubits, m", [(2, 3), (3, 5), (5, 2)])
@@ -391,7 +366,7 @@ def test_builds_match_validating_constructor(monkeypatch, qubits, m):
     fast_obj = build_objective(fast[0], omega)
     # the same builds with every arithmetic result through the public constructor
     monkeypatch.setattr(
-        PolyMatrix, "_adopt", classmethod(lambda cls, ring, dim, coeffs: cls(ring, dim, coeffs))
+        PolyMatrix, "_adopt", classmethod(lambda cls, controls, dim, coeffs: cls(controls, dim, coeffs))
     )
     slow = [build_lambda(poly, 3), build_sigma(piecewise, 4)]
     slow_obj = build_objective(slow[0], omega)
@@ -401,11 +376,11 @@ def test_builds_match_validating_constructor(monkeypatch, qubits, m):
 
 
 def test_results_read_only_and_never_alias_caller_arrays():
-    ring, dim = Ring(1), 3
+    dim = 3
     mats = [RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim)) for _ in range(2)]
-    a = PolyMatrix(ring, dim, {(0,): mats[0], (1,): mats[1]})
-    b = PolyMatrix(ring, dim, {(2,): mats[1]})
-    results = [a, b, a + b, a - b, -a, a @ b, a.scale(2.0), pm_commutator(a, b)]
+    a = PolyMatrix(1, dim, {(0,): mats[0], (1,): mats[1]})
+    b = PolyMatrix(1, dim, {(2,): mats[1]})
+    results = [a, b, a + b, a - b, a @ b, a.scale(2.0), pm_commutator(a, b)]
     pair = ibmq3()
     results.append(magnus_term(ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(2)), 3))
     for r in results:
@@ -418,9 +393,9 @@ def test_results_read_only_and_never_alias_caller_arrays():
 
 
 def test_results_share_unchanged_operand_coefficients():
-    ring, dim = Ring(1), 2
-    a = PolyMatrix(ring, dim, {(0,): np.eye(dim), (1,): np.ones((dim, dim))})
-    b = PolyMatrix(ring, dim, {(1,): np.eye(dim), (2,): np.ones((dim, dim))})
+    dim = 2
+    a = PolyMatrix(1, dim, {(0,): np.eye(dim), (1,): np.ones((dim, dim))})
+    b = PolyMatrix(1, dim, {(1,): np.eye(dim), (2,): np.ones((dim, dim))})
     total = a + b
     assert total.coeffs[(0,)] is a.coeffs[(0,)]
     assert total.coeffs[(2,)] is b.coeffs[(2,)]
@@ -431,9 +406,7 @@ def test_results_share_unchanged_operand_coefficients():
 def test_sorted_coeffs_computed_once_in_grlex_order():
     # scalar polynomials keep their order in the monomial table
     # (test_monomial_table_is_graded_downward_closure)
-    ring = Ring(2)
-    random_poly(ring, max_terms=8)  # keeps the draws of the tests below
-    pm = random_pm(ring, 2)
+    pm = random_pm(2, 2)
     assert pm.sorted_coeffs() is pm.sorted_coeffs()
     assert [e for e, _ in pm.sorted_coeffs()] == sorted(pm.coeffs, key=grlex_key)
 
@@ -508,15 +481,13 @@ def test_simplex_keeps_control_exponents():
 
 
 def test_frobenius_constant_matrix():
-    ring = Ring(1)
     m = np.array([[1.0, 2.0], [0.0, 1j]])
-    p = frobenius_sq(PolyMatrix.constant(ring, m))
+    p = frobenius_sq(PolyMatrix.constant(1, m))
     assert p.terms == {(0,): pytest.approx(6.0)}
 
 
 def test_frobenius_matches_numeric_scan():
-    ring = Ring(2)
-    pm = random_pm(ring, 3, max_terms=4, max_deg=2)
+    pm = random_pm(2, 3, max_terms=4, max_deg=2)
     p = frobenius_sq(pm)
     for _ in range(30):
         x = RNG.uniform(-1.5, 1.5, size=2)
@@ -527,21 +498,18 @@ def test_frobenius_matches_numeric_scan():
 
 
 def test_frobenius_output_exactly_real():
-    ring = Ring(2)
-    pm = random_pm(ring, 4, max_terms=6, max_deg=3)
+    pm = random_pm(2, 4, max_terms=6, max_deg=3)
     p = frobenius_sq(pm)
     assert p.terms and all(type(c) is float for c in p.terms.values())
 
 
 def test_frobenius_degree_doubles():
-    ring = Ring(1)
-    pm = random_pm(ring, 2, max_terms=3, max_deg=3)
+    pm = random_pm(1, 2, max_terms=3, max_deg=3)
     assert frobenius_sq(pm).degree() <= 2 * pm.max_entry_degree()
 
 
 def test_frobenius_nonnegative_on_scan():
-    ring = Ring(2)
-    pm = random_pm(ring, 2)
+    pm = random_pm(2, 2)
     p = frobenius_sq(pm)
     pts = RNG.uniform(-2, 2, size=(200, 2))
     vals = p.eval_many(pts)
@@ -550,5 +518,5 @@ def test_frobenius_nonnegative_on_scan():
 
 
 def test_frobenius_zero_matrix():
-    p = frobenius_sq(PolyMatrix.zero(Ring(1), 2))
-    assert p.is_zero()
+    p = frobenius_sq(PolyMatrix.zero(1, 2))
+    assert p.terms == {}

@@ -1,7 +1,6 @@
 """Tests for the moment relaxation pipeline and the embedded SDP solver."""
 
 import functools
-import operator
 import subprocess
 import sys
 import time
@@ -19,7 +18,7 @@ from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
 from gatesynth.objective import build_objective, principal_log
-from gatesynth.polymat import Polynomial, Ring, pm_eval
+from gatesynth.polymat import Polynomial, pm_eval
 from gatesynth.pop import (
     SDPProblem,
     ball_scan_minimum,
@@ -433,9 +432,8 @@ def test_schur_buffers_reused_bit_identical(monkeypatch):
 def moment_relaxation(m, order):
     # min x0^(2 order) on the ball in m controls: the moment block takes
     # several Schur slabs at m=7, order 2 (s=36) and m=4, order 3 (s=35)
-    x0 = Polynomial.variable(Ring(m), 0)
-    return moment_relax(functools.reduce(operator.mul, [x0] * (2 * order)),
-                        1.05 * np.sqrt(m), order)[0]
+    x0_power = Polynomial(m, {(2 * order,) + (0,) * (m - 1): 1.0})
+    return moment_relax(x0_power, 1.05 * np.sqrt(m), order)[0]
 
 
 SCHUR_REFERENCE_CASES = {
@@ -533,9 +531,7 @@ def test_monomial_basis_count():
 
 def test_relax_sos_square_first_order():
     # p = x^2 is already a square: first-order bound is 0
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    prob, relax = moment_relax(x * x, 1.0, 1)
+    prob, relax = moment_relax(Polynomial(1, {(2,): 1.0}), 1.0, 1)
     assert prob.block_sizes[0] == 2
     sol = sdp_solve(prob)
     bound = relax.constant_term - sol.primal_value
@@ -545,9 +541,7 @@ def test_relax_sos_square_first_order():
 
 def test_relax_shifted_square_moment():
     # grid-scan oracle for min of (x-1/2)^2 on [-1,1]: 0 at x = 1/2
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    p = (x - 0.5) * (x - 0.5)
+    p = Polynomial(1, {(2,): 1.0, (1,): -1.0, (0,): 0.25})
     grid = np.linspace(-1.0, 1.0, 200001)
     oracle = float(np.min((grid - 0.5) ** 2))
     prob, relax = moment_relax(p, 1.0, 1)
@@ -559,24 +553,18 @@ def test_relax_shifted_square_moment():
 
 
 def test_relax_rejects_low_order():
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
     with pytest.raises(ValueError):
-        moment_relax(x * x * x * x, 1.0, 1)
+        moment_relax(Polynomial(1, {(4,): 1.0}), 1.0, 1)
 
 
 def test_relax_rejects_bad_radius():
-    r = Ring(1)
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            moment_relax(Polynomial.variable(r, 0), radius, 1)
+            moment_relax(Polynomial(1, {(1,): 1.0}), radius, 1)
 
 
 def test_relax_block_sizes_match_binomial():
-    r = Ring(3)
-    x = Polynomial.variable(r, 0)
-    p = x * x * x * x * x * x
-    prob, _ = moment_relax(p, 1.0, 3)
+    prob, _ = moment_relax(Polynomial(3, {(6, 0, 0): 1.0}), 1.0, 3)
     assert prob.block_sizes[0] == 20
     assert prob.block_sizes[1] == 10
 
@@ -584,9 +572,7 @@ def test_relax_block_sizes_match_binomial():
 def test_relax_memory_bounded():
     # seven controls at order 3: blocks (120, 36) and 1715 moments, which as
     # dense (p, s, s) stacks would take 200 MB and more
-    r = Ring(7)
-    x0 = Polynomial.variable(r, 0)
-    p = x0 * x0 * x0 * x0 * x0 * x0
+    p = Polynomial(7, {(6,) + (0,) * 6: 1.0})
     tracemalloc.start()
     try:
         prob, _ = moment_relax(p, 1.05 * np.sqrt(7), 3)
@@ -648,7 +634,7 @@ def test_relax_second_solve_matches_fresh_problem():
     (p1, radius, order), (p2, _, _) = certify_objective(2), certify_objective(3)
     sdp_solve(moment_relax(p1, radius, order)[0])
     prob, _ = moment_relax(p2, radius, order)
-    template = relax_mod._structure.__wrapped__(p2.ring.controls, order, radius)[0]
+    template = relax_mod._structure.__wrapped__(p2.controls, order, radius)[0]
     fresh = template._with_rhs(prob.b.copy())
     assert fresh.a_blocks[0] is not prob.a_blocks[0]
     assert_same_solution(sdp_solve(prob), sdp_solve(fresh))
@@ -668,10 +654,8 @@ def test_relax_patterns_at_point_mass():
     # at a point mass the CSR constraint rows assemble M_2 = v v^T and the
     # localizing block (R^2 - |x|^2) w w^T, with v and w the monomial vectors
     # of degree <= 2 and <= 1
-    r = Ring(3)
-    x = Polynomial.variable(r, 0)
     radius = 1.5
-    prob, relax = moment_relax(x * x * x * x, radius, 2)
+    prob, relax = moment_relax(Polynomial(3, {(4, 0, 0): 1.0}), radius, 2)
     point = np.array([0.3, -0.7, 0.4])
     y = relax.point_moments(point)
     v = np.array([np.prod(point ** np.array(e)) for e in monomials_up_to(3, 2)])
@@ -693,9 +677,7 @@ def rank_ratio(z):
 
 def test_extract_point_mass_exact():
     # the graded basis puts x0..x{m-1} in moment slots 0..m-1
-    r = Ring(3)
-    x = Polynomial.variable(r, 0)
-    prob, relax = moment_relax(x * x, 1.5, 2)
+    prob, relax = moment_relax(Polynomial(3, {(2, 0, 0): 1.0}), 1.5, 2)
     point = np.array([0.3, -0.2, 0.7])
     y = relax.point_moments(point)
     got = relax.first_moments(y)
@@ -720,19 +702,16 @@ def test_extract_planted_single_control():
 
 def test_polish_quadratic_one_step(monkeypatch):
     monkeypatch.setattr(polish_mod, "MAX_STEPS", 1)
-    r = Ring(2)
-    x0 = Polynomial.variable(r, 0)
-    x1 = Polynomial.variable(r, 1)
-    p = (x0 - 0.25) * (x0 - 0.25) + 2.0 * (x1 + 0.5) * (x1 + 0.5)
+    # (x0 - 1/4)^2 + 2 (x1 + 1/2)^2
+    p = Polynomial(2, {(2, 0): 1.0, (1, 0): -0.5, (0, 2): 2.0, (0, 1): 2.0, (0, 0): 0.5625})
     got = newton_polish(p, np.array([0.9, 0.9]), 2.0)
     np.testing.assert_allclose(got, [0.25, -0.5], atol=1e-12)
 
 
 def test_polish_quartic_flat_minimum():
     # derivative 4(x-1/2)^3 has its zero at 1/2; bisection oracle
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    p = (x - 0.5) * (x - 0.5) * (x - 0.5) * (x - 0.5)
+    # (x - 1/2)^4
+    p = Polynomial(1, {(4,): 1.0, (3,): -2.0, (2,): 1.5, (1,): -0.5, (0,): 0.0625})
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -791,7 +770,7 @@ def _piecewise_objective(seed):
 def test_jet_matches_diff_polynomials(make):
     # the table's exact derivatives against the formal ones, built by diff
     obj = make()
-    m = obj.ring.controls
+    m = obj.controls
     grads = [obj.diff(k) for k in range(m)]
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -808,9 +787,7 @@ def test_jet_matches_diff_polynomials(make):
 def test_polish_concave_ends_on_sphere():
     # p = -x^2 has no interior minimizer: the polish stops on the sphere at a
     # KKT point of the ball problem, with g + mu x = 0 at mu = 2, so H + mu I = 0
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    p = Polynomial.constant(r, 0.0) - x * x
+    p = Polynomial(1, {(2,): -1.0})
     got = newton_polish(p, np.array([0.1]), 0.4)
     assert abs(abs(got[0]) - 0.4) <= 1e-15
     assert abs(p.eval(got) + 0.16) <= 1e-15
@@ -822,10 +799,7 @@ def test_polish_concave_ends_on_sphere():
 def test_polish_projects_start_into_ball():
     # a start outside the ball (first moments can sit just outside it, by the
     # solver's tolerance) is scaled back radially before the first step
-    r = Ring(2)
-    x0 = Polynomial.variable(r, 0)
-    x1 = Polynomial.variable(r, 1)
-    p = x0 + x1
+    p = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})
     got = newton_polish(p, np.array([-3.0, -4.0]), 1.0)
     np.testing.assert_allclose(got, [-np.sqrt(0.5), -np.sqrt(0.5)], atol=1e-12)
     assert np.linalg.norm(got) <= 1.0 + 1e-12
@@ -893,8 +867,7 @@ def test_status_follows_gap(system, m):
 
 
 def test_polish_validates_start_shape():
-    r = Ring(2)
-    p = Polynomial.variable(r, 0)
+    p = Polynomial(2, {(1, 0): 1.0})
     for start in (np.array([1.0]), np.array([np.nan, 0.0])):
         with pytest.raises(ValueError):
             newton_polish(p, start, 1.0)
@@ -909,18 +882,14 @@ def test_polish_validates_start_shape():
 
 
 def test_minimize_sum_of_squares():
-    r = Ring(2)
-    x0 = Polynomial.variable(r, 0)
-    x1 = Polynomial.variable(r, 1)
-    res = minimize_global(x0 * x0 + x1 * x1)
+    res = minimize_global(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}))
     np.testing.assert_allclose(res.x, [0.0, 0.0], atol=1e-8)
     assert res.value <= 1e-12
     assert abs(res.gap) <= 1e-9
 
 
 def test_minimize_constant_polynomial():
-    r = Ring(2)
-    res = minimize_global(Polynomial.constant(r, 3.5))
+    res = minimize_global(Polynomial(2, {(0, 0): 3.5}))
     assert abs(res.bound - 3.5) < 1e-8
     assert abs(res.value - 3.5) < 1e-12
     assert np.linalg.norm(res.x) <= res.radius + 1e-9
@@ -938,11 +907,10 @@ def test_minimize_planted_instance():
 def test_minimize_gap_never_significantly_negative():
     # minimizers outside the default ball 1.05 sqrt(m): the result must stay
     # in the ball the bound covers, so its value cannot fall below the bound
-    r1, r2 = Ring(1), Ring(2)
-    x = Polynomial.variable(r1, 0)
-    y0, y1 = Polynomial.variable(r2, 0), Polynomial.variable(r2, 1)
-    outside = [(x - 2.0) * (x - 2.0),
-               (y0 - 2.0) * (y0 - 2.0) + (y1 + 0.5) * (y1 + 0.5)]
+    # (x - 2)^2 and (y0 - 2)^2 + (y1 + 1/2)^2
+    outside = [Polynomial(1, {(2,): 1.0, (1,): -4.0, (0,): 4.0}),
+               Polynomial(2, {(2, 0): 1.0, (1, 0): -4.0, (0, 2): 1.0, (0, 1): 1.0,
+                              (0, 0): 4.25})]
     for obj in [planted_instance(seed)[0] for seed in range(6)] + outside:
         res = minimize_global(obj)
         assert res.gap >= -1e-8
@@ -950,18 +918,14 @@ def test_minimize_gap_never_significantly_negative():
 
 
 def test_minimize_respects_explicit_order():
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    res = minimize_global(x * x, order=2)
+    res = minimize_global(Polynomial(1, {(2,): 1.0}), order=2)
     assert res.order >= 2
     assert abs(res.value) < 1e-10
 
 
 def test_minimize_rejects_too_small_order():
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
     with pytest.raises(ValueError):
-        minimize_global(x * x * x * x, order=1)
+        minimize_global(Polynomial(1, {(4,): 1.0}), order=1)
 
 
 def test_bound_below_ball_scan():
@@ -974,9 +938,7 @@ def test_bound_below_ball_scan():
 
 
 def test_bound_monotone_in_order():
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    p = (x - 0.5) * (x - 0.5)
+    p = Polynomial(1, {(2,): 1.0, (1,): -1.0, (0,): 0.25})
     bounds = []
     for d in (1, 2, 3):
         res = minimize_global(p, order=d)
@@ -1069,9 +1031,7 @@ def test_polish_saddle_start_deterministic():
     # quartic with two symmetric wells, polished from exactly x = 0: zero
     # gradient and negative curvature, so the first step is the hard case of
     # the ball model, and its sign must pick the same well every run
-    r = Ring(1)
-    x = Polynomial.variable(r, 0)
-    p = (x * x - 1.0) * (x * x - 1.0)
+    p = Polynomial(1, {(4,): 1.0, (2,): -2.0, (0,): 1.0})  # (x^2 - 1)^2
     picks = {float(newton_polish(p, np.array([0.0]), 1.05)[0]) for _ in range(3)}
     assert len(picks) == 1
     (pick,) = picks
@@ -1088,11 +1048,8 @@ def test_motzkin_ends_uncertified():
     # the origin, a degenerate critical point (gradient and Hessian vanish)
     # where the polish stops.  The result is reported as uncertified, with
     # its true gap, rather than rescued by a multi-start
-    r = Ring(2)
-    x = Polynomial.variable(r, 0)
-    y = Polynomial.variable(r, 1)
-    x2, y2 = x * x, y * y
-    p = x2 * x2 * y2 + x2 * y2 * y2 - 3.0 * x2 * y2 + 1.0
+    # x^4 y^2 + x^2 y^4 - 3 x^2 y^2 + 1
+    p = Polynomial(2, {(4, 2): 1.0, (2, 4): 1.0, (2, 2): -3.0, (0, 0): 1.0})
     res = minimize_global(p, radius=1.5)
     assert res.status == "uncertified"
     assert np.linalg.norm(res.x) <= 1e-6

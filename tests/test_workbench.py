@@ -290,14 +290,15 @@ def test_timing_bench_rejects_bad_range():
 
 def test_cli_rejects_unknown_command(capsys):
     # a flag the subcommand does not read is as unknown as the command
-    for argv in (["optimize-everything"], ["gbchd-report"], ["target-gen", "--ball", "1"],
+    for argv in (["optimize-everything"], ["gbchd-report"], ["synth-pw"],
+                 ["target-gen", "--ball", "1"],
                  ["bench-timing", "--system", "ibmq3"], ["target-gen", "--order", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
 
 
-SYSTEM = {"--system", "--qubits", "--coupling", "--horizon", "--control-dim"}
+SYSTEM = {"--system", "--qubits", "--coupling", "--horizon", "--control-dim", "--control"}
 SOLVE = {"--order", "--seed", "--relax-order", "--ball"}
 BATCH = {"--trials", "--format", "--quiet"}
 
@@ -314,18 +315,17 @@ def test_cli_flag_sets():
     flags = parser_flags()
     assert flags == {
         "synth": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
-        "synth-pw": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
-        "bench-fidelity": SYSTEM | SOLVE | BATCH | {"--control", "--out"},
+        "bench-fidelity": SYSTEM | SOLVE | BATCH | {"--out"},
         "bench-timing": {"--coupling", "--horizon", "--control-dim"} | SOLVE | BATCH
         | {"--min-qubits", "--max-qubits", "--out"},
         "target-gen": SYSTEM | {"--problem", "--seed", "--trials", "--out"},
     }
-    assert sum(len(f) for f in flags.values()) == 60
+    assert sum(len(f) for f in flags.values()) == 50
 
 
 def test_readme_flag_table_matches_parser():
     # each README table row names its commands, then their flags; "system
-    # flags" stands for the five system flags
+    # flags" stands for the six system flags
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| subcommand | flags |") + 2
     table = {}
@@ -365,7 +365,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["target-gen", "--problem", str(huge_h0), "--out", str(out)], "H0 has an entry that does not fit"),
         (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
         (["synth", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
-        (["synth-pw", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
+        (["synth", "--control", "piecewise", "--trial", "-1", "--out", str(out)],
+         "--trial must be non-negative"),
         (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
          "--qubits, --coupling"),
         (["bench-fidelity", "--trials", "1", "--ball", "-1", "--out", str(out)], "radius"),
@@ -409,7 +410,7 @@ def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monk
     for argv in (
         ["synth", "--control-dim", "16"],
         ["synth", "--problem", str(prob)],
-        ["synth-pw", "--control-dim", "9"],
+        ["synth", "--control", "piecewise", "--control-dim", "9"],
         ["synth", "--control-dim", "7", "--relax-order", "4"],
         ["bench-fidelity", "--control-dim", "16", "--trials", "1"],
         ["bench-timing", "--control-dim", "16", "--max-qubits", "2", "--trials", "1"],
@@ -468,10 +469,16 @@ def test_cli_synth_small_ball_keeps_control_inside(tmp_path):
     assert np.linalg.norm(payload["x_hat"]) <= 0.8 * (1 + 1e-12)
 
 
-def test_cli_synth_pw_rejects_poly_problem_file(tmp_path, capsys):
+def test_cli_synth_piecewise_problem_file(tmp_path, capsys):
+    # the file's control model picks the generator: grade 4 for piecewise
     prob = tmp_path / "prob.json"
-    prob.write_text(json.dumps(problem_dict(ctype="poly")))
-    assert main(["synth-pw", "--problem", str(prob)]) == 2
+    prob.write_text(json.dumps(problem_dict(ctype="piecewise")))
+    out = tmp_path / "result.json"
+    assert main(["synth", "--problem", str(prob), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["order"] == 4
+    # --control is a system flag, which the file replaces
+    assert main(["synth", "--problem", str(prob), "--control", "piecewise"]) == 2
+    assert "--control" in capsys.readouterr().err
 
 
 def test_cli_bench_fidelity_json_format(tmp_path, capsys):
