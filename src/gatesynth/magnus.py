@@ -106,16 +106,28 @@ def _require_poly(spec: ProblemSpec):
         raise ValueError("operation requires a polynomial control envelope")
 
 
-def _nested_commutator(ops, choice: tuple[int, ...], memo: dict) -> np.ndarray:
+def _nested_commutator(ops, word: tuple[int, ...], memo: dict) -> np.ndarray | None:
     """Right-nested commutator [A_c1, [A_c2, ... A_ck]] of ``ops`` for the
-    operand choice (c1, ..., ck), each distinct one formed once in ``memo``."""
-    if choice not in memo:
-        if len(choice) == 1:
-            memo[choice] = ops[choice[0]]
+    word (c1, ..., ck), or None where it vanishes, each distinct one formed
+    once in ``memo``.
+
+    A word whose innermost pair repeats a letter vanishes, since [A, A] = 0.
+    One whose innermost pair is reversed is the negation of its mirror, and
+    exactly so in floating point: a - b is -(b - a), and negating a factor
+    negates a product.
+    """
+    if word not in memo:
+        if len(word) == 1:
+            memo[word] = ops[word[0]]
+        elif word[-2] == word[-1]:
+            memo[word] = None
+        elif word[-2] > word[-1]:
+            mirror = word[:-2] + (word[-1], word[-2])
+            memo[word] = -_nested_commutator(ops, mirror, memo)
         else:
-            p, q = ops[choice[0]], _nested_commutator(ops, choice[1:], memo)
-            memo[choice] = p @ q - q @ p
-    return memo[choice]
+            p, q = ops[word[0]], _nested_commutator(ops, word[1:], memo)
+            memo[word] = p @ q - q @ p
+    return memo[word]
 
 
 def _simplex_weight(time_exps: tuple[int, ...]) -> tuple[int, int]:
@@ -144,25 +156,30 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
     the Gc slots, integrated over 0 <= tk <= ... <= t1 <= T.  With
     E(t) = sum_i x_i t^i, each tuple of envelope powers at the Gc slots
     contributes the monomial weight T**power / denom to the control monomial
-    that counts those powers.  Each distinct nested commutator is formed once
-    per term.
+    that counts those powers.  Each distinct nonzero nested commutator is
+    formed once per term, and the choices whose commutators vanish are
+    skipped.
     """
     _require_poly(spec)
     if not 1 <= k <= 3:
         raise ValueError(f"order {k} outside the implemented range 1..3")
     m = spec.m
     ops = (-1j * spec.h0, -1j * spec.hc)
-    memo: dict[tuple[int, ...], np.ndarray] = {}
+    memo: dict[tuple[int, ...], np.ndarray | None] = {}
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for choice in itertools.product((0, 1), repeat=k):
         lie = _nested_commutator(ops, choice, memo)
+        if k == 3:
+            c1, c2, c3 = choice
+            rotated = _nested_commutator(ops, (c3, c1, c2), memo)
+            if rotated is not None:
+                lie = -rotated if lie is None else lie - rotated
+        if lie is None:
+            continue
         if k == 2:
             lie = 0.5 * lie
         elif k == 3:
-            c1, c2, c3 = choice
-            lie = (1.0 / 6.0) * (lie - _nested_commutator(ops, (c3, c1, c2), memo))
-        if not lie.any():
-            continue
+            lie = (1.0 / 6.0) * lie
         weights: dict[tuple[int, ...], complex] = {}
         for powers in itertools.product(range(m), repeat=sum(choice)):
             # time exponents: the next power at a Gc slot, 0 at a G0 slot

@@ -22,16 +22,16 @@ same blocks with another right-hand side; a moment relaxation's structure is
 such a problem.  Buffers allocated once per solve hold the slab of W (x) W
 (which, once spent, takes T^T and the rows that U updates), the slab
 products T = A (W (x) W)[:, cells] and then U = A[rows, cells] T^T, the
-Schur accumulator and matrix, its Cholesky factor, and per block the
-(X_k, Z_k) pair and the two step-length congruences, each a (2, s_k, s_k)
-stack for one eigensolve.
+Schur matrix, the Schur accumulator that its lifted copy and then its
+Cholesky factor are written over, and per block the (X_k, Z_k) pair and the
+two step-length congruences, each a (2, s_k, s_k) stack for one eigensolve.
 
 The eigensolves call numpy's LAPACK gufuncs, the ones under
 ``np.linalg.eigh`` and ``eigvalsh``, directly.  Where np.linalg raises
 LinAlgError on a failed solve, a gufunc returns NaN (and warns); every use
-below tests the least eigenvalue with a comparison that NaN fails, and
-raises the same LinAlgError.  LAPACK returns eigenvalues in ascending order,
-so the least is the first.  Vector and matrix norms are sqrt(v . v), which
+below tests the least eigenvalue for NaN, or with a comparison that NaN
+fails, and raises the same LinAlgError.  LAPACK returns eigenvalues in
+ascending order, so the least is the first.  Vector and matrix norms are sqrt(v . v), which
 is what ``np.linalg.norm`` computes for real input.
 """
 
@@ -74,35 +74,13 @@ def _checked_rhs(b) -> np.ndarray:
     return b
 
 
-def _constraint_rows(a, p: int, s: int, k: int) -> sparse.csr_array:
-    """Block k of the constraints as a (p, s*s) CSR matrix.
-
-    A dense (p, s, s) stack goes through one reshape to (p, s*s).  The
-    result is a copy: validation sorts its indices in place.
-    """
-    if not sparse.issparse(a):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (p, s, s):
-            raise ValueError(
-                f"constraint stack {k} has shape {a.shape}, want ({p},{s},{s})"
-            )
-        a = a.reshape(p, s * s)
-    rows = sparse.csr_array(a, dtype=float, copy=True)
-    if rows.shape != (p, s * s):
-        raise ValueError(
-            f"constraint block {k} has shape {rows.shape}, want ({p},{s * s})"
-        )
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class SDPProblem:
     """Block-diagonal standard-form SDP data.
 
     ``c_blocks`` is one symmetric matrix per block.  ``a_blocks[k]`` is the
     k-th block of every constraint as one sparse (n_constraints, s_k * s_k)
-    CSR matrix, row i holding block k of A_i in row-major order; a dense
-    (n_constraints, s_k, s_k) stack is accepted and converted.  ``b`` is the
+    CSR matrix, row i holding block k of A_i in row-major order.  ``b`` is the
     right-hand side, with at least one constraint.  Every entry must be
     finite and no constraint zero.  The validated cost and constraint blocks
     are read-only copies.
@@ -135,7 +113,12 @@ class SDPProblem:
             c = np.asarray(self.c_blocks[k], dtype=float)
             if c.shape != (s, s):
                 raise ValueError(f"cost block {k} has shape {c.shape}, want ({s},{s})")
-            a = _constraint_rows(self.a_blocks[k], p, s, k)
+            # a copy: validation sorts its indices in place
+            a = sparse.csr_array(self.a_blocks[k], dtype=float, copy=True)
+            if a.shape != (p, s * s):
+                raise ValueError(
+                    f"constraint block {k} has shape {a.shape}, want ({p},{s * s})"
+                )
             if not (np.isfinite(c).all() and np.isfinite(a.data).all()):
                 raise ValueError(f"block {k} has a non-finite cost or constraint entry")
             if np.linalg.norm(c - c.T) > 1e-12 * (1 + np.abs(c).max()):
@@ -242,15 +225,6 @@ def _nt_scaling(z: np.ndarray, x_eig):
     return _sym(xh @ inner_isqrt @ xh)
 
 
-def _max_step(lam: float) -> float:
-    """Largest alpha with I + alpha T PSD, from T's least eigenvalue ``lam``."""
-    if lam >= 0:
-        return np.inf
-    if lam < 0:
-        return -1.0 / lam
-    raise LinAlgError("eigvalsh failed")
-
-
 def _step_lengths(isqrt_pairs, dx, dz, congruences) -> tuple[float, float]:
     """Primal and dual step lengths: STEP_FRACTION of the largest alpha with
     X + alpha dX and Z + alpha dZ PSD, capped at 1.
@@ -258,16 +232,20 @@ def _step_lengths(isqrt_pairs, dx, dz, congruences) -> tuple[float, float]:
     ``isqrt_pairs[k]`` holds V / sqrt(w) from eigh(X_k) and from eigh(Z_k),
     which act as M^{-1/2} = (V / sqrt(w)) @ V.T.  The two congruences of
     block k are written into the (2, s_k, s_k) buffer ``congruences[k]`` so
-    that one stacked eigensolve per block serves both sides.
+    that one stacked eigensolve per block serves both sides.  With lam the
+    least eigenvalue of T over all blocks, I + alpha T is PSD up to
+    alpha = -1/lam when lam < 0, and for every alpha otherwise.
     """
-    steps = []
+    least = []
     for (lx, lz), dxk, dzk, t in zip(isqrt_pairs, dx, dz, congruences):
         _sym(lx.T @ dxk @ lx, out=t[0])
         _sym(lz.T @ dzk @ lz, out=t[1])
-        steps.append([_max_step(lam) for lam in _least_eigenvalues(t)])
-    ap = min(s[0] for s in steps)
-    ad = min(s[1] for s in steps)
-    return min(1.0, STEP_FRACTION * ap), min(1.0, STEP_FRACTION * ad)
+        least.append(_least_eigenvalues(t))
+    least = np.min(least, axis=0)
+    if np.isnan(least).any():
+        raise LinAlgError("eigvalsh failed")
+    return tuple(min(1.0, STEP_FRACTION * (-1.0 / lam)) if lam < 0 else 1.0
+                 for lam in least.tolist())
 
 
 def _initial_point(sizes, c_norms, b):
@@ -349,7 +327,7 @@ def _matvecs(a: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> None:
     )
 
 
-def _schur_assembler(a_blocks, slabs):
+def _schur_assembler(a_blocks, slabs, acc: np.ndarray):
     """The map W -> symmetrised sum_k A_k (W_k (x) W_k) A_k^T.
 
     W (x) W is symmetric, so the rows of M that a slab's cells touch gain
@@ -357,9 +335,11 @@ def _schur_assembler(a_blocks, slabs):
     for cell (i, j) is the outer product of W[:, i] and W[:, j].  Two flat
     buffers serve every slab: the slab buffer holds those columns, then T^T
     once T is formed, then the rows of the accumulator that U updates; the
-    other holds T, then U.  They, the accumulator and the returned matrix are
-    shared by every call, so each call overwrites the matrix the previous
-    one returned.
+    other holds T, then U.  They and the returned matrix are shared by every
+    call, so each call overwrites the matrix the previous one returned.  The
+    C-contiguous (p, p) accumulator ``acc`` is the caller's, and is dead once
+    the call returns: the solver lends it the buffer its Cholesky factor is
+    later written over.
     """
     p = a_blocks[0].shape[0]
     shapes = [
@@ -368,7 +348,6 @@ def _schur_assembler(a_blocks, slabs):
     ]
     slab = np.empty(max(max(cols * n, n * p, r * p) for cols, n, r in shapes))
     other = np.empty(max(p * max(n, r) for _, n, r in shapes))
-    acc = np.empty((p, p))
     m = np.empty((p, p))
 
     def assemble(w_blocks):
@@ -399,7 +378,7 @@ def _schur_assembler(a_blocks, slabs):
     return assemble
 
 
-def _block0_fix(a0: sparse.csr_array):
+def _block0_fix(block: _Block):
     """Map a defect to the least-norm block-0 correction X_0 with A_0(X_0) = defect.
 
     X_0 = A_0*(defect / d), with d the squared block-0 norm of each row:
@@ -408,7 +387,6 @@ def _block0_fix(a0: sparse.csr_array):
     correction, so the fix is exact for every constraint with an entry in
     block 0.
     """
-    block = _Block(a0)
     # d adds each row's squares in stored order, as the sparse product would
     d = np.bincount(block.rows, block.data * block.data, minlength=block.p)
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
@@ -433,7 +411,7 @@ class _Operators:
         self.norms = norms
         self.blocks = tuple(_Block(a) for a in self.a_blocks)
         self.slabs = [_schur_slabs(a, blk.s) for a, blk in zip(self.a_blocks, self.blocks)]
-        self.block0_fix = _block0_fix(self.a_blocks[0])
+        self.block0_fix = _block0_fix(self.blocks[0])
         _read_only(norms, *self.a_blocks,
                    *(part for sl in self.slabs for slab in sl for part in slab))
 
@@ -480,10 +458,10 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     p = b.shape[0]
     b_norm = _norm(b)
     c_norms = [_norm(c) for c in c_blocks]
-    schur = _schur_assembler(ops.a_blocks, ops.slabs)
-    # the lifted Schur matrix, in Fortran order so that potrf factors it in place
+    # the lifted Schur matrix, in Fortran order so that potrf factors it in
+    # place; its transpose, C-contiguous, is the assembler's accumulator
     lifted = np.empty((p, p), order="F")
-    diagonal = np.diag_indices(p)
+    schur = _schur_assembler(ops.a_blocks, ops.slabs, lifted.T)
 
     # X_k and Z_k live in one (2, s_k, s_k) stack for the stacked eigh
     pairs = [np.empty((2, s, s)) for s in prob.block_sizes]
@@ -560,7 +538,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
             # finiteness scans
             lift = 1e-14 * (1.0 + np.abs(np.diag(m_schur)).max())
             np.copyto(lifted, m_schur)
-            lifted[diagonal] += lift
+            lifted.flat[:: p + 1] += lift
             factor = _cholesky_in_place(lifted)
 
             def solve_direction(sigma_mu):
@@ -636,8 +614,8 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
         dual_value=dv,
         gap=abs(pv - dv) / (1.0 + abs(pv) + abs(dv)),
         y=y / norms,
-        x_blocks=[xk.copy() for xk in x],
-        z_blocks=[zk.copy() for zk in z],
+        x_blocks=x,
+        z_blocks=z,
         iterations=it,
         stop_reason=ended_by,
         primal_residual=_norm(rp * norms),

@@ -154,15 +154,16 @@ def check_sdp_budget(m: int, order: int, relax_order: int | None):
     (Magnus order or BCH grade) has degree at most max(1, n - 1) in the m
     controls; that is also the base relaxation order of its objective.  At
     relaxation order r the SDP has p = C(m + 2r, 2r) - 1 constraints.
-    sdp_solve keeps three p x p float64 matrices (Schur accumulator and
-    matrix, Cholesky factor) and two Schur slab buffers, each up to
-    p x (the largest slab's cells or rows), 0.67 p^2 at m = 10, order 2; one
-    solve there (p = 1000) peaked at 4.5 p^2 doubles, and 8 are planned, so
-    the budget admits p <= 4096.
+    sdp_solve keeps two p x p float64 matrices (the Schur matrix, and the
+    Schur accumulator that its lifted copy and then its Cholesky factor are
+    written over) and two Schur slab buffers, each up to p x (the largest
+    slab's cells or rows), 0.67 p^2 at m = 10, order 2.  One solve there
+    (p = 1000) peaked at 3.46 p^2 doubles under tracemalloc; 6 are planned,
+    a margin of 1.7, so the budget admits p <= 4729.
     """
     r = relax_order if relax_order is not None else max(1, order - 1)
     p = comb(m + 2 * r, 2 * r) - 1
-    need = 8 * 8 * p * p
+    need = 6 * 8 * p * p
     if need > MEMORY_BUDGET:
         raise ValueError(
             f"{m} controls at relaxation order {r} give {p} SDP constraints, "

@@ -1,5 +1,6 @@
 """Tests for the truncated Magnus series builder."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -224,12 +225,44 @@ def per_choice_integrand(a):
     return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
 
 
-def magnus_term_per_choice(spec, k):
-    """magnus_term with every nested commutator formed afresh for each choice."""
+def per_choice_lie(ops, choice):
+    """A choice's Lie element with every nested commutator formed afresh."""
+    return per_choice_integrand([ops[c] for c in choice])
+
+
+def old_memo_lie():
+    """A choice's Lie element as formed from a memo of every right-nested
+    commutator, the vanishing ones included: 2 products per distinct word."""
+    memo = {}
+
+    def nested(ops, word):
+        if word not in memo:
+            if len(word) == 1:
+                memo[word] = ops[word[0]]
+            else:
+                p, q = ops[word[0]], nested(ops, word[1:])
+                memo[word] = p @ q - q @ p
+        return memo[word]
+
+    def lie_of(ops, choice):
+        lie = nested(ops, choice)
+        if len(choice) == 2:
+            return 0.5 * lie
+        if len(choice) == 3:
+            c1, c2, c3 = choice
+            return (1.0 / 6.0) * (lie - nested(ops, (c3, c1, c2)))
+        return lie
+
+    return lie_of
+
+
+def magnus_term_reference(spec, k, lie_of):
+    """magnus_term with each choice's Lie element from ``lie_of(ops, choice)``,
+    skipped when it has no nonzero entry."""
     ops = (-1j * spec.h0, -1j * spec.hc)
     coeffs = {}
     for choice in itertools.product((0, 1), repeat=k):
-        lie = per_choice_integrand([ops[c] for c in choice])
+        lie = lie_of(ops, choice)
         if not lie.any():
             continue
         weights = {}
@@ -251,11 +284,43 @@ def test_term_commutators_memoised_bit_identical(system, m, k):
     # same key order, as four commutators for every choice
     pair = ibmq3() if system == "ibmq3" else build_ising(3)
     spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(m))
-    want = magnus_term_per_choice(spec, k)
+    want = magnus_term_reference(spec, k, per_choice_lie)
     got = magnus_term(spec, k).coeffs
     assert list(got) == list(want)
     for e, c in want.items():
         assert got[e].tobytes() == c.tobytes()
+
+
+class MatmulCount(np.ndarray):
+    """An array that counts the matrix products it is the left factor of."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        MatmulCount.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("system", ["ibmq3", "ising3"])
+def test_term_forms_each_nonzero_word_once(system, monkeypatch):
+    # words ending in a repeated letter vanish and those ending in (Gc, G0)
+    # negate a formed one, so order 2 forms [G0, Gc] and order 3 also
+    # [G0, [G0, Gc]] and [Gc, [G0, Gc]]: 8 products for build_lambda(., 3),
+    # where a memo of every word took 32; the coefficients keep their bytes
+    pair = ibmq3() if system == "ibmq3" else build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+    counted = copy.copy(spec)
+    for name in ("h0", "hc"):
+        object.__setattr__(counted, name, getattr(spec, name).view(MatmulCount))
+    monkeypatch.setattr(MatmulCount, "products", 0)
+    build_lambda(counted, 3)
+    assert MatmulCount.products == 8
+    for k in (1, 2, 3):
+        want = magnus_term_reference(spec, k, old_memo_lie())
+        got = magnus_term(spec, k).coeffs
+        assert list(got) == list(want)
+        for e, c in want.items():
+            assert got[e].tobytes() == c.tobytes()
 
 
 def test_degree_bounds():

@@ -51,25 +51,31 @@ def planted_instance(seed, m=3, horizon=1.0, order=3):
 # ---------------------------------------------------------------- sdp_solve
 
 
+def csr_rows(stack):
+    """A constraint block from a (p, s, s) stack: row i holds matrix i in
+    row-major order."""
+    stack = np.asarray(stack, dtype=float)
+    p, s, _ = stack.shape
+    return sparse.csr_array(stack.reshape(p, s * s))
+
+
 def sdp_psd_boundary_2x2():
     # min x subject to [[x,1],[1,x]] PSD has optimum x = 1
     c = (np.array([[1.0, 0.0], [0.0, 0.0]]),)
-    a = (np.stack([np.array([[0.0, 0.5], [0.5, 0.0]]), np.diag([1.0, -1.0])]),)
+    a = (csr_rows([[[0.0, 0.5], [0.5, 0.0]], np.diag([1.0, -1.0])]),)
     return SDPProblem((2,), c, a, np.array([1.0, 0.0]))
 
 
 def sdp_identity_cost_3x3():
     e11 = np.zeros((3, 3))
     e11[0, 0] = 1.0
-    return SDPProblem((3,), (np.eye(3),), (e11[None],), np.array([1.0]))
+    return SDPProblem((3,), (np.eye(3),), (csr_rows([e11]),), np.array([1.0]))
 
 
 def sdp_block_structure():
     # two independent blocks solved jointly: min x+y with x,y >= 1 on diagonals
     c = (np.eye(1), np.eye(1))
-    a1 = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
-    a2 = np.zeros((1, 1, 1)), np.ones((1, 1, 1))
-    a = (np.concatenate([a1[0], a2[0]]), np.concatenate([a1[1], a2[1]]))
+    a = (csr_rows([[[1.0]], [[0.0]]]), csr_rows([[[0.0]], [[1.0]]]))
     return SDPProblem((1, 1), c, a, np.array([1.0, 2.0]))
 
 
@@ -78,8 +84,8 @@ def kernel_blocks(sizes, stacks):
     the kernel tests, but without its block-0 rule: rows may share cells."""
     p = len(stacks[0])
     a_blocks = []
-    for k, (s, a) in enumerate(zip(sizes, stacks)):
-        rows = sdp_mod._constraint_rows(a, p, s, k)
+    for s, a in zip(sizes, stacks):
+        rows = csr_rows(a)
         at = rows[:, np.arange(s * s).reshape(s, s).T.ravel()]
         a_blocks.append(sparse.csr_array(0.5 * (rows + at)))
     return types.SimpleNamespace(block_sizes=tuple(sizes), a_blocks=tuple(a_blocks),
@@ -121,48 +127,46 @@ def test_sdp_identity_cost_3x3():
 
 
 def test_sdp_rejects_zero_constraint():
-    z = np.zeros((2, 2))
+    z = csr_rows(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="identically zero"):
-        SDPProblem((2,), (np.eye(2),), (z[None],), np.array([0.0]))
+        SDPProblem((2,), (np.eye(2),), (z,), np.array([0.0]))
 
 
 def test_sdp_rejects_no_constraints():
     with pytest.raises(ValueError):
-        SDPProblem((2,), (np.eye(2),), (np.zeros((0, 2, 2)),), np.zeros(0))
+        SDPProblem((2,), (np.eye(2),), (csr_rows(np.zeros((0, 2, 2))),), np.zeros(0))
 
 
 def test_sdp_validates_shapes():
     with pytest.raises(ValueError):
-        SDPProblem((2,), (np.eye(3),), (np.zeros((1, 2, 2)),), np.array([1.0]))
+        SDPProblem((2,), (np.eye(3),), (csr_rows(np.zeros((1, 2, 2))),), np.array([1.0]))
     with pytest.raises(ValueError):
         SDPProblem(
             (2,),
             (np.array([[0.0, 1.0], [0.0, 0.0]]),),
-            (np.eye(2)[None],),
+            (csr_rows([np.eye(2)]),),
             np.array([1.0]),
         )
     # a block count that differs from block_sizes is rejected, whether the
     # extra blocks would be dropped or the missing ones looked up
-    a, z = np.eye(2)[None], np.zeros((1, 3, 3))
+    a, z = csr_rows([np.eye(2)]), csr_rows(np.zeros((1, 3, 3)))
     with pytest.raises(ValueError, match="per block size"):
         SDPProblem((2,), (np.eye(2), np.eye(3)), (a, z), np.array([1.0]))
     with pytest.raises(ValueError, match="per block size"):
         SDPProblem((2, 3), (np.eye(2),), (a,), np.array([1.0]))
 
 
-@pytest.mark.parametrize("where", ["b", "cost", "dense_constraint", "csr_constraint"])
+@pytest.mark.parametrize("where", ["b", "cost", "csr_constraint"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sdp_rejects_non_finite_data(where, bad):
     # checked once at construction, so the solver never meets it
-    c, a, b = np.eye(2), np.eye(2)[None], np.array([1.0])
+    c, a, b = np.eye(2), csr_rows([np.eye(2)]), np.array([1.0])
     if where == "b":
         b = np.array([bad])
     elif where == "cost":
         c = np.array([[1.0, 0.0], [0.0, bad]])
     else:
-        a = np.array([[[1.0, 0.0], [0.0, bad]]])
-        if where == "csr_constraint":
-            a = sparse.csr_array(a.reshape(1, 4))
+        a = csr_rows([[[1.0, 0.0], [0.0, bad]]])
     with pytest.raises(ValueError, match="non-finite"):
         SDPProblem((2,), (c,), (a,), b)
 
@@ -183,19 +187,20 @@ def test_sdp_duplicated_constraint():
     b = np.array([1.0, 2.0])
     for second in (2.0 * e00, np.eye(2)):
         with pytest.raises(ValueError, match="block 0"):
-            SDPProblem((2,), (np.eye(2),), (np.stack([e00, second]),), b)
+            SDPProblem((2,), (np.eye(2),), (csr_rows([e00, second]),), b)
     # rows may share cells of the other blocks
     prob = SDPProblem((1, 2), (np.eye(1), np.eye(2)),
-                      (np.array([1.0, 0.0]).reshape(2, 1, 1), np.stack([e00, np.eye(2)])), b)
+                      (csr_rows([[[1.0]], [[0.0]]]), csr_rows([e00, np.eye(2)])), b)
     assert prob.n_constraints == 2
 
 
-def test_sdp_dense_stacks_become_csr_rows():
+def test_sdp_keeps_symmetric_csr_rows():
     prob = sdp_psd_boundary_2x2()
     (a,) = prob.a_blocks
     assert sparse.issparse(a) and a.format == "csr" and a.shape == (2, 4)
     np.testing.assert_array_equal(a.toarray(), [[0, 0.5, 0.5, 0], [1, 0, 0, -1]])
-    # CSR input is taken as it is, and its rows must be symmetric patterns too
+    # validated blocks are taken again as they are; a row that is not a
+    # symmetric pattern, or a block of the wrong shape, is rejected
     again = SDPProblem((2,), prob.c_blocks, prob.a_blocks, prob.b)
     np.testing.assert_array_equal(again.a_blocks[0].toarray(), a.toarray())
     skew = sparse.csr_array(np.array([[0.0, 1.0, 0.0, 0.0]]))
@@ -223,6 +228,13 @@ def dense_stacks(prob):
 def random_spd(rng, s):
     g = rng.standard_normal((s, s))
     return g @ g.T / s + np.eye(s)
+
+
+def schur_assembler(prob, slabs):
+    """The Schur assembler with an accumulator laid out as the solver lends
+    it: the C-contiguous transpose of a Fortran-order (p, p) array."""
+    p = prob.n_constraints
+    return sdp_mod._schur_assembler(prob.a_blocks, slabs, np.empty((p, p), order="F").T)
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -255,7 +267,7 @@ def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
         np.einsum("nij,mij->nm", a, np.einsum("ij,mjk,kl->mil", w, a, w, optimize=True))
         for a, w in zip(stacks, ws)
     )
-    assert_rel_close(sdp_mod._schur_assembler(prob.a_blocks, slabs)(ws), want)
+    assert_rel_close(schur_assembler(prob, slabs)(ws), want)
 
 
 @pytest.mark.parametrize("case", sorted(SDP_OPERATOR_CASES))
@@ -371,7 +383,7 @@ def test_sdp_primal_fix_exact_in_moment_block():
     gram = (a0 @ a0.T).toarray()
     np.testing.assert_array_equal(gram, np.diag(np.diag(gram)))
     defect = np.random.default_rng(6).standard_normal(prob.n_constraints)
-    fix = sdp_mod._block0_fix(a0)(defect)
+    fix = sdp_mod._block0_fix(sdp_mod._Block(a0))(defect)
     assert np.array_equal(fix, pinv_block0_fix(a0)(defect))
     s0, s1 = prob.block_sizes
     assert fix.shape == (s0, s0)
@@ -382,7 +394,7 @@ def test_sdp_primal_fix_exact_in_moment_block():
     # a constraint with no block-0 entry gets no fix, as under the
     # pseudo-inverse: the second row of the block-structure problem
     a0 = sdp_block_structure().a_blocks[0]
-    fix0 = sdp_mod._block0_fix(a0)
+    fix0 = sdp_mod._block0_fix(sdp_mod._Block(a0))
     assert np.array_equal(fix0(np.array([0.0, 1.0])), np.zeros((1, 1)))
     defect = np.array([0.5, -3.0])
     assert np.array_equal(fix0(defect), [[0.5]])
@@ -422,10 +434,10 @@ def test_schur_buffers_reused_bit_identical(monkeypatch):
     assert all(sl[-1][0].size < sl[0][0].size for sl in slabs)
     rng = np.random.default_rng(9)
     w1, w2 = ([random_spd(rng, s) for s in prob.block_sizes] for _ in range(2))
-    shared = sdp_mod._schur_assembler(prob.a_blocks, slabs)
+    shared = schur_assembler(prob, slabs)
     for ws in (w1, w2, w1):
         got = shared(ws).copy()
-        assert np.array_equal(got, sdp_mod._schur_assembler(prob.a_blocks, slabs)(ws))
+        assert np.array_equal(got, schur_assembler(prob, slabs)(ws))
         assert np.array_equal(got, schur_allocating(prob.a_blocks, slabs, ws))
 
 
@@ -454,7 +466,7 @@ def test_schur_assembler_matches_scipy_reference_bytes(case, monkeypatch):
     slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
     assert len(slabs[0]) == block0_slabs
     rng = np.random.default_rng(12)
-    shared = sdp_mod._schur_assembler(prob.a_blocks, slabs)
+    shared = schur_assembler(prob, slabs)
     for _ in range(2):
         ws = [random_spd(rng, s) for s in prob.block_sizes]
         want = schur_allocating(prob.a_blocks, slabs, ws)
@@ -487,7 +499,7 @@ def solve_on_reference_path(prob, monkeypatch):
     and the block-0 fix through the dense pseudo-inverse."""
     with monkeypatch.context() as patch:
         patch.setattr(prob._ops, "block0_fix", pinv_block0_fix(prob._ops.a_blocks[0]))
-        patch.setattr(sdp_mod, "_schur_assembler", lambda a_blocks, slabs: (
+        patch.setattr(sdp_mod, "_schur_assembler", lambda a_blocks, slabs, acc: (
             functools.partial(schur_allocating, a_blocks, slabs)))
         patch.setattr(sdp_mod, "_eigh", np.linalg.eigh)
         patch.setattr(sdp_mod, "_least_eigenvalues",
@@ -510,6 +522,25 @@ def test_sdp_solve_matches_reference_path(make, monkeypatch):
     prob = make()
     want = solve_on_reference_path(prob, monkeypatch)
     assert_same_solution(sdp_solve(prob), want)
+
+
+def test_sdp_solve_peak_memory():
+    # a solve holds the Schur matrix, the accumulator its lifted copy and
+    # Cholesky factor are written over, and two slab buffers (0.5 p^2 each
+    # here).  At p = 494 it peaked at 5.05 p^2 doubles when the assembler
+    # kept an accumulator of its own, and at 4.05 p^2 without it
+    obj, _ = planted_instance(0, m=8, horizon=0.5)
+    scaled, _, radius, order = relaxation_setup(obj)
+    prob = moment_relax(scaled, radius, order)[0]
+    p = prob.n_constraints
+    assert (p, order) == (494, 2)
+    tracemalloc.start()
+    try:
+        sdp_solve(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * p * p
 
 
 def test_sdp_stop_reason(monkeypatch):

@@ -383,13 +383,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_sdp_budget_bounds_control_dim():
-    # p = C(m + 2r, 2r) - 1 constraints at relaxation order r; 8 p^2 doubles
-    # fit the 1 GiB budget up to p = 4096
+    # p = C(m + 2r, 2r) - 1 constraints at relaxation order r; 6 p^2 doubles
+    # fit the 1 GiB budget up to p = 4729
     check_sdp_budget(15, 3, None)       # order-3 Magnus, r = 2: p = 3875
     check_sdp_budget(8, 4, None)        # grade-4 BCH, r = 3: p = 3002
     check_sdp_budget(9, 3, None)        # grade 3 at m = 9, r = 2: p = 714
     check_sdp_budget(16, 3, 1)          # an explicit order replaces the base one
-    for m, order, relax_order in ((16, 3, None), (9, 4, None), (7, 3, 4)):
+    check_sdp_budget(95, 2, None)       # order-2 Magnus, r = 1: p = 4655
+    for m, order, relax_order in ((16, 3, None), (9, 4, None), (7, 3, 4), (96, 2, None)):
         with pytest.raises(ValueError, match="budget"):
             check_sdp_budget(m, order, relax_order)
     with pytest.raises(ValueError, match="budget"):
