@@ -6,17 +6,18 @@ Nesterov-Todd scaling with a predictor-corrector centering choice.
 
 The iterates, the cost blocks and the Schur complement are dense; the
 constraints are sparse.  Block k of every constraint is one (p, s_k^2) CSR
-matrix A_k whose row i is block k of A_i in row-major order.  A(X) and A*(y)
-are ``np.bincount`` sums over the entries' row and column index arrays, which
-add in the same order as scipy's CSR and CSC mat-vecs.  The Schur complement
+matrix A_k whose row i is block k of A_i in row-major order, and the solver
+keeps its CSR transpose A_k^T beside it.  Every sparse product runs on
+``csr_matvecs``, the kernel behind scipy's CSR @ dense, called without
+scipy's dispatch: A(X) on A_k, A*(y) and the block-0 fix on A_k^T, the
+block-0 row norms on A_0 with squared entries.  The Schur complement
 sum_k A_k (W_k (x) W_k) A_k^T is assembled from fixed-size column slabs of
-W (x) W: in a moment block every cell belongs to one constraint, so a block
-costs s^4 (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997, formula F3).
-Both sparse products of a slab run on ``csr_matvecs``, the kernel behind
-scipy's CSR @ dense, called without scipy's dispatch.
+W (x) W, each a run of rows of A_k^T: in a moment block every cell belongs
+to one constraint, so a block costs s^4 (Fujisawa, Kojima & Nakata, Math.
+Program. 79, 1997, formula F3).
 
 What the solver derives from the constraint blocks alone (the normalised
-blocks, their index arrays, the Schur slabs and the block-0 row norms) is
+blocks, their transposes, the Schur slabs and the block-0 row norms) is
 built with the problem and shared, read-only, by every problem made from the
 same blocks with another right-hand side; a moment relaxation's structure is
 such a problem.  Buffers allocated once per solve hold the slab of W (x) W
@@ -258,73 +259,53 @@ def _initial_point(sizes, c_norms, b):
     return x0, np.zeros(b.shape[0]), z0
 
 
-class _Block:
-    """One (p, s*s) CSR constraint block as the index arrays of its entries.
-
-    A(X) and A*(y) are ``np.bincount`` sums over the entries in stored order,
-    the order in which scipy's ``csr_matvec`` (A x) and ``csc_matvec``
-    (A^T y) add them, so they give the same bits without the sparse
-    dispatch.
-    """
-
-    def __init__(self, a: sparse.csr_array):
-        self.p = a.shape[0]
-        self.s = math.isqrt(a.shape[1])
-        self.rows = np.repeat(np.arange(self.p), np.diff(a.indptr))
-        self.cols = a.indices
-        self.data = a.data
-        _read_only(self.rows)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Vector of <A_i, X> over this block."""
-        return np.bincount(self.rows, self.data * x.ravel()[self.cols], minlength=self.p)
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i A_i over this block, as an (s, s) matrix."""
-        return np.bincount(
-            self.cols, self.data * y[self.rows], minlength=self.s * self.s
-        ).reshape(self.s, self.s)
-
-
-def _apply_adjoint(blocks, y):
-    """sum_i y_i A_i per block."""
-    return [blk.adjoint(y) for blk in blocks]
-
-
-def _apply_forward(blocks, x_blocks):
-    """vector of <A_i, X> across blocks."""
-    return sum(blk.forward(x) for blk, x in zip(blocks, x_blocks))
-
-
-def _schur_slabs(a: sparse.csr_array, s: int) -> list:
-    """Column slabs of one constraint block for ``_schur_assembler``.
-
-    Each slab is a run of at most _SLAB_ENTRIES // s^2 cells (row-major
-    indices lo:hi) with an entry in some constraint: the row and column of
-    each cell, the constraints with an entry there, and their
-    (constraints, cells) CSR submatrix.
-    """
-    width = max(1, _SLAB_ENTRIES // (s * s))
-    cols = a.tocsc()
-    slabs = []
-    for lo in range(0, s * s, width):
-        hi = min(lo + width, s * s)
-        part = cols[:, lo:hi]
-        rows = np.unique(part.indices)
-        if rows.size:
-            i, j = np.divmod(np.arange(lo, hi), s)
-            slabs.append((i, j, rows, sparse.csr_array(part[rows])))
-    return slabs
-
-
-def _matvecs(a: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ x for a C-contiguous dense x, on flat buffers: scipy's kernel
-    for CSR @ dense, adding in its order, without its dispatch."""
+def _matvecs(a: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ x for a dense x and a C-contiguous out: scipy's kernel for
+    CSR @ dense without its dispatch.  Each row starts from +0 and adds its
+    entries in stored order, as ``csr_matvec`` and ``csc_matvec`` do."""
     out.fill(0.0)
     n_row, n_col = a.shape
     _sparsetools.csr_matvecs(
         n_row, n_col, x.size // n_col, a.indptr, a.indices, a.data, x, out
     )
+    return out
+
+
+def _apply_forward(a_blocks, x_blocks):
+    """vector of <A_i, X> across blocks."""
+    return sum(_matvecs(a, x, np.empty(a.shape[0])) for a, x in zip(a_blocks, x_blocks))
+
+
+def _apply_adjoint(transposes, y):
+    """sum_i y_i A_i per block, from the blocks' (s*s, p) CSR transposes."""
+    out = []
+    for at in transposes:
+        s = math.isqrt(at.shape[0])
+        out.append(_matvecs(at, y, np.empty((s, s))))
+    return out
+
+
+def _schur_slabs(at: sparse.csr_array) -> list:
+    """Cell slabs of one constraint block for ``_schur_assembler``, from its
+    (s*s, p) CSR transpose.
+
+    Each slab is a run of at most _SLAB_ENTRIES // s^2 cells (row-major
+    indices lo:hi, so rows lo:hi of the transpose) with an entry in some
+    constraint: the row and column of each cell, the constraints with an
+    entry there, and their (constraints, cells) CSR submatrix.
+    """
+    cells = at.shape[0]
+    s = math.isqrt(cells)
+    width = max(1, _SLAB_ENTRIES // cells)
+    slabs = []
+    for lo in range(0, cells, width):
+        hi = min(lo + width, cells)
+        part = at[lo:hi]
+        rows = np.unique(part.indices)
+        if rows.size:
+            i, j = np.divmod(np.arange(lo, hi), s)
+            slabs.append((i, j, rows, sparse.csr_array(part[:, rows].T)))
+    return slabs
 
 
 def _schur_assembler(a_blocks, slabs, acc: np.ndarray):
@@ -378,20 +359,20 @@ def _schur_assembler(a_blocks, slabs, acc: np.ndarray):
     return assemble
 
 
-def _block0_fix(block: _Block):
+def _block0_fix(a0: sparse.csr_array, a0t: sparse.csr_array):
     """Map a defect to the least-norm block-0 correction X_0 with A_0(X_0) = defect.
 
     X_0 = A_0*(defect / d), with d the squared block-0 norm of each row:
     the rows have disjoint supports, so A_0 A_0^T = diag(d).  A row with
     d = 0 gets no fix, as under the pseudo-inverse.  The other blocks get no
     correction, so the fix is exact for every constraint with an entry in
-    block 0.
+    block 0.  ``a0t`` is A_0's CSR transpose.
     """
-    # d adds each row's squares in stored order, as the sparse product would
-    d = np.bincount(block.rows, block.data * block.data, minlength=block.p)
+    squares = sparse.csr_array((a0.data * a0.data, a0.indices, a0.indptr), shape=a0.shape)
+    d = _matvecs(squares, np.ones(a0.shape[1]), np.empty(a0.shape[0]))
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     _read_only(inv)
-    return lambda defect: block.adjoint(inv * defect)
+    return lambda defect: _apply_adjoint((a0t,), inv * defect)[0]
 
 
 class _Operators:
@@ -399,7 +380,9 @@ class _Operators:
 
     The blocks are normalised to unit Frobenius norm per constraint for a
     better-scaled Schur complement; ``norms`` maps b and y to and from that
-    scaling.  Every array here is read-only.
+    scaling.  ``transposes`` holds each normalised block's CSR transpose,
+    which A*(y), the block-0 fix and the Schur slabs read.  Every array here
+    is read-only.
     """
 
     def __init__(self, a_blocks):
@@ -408,11 +391,11 @@ class _Operators:
             raise ValueError("a constraint matrix is identically zero")
         unit = sparse.diags_array(1.0 / norms)
         self.a_blocks = tuple(sparse.csr_array(unit @ a) for a in a_blocks)
+        self.transposes = tuple(sparse.csr_array(a.T) for a in self.a_blocks)
         self.norms = norms
-        self.blocks = tuple(_Block(a) for a in self.a_blocks)
-        self.slabs = [_schur_slabs(a, blk.s) for a, blk in zip(self.a_blocks, self.blocks)]
-        self.block0_fix = _block0_fix(self.blocks[0])
-        _read_only(norms, *self.a_blocks,
+        self.slabs = [_schur_slabs(at) for at in self.transposes]
+        self.block0_fix = _block0_fix(self.a_blocks[0], self.transposes[0])
+        _read_only(norms, *self.a_blocks, *self.transposes,
                    *(part for sl in self.slabs for slab in sl for part in slab))
 
 
@@ -453,7 +436,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     # the solve runs on unit-norm constraints; y is mapped back at the end
     ops = prob._ops
     c_blocks = prob.c_blocks
-    norms, blocks = ops.norms, ops.blocks
+    norms, a_blocks, transposes = ops.norms, ops.a_blocks, ops.transposes
     b = prob.b / norms
     p = b.shape[0]
     b_norm = _norm(b)
@@ -461,7 +444,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     # the lifted Schur matrix, in Fortran order so that potrf factors it in
     # place; its transpose, C-contiguous, is the assembler's accumulator
     lifted = np.empty((p, p), order="F")
-    schur = _schur_assembler(ops.a_blocks, ops.slabs, lifted.T)
+    schur = _schur_assembler(a_blocks, ops.slabs, lifted.T)
 
     # X_k and Z_k live in one (2, s_k, s_k) stack for the stacked eigh
     pairs = [np.empty((2, s, s)) for s in prob.block_sizes]
@@ -473,8 +456,8 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     z = [pair[1] for pair in pairs]
 
     def residuals():
-        rp = b - _apply_forward(blocks, x)
-        ady = _apply_adjoint(blocks, y)
+        rp = b - _apply_forward(a_blocks, x)
+        ady = _apply_adjoint(transposes, y)
         rd = [c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
         return rp, rd
 
@@ -543,7 +526,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
 
             def solve_direction(sigma_mu):
                 rhs = b + _apply_forward(
-                    blocks, [wrdw[k] - sigma_mu * zinv[k] for k in range(nblk)]
+                    a_blocks, [wrdw[k] - sigma_mu * zinv[k] for k in range(nblk)]
                 )
                 dy = _cholesky_solve(factor, rhs)
                 # one round of iterative refinement against the exact matrix;
@@ -552,7 +535,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
                 r = rhs - m_schur @ dy
                 if _norm(r) > 1e-14 * (1.0 + _norm(rhs)):
                     dy = dy + _cholesky_solve(factor, r)
-                ady = _apply_adjoint(blocks, dy)
+                ady = _apply_adjoint(transposes, dy)
                 dz = [rd[k] - ady[k] for k in range(nblk)]
                 dx = [
                     _sym(sigma_mu * zinv[k] - x[k] - w[k] @ dz[k] @ w[k])
@@ -562,7 +545,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
                 # round-off; the Schur solve's error would otherwise leak into
                 # the residual.  A least-norm fix over all blocks pushes the
                 # localizing block out of the cone and collapses the steps.
-                defect = rp - _apply_forward(blocks, dx)
+                defect = rp - _apply_forward(a_blocks, dx)
                 dx[0] = dx[0] + ops.block0_fix(defect)
                 return dx, dy, dz
 

@@ -303,9 +303,7 @@ def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
         raise ValueError("qubit range must satisfy 2 <= min <= max <= 7")
     specs = []
     for qubits in range(n_min, n_max + 1):
-        pair = build_ising(qubits, cfg.coupling)
-        spec = ProblemSpec(pair.h0, pair.hc, cfg.horizon,
-                           PolyControl(cfg.control_dim), label=pair.label)
+        spec = make_spec("ising", qubits, cfg.coupling, "poly", cfg.control_dim, cfg.horizon)
         # warm caches (allocator pools, BLAS thread spin-up) per size so the
         # first timed repetition is not systematically slower
         warm = build_bench_generator(spec, cfg.order)
@@ -396,13 +394,20 @@ def timing_csv(records) -> str:
     return buf.getvalue()
 
 
+def json_ready(value):
+    """``value`` for ``json.dumps(..., allow_nan=False)``: arrays as lists and
+    non-finite floats as None, since JSON has no NaN or infinity."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_ready(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def records_to_json(records) -> list:
-    """JSON-ready list of dicts, arrays expanded to lists."""
-    out = []
-    for r in records:
-        d = {}
-        for f in fields(r):
-            v = getattr(r, f.name)
-            d[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
-        out.append(d)
-    return out
+    """Records as ``json_ready`` dicts, one per record."""
+    return [json_ready({f.name: getattr(r, f.name) for f in fields(r)}) for r in records]

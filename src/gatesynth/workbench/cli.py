@@ -19,6 +19,7 @@ from gatesynth.workbench.bench import (
     build_bench_generator,
     check_relax_order,
     fidelity_csv,
+    json_ready,
     make_spec,
     records_to_json,
     run_fidelity_bench,
@@ -133,21 +134,22 @@ def _handle_synth(args) -> int:
     payload["system"] = spec.label
     payload["horizon"] = spec.horizon
     payload["order"] = order
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.out)
     return EXIT_OK if record.ok else EXIT_TRIAL
 
 
 def _emit_batch(args, records, summary, to_csv) -> int:
+    summary_json = json_ready(summary)
     if args.format == "json":
         body = json.dumps(
-            {"records": records_to_json(records), "summary": summary},
-            indent=2, sort_keys=True,
+            {"records": records_to_json(records), "summary": summary_json},
+            indent=2, sort_keys=True, allow_nan=False,
         )
     else:
         body = to_csv(records)
     _emit(body, args.out)
     stream = sys.stdout if args.out else sys.stderr
-    print(json.dumps(summary, sort_keys=True), file=stream)
+    print(json.dumps(summary_json, sort_keys=True, allow_nan=False), file=stream)
     return EXIT_TRIAL if summary["failed"] else EXIT_OK
 
 
@@ -172,8 +174,6 @@ def _handle_bench_fidelity(args) -> int:
 
 def _handle_bench_timing(args) -> int:
     cfg = BenchConfig(
-        system="ising",
-        qubits=args.min_qubits,
         coupling=args.coupling,
         control_dim=args.control_dim,
         order=args.order,
@@ -205,7 +205,7 @@ def _handle_target_gen(args) -> int:
             "unitary": matrix_to_json(t.unitary),
             "generator": matrix_to_json(t.generator),
         })
-    _emit(json.dumps(targets, indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(targets, indent=2, sort_keys=True, allow_nan=False), args.out)
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 The benchmark reads package names the package does not otherwise promise to
 keep (``Polynomial.real_coeff_dict``, ``pm_eval``, ``BenchConfig``'s fields,
 ``run_trial``, ``MomentRelaxation``'s fields).  This runs each workload's
-set-up and first pool instance through its own checks, so a rename in
-``src/`` fails here rather than as a failed benchmark run.
+set-up and every pool instance through its own checks, so a rename in
+``src/``, or a failure on one instance, fails here rather than as a failed
+benchmark run.
 """
 
 import importlib
@@ -33,9 +34,9 @@ def test_every_workload_runs_and_passes_its_checks(workloads):
     for name, make in workloads.WORKLOADS.items():
         wl = make()
         wl.setup()
-        item = wl.pool()[0]
-        out = wl.run(item)
-        assert wl.status(out) in wl.ok_statuses, name
-        reasons, _ = wl.check(item, out, np.random.default_rng(0))
-        assert reasons == [], name
-        assert wl.self_test(item, out, np.random.default_rng(1)) == [], name
+        for index, item in enumerate(wl.pool()):
+            out = wl.run(item)
+            assert wl.status(out) in wl.ok_statuses, (name, index)
+            reasons, _ = wl.check(item, out, np.random.default_rng(0))
+            assert reasons == [], (name, index)
+            assert wl.self_test(item, out, np.random.default_rng(1)) == [], (name, index)

@@ -1,6 +1,7 @@
 """Tests for the moment relaxation pipeline and the embedded SDP solver."""
 
 import functools
+import math
 import subprocess
 import sys
 import time
@@ -237,6 +238,15 @@ def schur_assembler(prob, slabs):
     return sdp_mod._schur_assembler(prob.a_blocks, slabs, np.empty((p, p), order="F").T)
 
 
+def transposes(a_blocks):
+    """The CSR transposes of constraint blocks, as the solver keeps them."""
+    return [sparse.csr_array(a.T) for a in a_blocks]
+
+
+def schur_slabs(prob):
+    return [sdp_mod._schur_slabs(at) for at in transposes(prob.a_blocks)]
+
+
 def assert_rel_close(got, want, rtol=1e-12):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
@@ -255,12 +265,11 @@ def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
     y = rng.standard_normal(prob.n_constraints)
 
     want = sum(np.einsum("nij,ij->n", a, x) for a, x in zip(stacks, xs))
-    blocks = [sdp_mod._Block(a) for a in prob.a_blocks]
-    assert_rel_close(sdp_mod._apply_forward(blocks, xs), want)
-    got = sdp_mod._apply_adjoint(blocks, y)
+    assert_rel_close(sdp_mod._apply_forward(prob.a_blocks, xs), want)
+    got = sdp_mod._apply_adjoint(transposes(prob.a_blocks), y)
     for g, a in zip(got, stacks):
         assert_rel_close(g, np.einsum("n,nij->ij", y, a))
-    slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+    slabs = schur_slabs(prob)
     if slab_entries == 50:
         assert all(len(sl) > 1 for sl, s in zip(slabs, prob.block_sizes) if s > 7)
     want = sum(
@@ -271,18 +280,57 @@ def test_sdp_operators_match_dense_reference(case, slab_entries, monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(SDP_OPERATOR_CASES))
-def test_sdp_bincount_operators_match_scipy_matvecs(case):
-    # the index-array operators add in csr_matvec's and csc_matvec's order:
-    # equal bits on the given blocks and on the solver's normalised ones
+def test_sdp_operators_match_scipy_bytes(case):
+    # A(X) on A_k and A*(y) on its CSR transpose add in the order of scipy's
+    # csr_matvec and csc_matvec: the same bytes on the given blocks and on
+    # the solver's normalised ones
     prob = SDP_OPERATOR_CASES[case]()
     rng = np.random.default_rng(10)
     y = rng.standard_normal(prob.n_constraints)
     normalised = sdp_mod._Operators(prob.a_blocks).a_blocks
     for a in (*prob.a_blocks, *normalised):
-        blk = sdp_mod._Block(a)
-        x = rng.standard_normal((blk.s, blk.s))
-        assert np.array_equal(blk.forward(x), a @ x.ravel())
-        assert np.array_equal(blk.adjoint(y), (a.T @ y).reshape(blk.s, blk.s))
+        s = math.isqrt(a.shape[1])
+        x = rng.standard_normal((s, s))
+        forward = sdp_mod._apply_forward([a], [x])
+        assert forward.tobytes() == (a @ x.ravel()).tobytes()
+        (adjoint,) = sdp_mod._apply_adjoint(transposes([a]), y)
+        assert adjoint.shape == (s, s)
+        assert adjoint.tobytes() == (a.T @ y).tobytes()
+
+
+def column_slabs(a, s):
+    """Schur slabs built from column slices of ``a.tocsc()``, the way the
+    solver built them before it kept each block's CSR transpose."""
+    width = max(1, sdp_mod._SLAB_ENTRIES // (s * s))
+    cols = a.tocsc()
+    slabs = []
+    for lo in range(0, s * s, width):
+        hi = min(lo + width, s * s)
+        part = cols[:, lo:hi]
+        rows = np.unique(part.indices)
+        if rows.size:
+            i, j = np.divmod(np.arange(lo, hi), s)
+            slabs.append((i, j, rows, sparse.csr_array(part[rows])))
+    return slabs
+
+
+@pytest.mark.parametrize("slab_entries", [sdp_mod._SLAB_ENTRIES, 50])
+@pytest.mark.parametrize("case", sorted(SDP_OPERATOR_CASES))
+def test_schur_slabs_from_transpose_match_column_slices(case, slab_entries, monkeypatch):
+    # row ranges of A^T give the slabs that column slices of A's CSC copy
+    # gave, field by field: cells, constraints and the CSR submatrix's arrays
+    monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", slab_entries)
+    prob = SDP_OPERATOR_CASES[case]()
+    normalised = sdp_mod._Operators(prob.a_blocks).a_blocks
+    for a in (*prob.a_blocks, *normalised):
+        got = sdp_mod._schur_slabs(sparse.csr_array(a.T))
+        want = column_slabs(a, math.isqrt(a.shape[1]))
+        assert len(got) == len(want)
+        for (i, j, rows, sub), (wi, wj, wrows, wsub) in zip(got, want):
+            for g, w in ((i, wi), (j, wj), (rows, wrows), (sub.indptr, wsub.indptr),
+                         (sub.indices, wsub.indices), (sub.data, wsub.data)):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert sub.format == "csr" and sub.shape == wsub.shape
 
 
 def max_step_one_matrix(eig, dm):
@@ -371,8 +419,8 @@ def test_sdp_eigensolve_failure_stalls(name, fail_at, matrix, monkeypatch):
 def pinv_block0_fix(a0):
     """The block-0 fix A_0*((A_0 A_0^T)^+ defect), through a dense pseudo-inverse."""
     g_pinv = np.linalg.pinv((a0 @ a0.T).toarray(), hermitian=True)
-    block = sdp_mod._Block(a0)
-    return lambda defect: block.adjoint(g_pinv @ defect)
+    a0t = transposes([a0])
+    return lambda defect: sdp_mod._apply_adjoint(a0t, g_pinv @ defect)[0]
 
 
 def test_sdp_primal_fix_exact_in_moment_block():
@@ -383,18 +431,17 @@ def test_sdp_primal_fix_exact_in_moment_block():
     gram = (a0 @ a0.T).toarray()
     np.testing.assert_array_equal(gram, np.diag(np.diag(gram)))
     defect = np.random.default_rng(6).standard_normal(prob.n_constraints)
-    fix = sdp_mod._block0_fix(sdp_mod._Block(a0))(defect)
+    fix = sdp_mod._block0_fix(a0, *transposes([a0]))(defect)
     assert np.array_equal(fix, pinv_block0_fix(a0)(defect))
     s0, s1 = prob.block_sizes
     assert fix.shape == (s0, s0)
     np.testing.assert_array_equal(fix, fix.T)
-    blocks = [sdp_mod._Block(a) for a in prob.a_blocks]
-    got = sdp_mod._apply_forward(blocks, [fix, np.zeros((s1, s1))])
+    got = sdp_mod._apply_forward(prob.a_blocks, [fix, np.zeros((s1, s1))])
     assert np.linalg.norm(got - defect) <= 1e-13 * np.linalg.norm(defect)
     # a constraint with no block-0 entry gets no fix, as under the
     # pseudo-inverse: the second row of the block-structure problem
     a0 = sdp_block_structure().a_blocks[0]
-    fix0 = sdp_mod._block0_fix(sdp_mod._Block(a0))
+    fix0 = sdp_mod._block0_fix(a0, *transposes([a0]))
     assert np.array_equal(fix0(np.array([0.0, 1.0])), np.zeros((1, 1)))
     defect = np.array([0.5, -3.0])
     assert np.array_equal(fix0(defect), [[0.5]])
@@ -430,7 +477,7 @@ def test_schur_buffers_reused_bit_identical(monkeypatch):
     # buffer than the call before it
     monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", 50)
     prob = sdp_dense_random()
-    slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+    slabs = schur_slabs(prob)
     assert all(sl[-1][0].size < sl[0][0].size for sl in slabs)
     rng = np.random.default_rng(9)
     w1, w2 = ([random_spd(rng, s) for s in prob.block_sizes] for _ in range(2))
@@ -463,7 +510,7 @@ def test_schur_assembler_matches_scipy_reference_bytes(case, monkeypatch):
     make, slab_entries, block0_slabs = SCHUR_REFERENCE_CASES[case]
     monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", slab_entries)
     prob = make()
-    slabs = [sdp_mod._schur_slabs(a, s) for a, s in zip(prob.a_blocks, prob.block_sizes)]
+    slabs = schur_slabs(prob)
     assert len(slabs[0]) == block0_slabs
     rng = np.random.default_rng(12)
     shared = schur_assembler(prob, slabs)
@@ -645,9 +692,8 @@ def test_relax_shared_arrays_read_only():
     prob, rel = moment_relax(scaled, radius, order)
     ops = prob._ops
     arrays = [*prob.c_blocks, ops.norms]
-    for blk in ops.blocks:
-        arrays += [blk.rows, blk.cols, blk.data]
-    for a in (*prob.a_blocks, *ops.a_blocks):
+    assert len(ops.transposes) == len(ops.a_blocks)
+    for a in (*prob.a_blocks, *ops.a_blocks, *ops.transposes):
         arrays += [a.data, a.indices, a.indptr]
     for i, j, rows, sub in ops.slabs[0]:
         arrays += [i, j, rows, sub.data, sub.indices, sub.indptr]

@@ -438,13 +438,21 @@ def test_cli_problem_file_replaces_system_flags(tmp_path, capsys):
     assert "--control-dim" in capsys.readouterr().err
 
 
+def reject_constant(name):
+    """``parse_constant`` for ``json.loads``: NaN and infinities are not JSON."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_cli_trial_failure_exit_code(tmp_path, capsys):
     # a horizon this long makes every control draw exceed the action ceiling
     out = tmp_path / "fail.json"
     rc = main(["synth", "--horizon", "50.0", "--out", str(out)])
     assert rc == 3
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(), parse_constant=reject_constant)
     assert payload["status"].startswith("error:")
+    # a failed trial's scores are null, not NaN, so any JSON parser reads them
+    assert payload["gap"] is None
+    assert payload["x_hat"] == [None, None, None]
 
 
 def test_cli_synth_problem_file(tmp_path, capsys):
@@ -510,3 +518,11 @@ def test_records_to_json_expands_arrays():
     d = records_to_json([rec])[0]
     assert d["x_star"] == [0.1, 0.2]
     assert d["x_hat"] == [0.3, 0.4]
+    # a failed record's non-finite scores, and a summary with no finite gap,
+    # become null
+    failed = bench._failed_record(1, 0, "error:ValueError", 2, 0.0, 1.0)
+    d = records_to_json([failed])[0]
+    assert d["gap"] is None and d["x_star"] == [None, None]
+    summary = bench.json_ready(bench.summarize_fidelity([failed]))
+    assert summary["max_gap"] is None
+    json.loads(json.dumps(summary, allow_nan=False), parse_constant=reject_constant)
