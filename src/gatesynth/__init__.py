@@ -18,7 +18,6 @@ from gatesynth.numerics import (
     PropagationError,
     QuadratureError,
     action_integral,
-    adaptive_simpson,
     cf4_propagate,
     expm_antihermitian,
     propagate_piecewise,
@@ -65,7 +64,6 @@ __all__ = [
     "SynthesisResult",
     "SystemPair",
     "action_integral",
-    "adaptive_simpson",
     "ball_scan_minimum",
     "bch_compose",
     "build_ising",

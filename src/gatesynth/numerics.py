@@ -3,17 +3,19 @@
 These routines are the oracles the symbolic generators are judged against, so
 they favor verifiable accuracy over speed: unitarity-exact exponentials, a
 4th-order commutator-free Magnus stepper whose result must pass a mandatory
-step-doubling check, and quadrature with an explicit failure mode.  The
-stepper and the piecewise propagator share one kernel, a product of exact
-slice unitaries formed in chunks of bounded size, so their outputs are
-unitary at any step count and their memory does not grow with it.  They stay
-numerical and apart from the symbolic Magnus expansion in
-``gatesynth.magnus``.
+step-doubling check, and the action integral by scipy's QUADPACK, whose
+reported failure is raised.  The stepper and the piecewise propagator share
+one kernel, a product of exact slice unitaries formed in chunks of bounded
+size, so their outputs are unitary at any step count and their memory does
+not grow with it.  They stay numerical and apart from the symbolic Magnus
+expansion in ``gatesynth.magnus``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from scipy.integrate import quad
 
 from gatesynth.magnus import ProblemSpec
 from gatesynth.polymat import control_values
@@ -32,8 +34,6 @@ _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0,
 # matrix entries of the slice exponentials formed at once (16 MiB of
 # complex128); Ising N=7 at 256 steps then forms 8 chunks of 64 slices
 _CHUNK_ENTRIES = 1 << 20
-# interval halvings adaptive Simpson may make before it gives up
-SIMPSON_MAX_DEPTH = 40
 
 
 class PropagationError(RuntimeError):
@@ -41,7 +41,8 @@ class PropagationError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature exceeded its subdivision budget."""
+    """QUADPACK (``scipy.integrate.quad``) reported that the action integral
+    missed its tolerance; the message is QUADPACK's."""
 
 
 def expm_antihermitian(m: np.ndarray) -> np.ndarray:
@@ -54,15 +55,6 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     herm = 0.5 * (herm + herm.conj().T)
     w, v = np.linalg.eigh(herm)
     return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def _envelope(spec: ProblemSpec, x: np.ndarray, t):
-    """E(t) for a polynomial control at scalar or vector t."""
-    t = np.asarray(t, dtype=float)
-    acc = np.zeros_like(t)
-    for k in range(spec.m - 1, -1, -1):
-        acc = acc * t + x[k]
-    return acc
 
 
 def _tree_product(mats: np.ndarray) -> np.ndarray:
@@ -113,8 +105,8 @@ def cf4_propagate(spec: ProblemSpec, x, steps: int) -> np.ndarray:
     x = control_values(spec.m, x)
     h = spec.horizon / steps
     starts = np.arange(steps) * h
-    e1 = _envelope(spec, x, starts + _GAUSS_NODES[0] * h)
-    e2 = _envelope(spec, x, starts + _GAUSS_NODES[1] * h)
+    e1 = polyval(starts + _GAUSS_NODES[0] * h, x)
+    e2 = polyval(starts + _GAUSS_NODES[1] * h, x)
     a1, a2 = _CF4_WEIGHTS
     # interleaved per step, so the product applies each step's first factor
     # before its second
@@ -156,38 +148,13 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(f"adaptive quadrature failed on [{a}, {b}]")
-    return _adaptive_simpson(
-        f, a, mid, fa, flm, fm, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, mid, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8):
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance."""
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, SIMPSON_MAX_DEPTH)
-
-
 def action_integral(spec: ProblemSpec, x) -> float:
     """Integral of the generator's spectral norm over the horizon.
 
     Values below pi are the Magnus convergence regime.  Piecewise drives sum
-    exact per-slice contributions; polynomial drives are integrated adaptively.
+    exact per-slice contributions.  Polynomial drives are integrated by
+    QUADPACK (``scipy.integrate.quad``) to absolute error 1e-8, and a reported
+    failure raises ``QuadratureError``.
     """
     x = control_values(spec.m, x)
     if spec.is_piecewise():
@@ -197,6 +164,9 @@ def action_integral(spec: ProblemSpec, x) -> float:
         )
 
     def integrand(t):
-        return spectral_norm(spec.h0 + _envelope(spec, x, t) * spec.hc)
+        return spectral_norm(spec.h0 + polyval(t, x) * spec.hc)
 
-    return float(adaptive_simpson(integrand, 0.0, spec.horizon, tol=1e-8))
+    out = quad(integrand, 0.0, spec.horizon, epsabs=1e-8, epsrel=0, full_output=1)
+    if len(out) == 4:
+        raise QuadratureError(f"action integral over [0, {spec.horizon}]: {out[3]}")
+    return float(out[0])

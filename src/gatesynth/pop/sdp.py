@@ -114,8 +114,10 @@ class SDPProblem:
             c = np.asarray(self.c_blocks[k], dtype=float)
             if c.shape != (s, s):
                 raise ValueError(f"cost block {k} has shape {c.shape}, want ({s},{s})")
-            # a copy: validation sorts its indices in place
+            # a copy with sorted indices, so that the symmetrised block, and the
+            # solve's sums, do not depend on the order the caller stored
             a = sparse.csr_array(self.a_blocks[k], dtype=float, copy=True)
+            a.sort_indices()
             if a.shape != (p, s * s):
                 raise ValueError(
                     f"constraint block {k} has shape {a.shape}, want ({p},{s * s})"

@@ -5,14 +5,13 @@ from gatesynth.workbench.bench import (
     TimingRecord,
     TrialRecord,
     build_bench_generator,
-    fidelity_csv,
     make_spec,
+    records_csv,
     run_fidelity_bench,
     run_timing_bench,
     run_trial,
     summarize_fidelity,
     summarize_timing,
-    timing_csv,
 )
 from gatesynth.workbench.problemfile import (
     ProblemFileError,
@@ -35,17 +34,16 @@ __all__ = [
     "TimingRecord",
     "TrialRecord",
     "build_bench_generator",
-    "fidelity_csv",
     "gen_target",
     "load_problem",
     "make_spec",
     "matrix_to_json",
     "parse_problem",
+    "records_csv",
     "run_fidelity_bench",
     "run_timing_bench",
     "run_trial",
     "summarize_fidelity",
     "summarize_timing",
-    "timing_csv",
     "trial_rng",
 ]

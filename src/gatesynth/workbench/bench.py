@@ -30,21 +30,6 @@ OK_STATUSES = ("polished", "uncertified")
 # (check_sdp_budget).
 MEMORY_BUDGET = 2**30
 
-FIDELITY_FIXED_COLUMNS = [
-    "trial",
-    "seed",
-    "status",
-    "objective",
-    "gap",
-    "infid_gen",
-    "infid_prop",
-    "build_ms",
-    "solve_ms",
-    "total_ms",
-]
-TIMING_COLUMNS = ["qubits", "rep", "status", "build_ms", "solve_ms"]
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     system: str = "ibmq3"
@@ -360,37 +345,34 @@ def summarize_timing(records) -> dict:
             "failed": sum(r.status not in BOUND_STATUSES for r in records)}
 
 
-def fidelity_columns(m: int) -> list:
-    return (FIDELITY_FIXED_COLUMNS
-            + [f"x_star_{k}" for k in range(m)]
-            + [f"x_hat_{k}" for k in range(m)])
+def _csv_cells(record) -> dict:
+    """Column name -> cell for one record, in field order."""
+    cells = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            cells.update((f"{f.name}_{k}", repr(float(v))) for k, v in enumerate(value))
+        elif isinstance(value, float):
+            cells[f.name] = f"{value:.3f}" if f.name.endswith("_ms") else repr(float(value))
+        else:
+            cells[f.name] = value
+    return cells
 
 
-def fidelity_csv(records) -> str:
-    """CSV body for fidelity records; column count follows the control dim."""
+def records_csv(records) -> str:
+    """CSV body for records, one column per field, empty for no records.
+
+    An array field becomes ``name_0, name_1, ...`` columns, ``*_ms`` floats
+    are written with three decimals and other floats by ``repr``.  The
+    header is the first record's.
+    """
     if not records:
         return ""
-    m = len(records[0].x_star)
+    rows = [_csv_cells(r) for r in records]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fidelity_columns(m))
-    for r in records:
-        row = [r.trial, r.seed, r.status, repr(r.objective), repr(r.gap),
-               repr(r.infid_gen), repr(r.infid_prop),
-               f"{r.build_ms:.3f}", f"{r.solve_ms:.3f}", f"{r.total_ms:.3f}"]
-        row += [repr(float(v)) for v in r.x_star]
-        row += [repr(float(v)) for v in r.x_hat]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def timing_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TIMING_COLUMNS)
-    for r in records:
-        writer.writerow([r.qubits, r.rep, r.status,
-                         f"{r.build_ms:.3f}", f"{r.solve_ms:.3f}"])
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 

@@ -4,8 +4,9 @@ Each subcommand declares only the flags it reads.  ``--problem`` replaces
 the system flags, and ``--qubits`` and ``--coupling`` size only the Ising
 chain; a system flag the run would ignore is a configuration error.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when at least one
-trial in a batch failed (the batch artifact is still written).
+Exit codes: 0 on success, 2 on configuration errors (a target the oracle
+cannot propagate or integrate included), 3 when at least one trial in a
+batch failed (the batch artifact is still written).
 """
 
 import argparse
@@ -13,19 +14,18 @@ import json
 import sys
 
 from gatesynth.magnus import ProblemSpec
-from gatesynth.numerics import action_integral
+from gatesynth.numerics import PropagationError, QuadratureError, action_integral
 from gatesynth.workbench.bench import (
     BenchConfig,
     build_bench_generator,
     check_relax_order,
-    fidelity_csv,
     json_ready,
     make_spec,
+    records_csv,
     records_to_json,
     run_fidelity_bench,
     run_timing_bench,
     run_trial,
-    timing_csv,
 )
 from gatesynth.workbench.problemfile import (
     ProblemFileError,
@@ -138,7 +138,7 @@ def _handle_synth(args) -> int:
     return EXIT_OK if record.ok else EXIT_TRIAL
 
 
-def _emit_batch(args, records, summary, to_csv) -> int:
+def _emit_batch(args, records, summary) -> int:
     summary_json = json_ready(summary)
     if args.format == "json":
         body = json.dumps(
@@ -146,7 +146,7 @@ def _emit_batch(args, records, summary, to_csv) -> int:
             indent=2, sort_keys=True, allow_nan=False,
         )
     else:
-        body = to_csv(records)
+        body = records_csv(records)
     _emit(body, args.out)
     stream = sys.stdout if args.out else sys.stderr
     print(json.dumps(summary_json, sort_keys=True, allow_nan=False), file=stream)
@@ -169,7 +169,7 @@ def _handle_bench_fidelity(args) -> int:
         radius=args.ball,
     )
     records, summary = run_fidelity_bench(cfg, progress=_progress_printer(args.quiet))
-    return _emit_batch(args, records, summary, fidelity_csv)
+    return _emit_batch(args, records, summary)
 
 
 def _handle_bench_timing(args) -> int:
@@ -187,7 +187,7 @@ def _handle_bench_timing(args) -> int:
         cfg, n_min=args.min_qubits, n_max=args.max_qubits,
         progress=_progress_printer(args.quiet),
     )
-    return _emit_batch(args, records, summary, timing_csv)
+    return _emit_batch(args, records, summary)
 
 
 def _handle_target_gen(args) -> int:
@@ -244,7 +244,8 @@ def main(argv=None) -> int:
     try:
         _check_system_flags(args)
         return args.handler(args)
-    except (ProblemFileError, TargetGenerationError, ValueError, OSError) as exc:
+    except (ProblemFileError, TargetGenerationError, PropagationError, QuadratureError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

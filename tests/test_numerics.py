@@ -12,8 +12,8 @@ from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
 from gatesynth.numerics import (
     PropagationError,
+    QuadratureError,
     action_integral,
-    adaptive_simpson,
     cf4_propagate,
     expm_antihermitian,
     propagate_reference,
@@ -218,15 +218,15 @@ def test_action_constant_control():
 
 
 def test_action_vs_riemann_sum():
-    spec = ibmq_spec(horizon=0.5, m=3)
-    x = RNG.uniform(-1, 1, size=3)
-    ts = (np.arange(100000) + 0.5) * (0.5 / 100000)
-    env = x[0] + x[1] * ts + x[2] * ts**2
-    vals = [
-        np.linalg.norm(np.asarray(spec.h0) + e * np.asarray(spec.hc), 2) for e in env
-    ]
-    riemann = np.sum(vals) * (0.5 / 100000)
-    assert action_integral(spec, x) == pytest.approx(riemann, abs=1e-7)
+    # midpoint sums on 20000 cells, on ibmq3 and on the Ising chain N=3
+    ts = (np.arange(20000) + 0.5) * (0.5 / 20000)
+    for pair, x in ((ibmq3(), RNG.uniform(-1, 1, size=3)),
+                    (build_ising(3), trial_rng(0, 1).uniform(-1, 1, 3))):
+        spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+        env = x[0] + x[1] * ts + x[2] * ts**2
+        gens = np.asarray(spec.h0) + env[:, None, None] * np.asarray(spec.hc)
+        riemann = np.linalg.norm(gens, 2, axis=(1, 2)).sum() * (0.5 / 20000)
+        assert action_integral(spec, x) == pytest.approx(riemann, abs=1e-7)
 
 
 def test_action_monotone_in_horizon():
@@ -246,6 +246,11 @@ def test_action_piecewise_exact():
     assert action_integral(spec, x) == pytest.approx(expect, rel=1e-10)
 
 
-def test_adaptive_simpson_known_integral():
-    val = adaptive_simpson(np.sin, 0.0, np.pi, tol=1e-10)
-    assert val == pytest.approx(2.0, abs=1e-9)
+def test_action_raises_quadpack_failure(monkeypatch):
+    # quad returns a 4-tuple, its message last, when QUADPACK reports failure
+    def failing_quad(f, a, b, **kwargs):
+        return 0.0, 1.0, {}, "The maximum number of subdivisions (50) has been achieved."
+
+    monkeypatch.setattr(numerics, "quad", failing_quad)
+    with pytest.raises(QuadratureError, match="maximum number of subdivisions"):
+        action_integral(ibmq_spec(), np.zeros(3))

@@ -717,6 +717,26 @@ def test_relax_second_solve_matches_fresh_problem():
     assert_same_solution(sdp_solve(prob), sdp_solve(fresh))
 
 
+def test_sdp_rebuilt_from_own_blocks_solves_bit_identically():
+    # SDPProblem sorts each constraint block's indices before it symmetrises,
+    # so a problem built again from its own blocks sums in the same order and
+    # solves to the same bytes; the certify-ising N=3, m=3 pool instance
+    pair = build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3), label=pair.label)
+    lam = build_lambda(spec, 3)
+    obj = build_objective(lam, pm_eval(lam, np.random.default_rng([0, 0]).uniform(-1, 1, 3)))
+    scale = max(abs(c) for c in obj.real_coeff_dict().values())
+    prob, _ = moment_relax(obj * (1.0 / scale), math.sqrt(3) * 1.05, 2)
+    again = SDPProblem(prob.block_sizes, prob.c_blocks, prob.a_blocks, prob.b)
+    want, got = sdp_solve(prob), sdp_solve(again)
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, list):
+            assert [a.tobytes() for a in other] == [a.tobytes() for a in value], name
+        else:
+            assert np.asarray(other).tobytes() == np.asarray(value).tobytes(), name
+
+
 def test_sdp_rhs_validated_on_every_twin():
     prob = sdp_psd_boundary_2x2()
     for bad in (np.array([1.0, np.nan]), np.array([1.0]), np.ones((2, 1))):

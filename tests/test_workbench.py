@@ -1,6 +1,8 @@
 """Tests for target generation, problem ingestion, benches, and the CLI."""
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import re
@@ -15,14 +17,14 @@ from gatesynth.numerics import action_integral, spectral_norm
 from gatesynth.workbench import bench, cli
 from gatesynth.workbench.bench import (
     BenchConfig,
+    TimingRecord,
     TrialRecord,
     check_sdp_budget,
-    fidelity_csv,
     make_spec,
+    records_csv,
     records_to_json,
     run_fidelity_bench,
     run_timing_bench,
-    timing_csv,
 )
 from gatesynth.workbench.cli import build_parser, main
 from gatesynth.workbench.problemfile import (
@@ -253,7 +255,7 @@ def test_first_order_recovery_worse_than_third():
 def test_fidelity_csv_shape():
     cfg = BenchConfig(trials=1, base_seed=2)
     records, _ = run_fidelity_bench(cfg)
-    body = fidelity_csv(records)
+    body = records_csv(records)
     lines = body.strip().split("\n")
     header = lines[0].split(",")
     assert header[:10] == ["trial", "seed", "status", "objective", "gap",
@@ -273,8 +275,51 @@ def test_timing_bench_row_counts():
     for r in records:
         assert r.build_ms > 0
         assert r.solve_ms > 0
-    body = timing_csv(records)
+    body = records_csv(records)
     assert body.split("\n")[0] == "qubits,rep,status,build_ms,solve_ms"
+
+
+def reference_fidelity_csv(records) -> str:
+    """The per-type fidelity writer that ``records_csv`` replaced."""
+    m = len(records[0].x_star)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "seed", "status", "objective", "gap", "infid_gen",
+                     "infid_prop", "build_ms", "solve_ms", "total_ms"]
+                    + [f"x_star_{k}" for k in range(m)]
+                    + [f"x_hat_{k}" for k in range(m)])
+    for r in records:
+        row = [r.trial, r.seed, r.status, repr(r.objective), repr(r.gap),
+               repr(r.infid_gen), repr(r.infid_prop),
+               f"{r.build_ms:.3f}", f"{r.solve_ms:.3f}", f"{r.total_ms:.3f}"]
+        row += [repr(float(v)) for v in r.x_star]
+        row += [repr(float(v)) for v in r.x_hat]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def reference_timing_csv(records) -> str:
+    """The per-type timing writer that ``records_csv`` replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["qubits", "rep", "status", "build_ms", "solve_ms"])
+    for r in records:
+        writer.writerow([r.qubits, r.rep, r.status,
+                         f"{r.build_ms:.3f}", f"{r.solve_ms:.3f}"])
+    return buf.getvalue()
+
+
+def test_records_csv_matches_per_type_writers():
+    x = np.array([1 / 3, -0.25, 1e-17])
+    trials = [
+        TrialRecord(0, 7, "polished", 2 / 3, 1.5e-9, 3.0e-13, 0.0, 1.2345, 0.0005,
+                    12.3456789, x, x + 1e-12),
+        bench._failed_record(1, 7, "error:PropagationError", 3, 0.25, 99.9999, x),
+    ]
+    assert records_csv(trials) == reference_fidelity_csv(trials)
+    timings = [TimingRecord(2, 0, "optimal", 1 / 7, 1234.5678),
+               TimingRecord(3, 1, "error:LinAlgError", 0.0, 2.5e-4)]
+    assert records_csv(timings) == reference_timing_csv(timings)
 
 
 def test_timing_bench_rejects_bad_range():
@@ -348,6 +393,16 @@ def test_cli_target_gen_deterministic(tmp_path):
     data = json.loads(out1.read_text())
     assert len(data) == 1
     assert len(data[0]["x_star"]) == 3
+
+
+def test_cli_target_gen_oracle_failure_exit_code(tmp_path, capsys):
+    # at T = 2 a planted ibmq3 draw fails the oracle's step-doubling check,
+    # which the run reports on one line and exit code 2, with no traceback
+    out = tmp_path / "targets.json"
+    assert main(["target-gen", "--horizon", "2", "--trials", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step-doubling defect")
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
