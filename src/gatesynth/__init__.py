@@ -22,7 +22,6 @@ from gatesynth.numerics import (
     expm_antihermitian,
     propagate_piecewise,
     propagate_reference,
-    spectral_norm,
 )
 from gatesynth.objective import (
     BranchAmbiguityError,
@@ -87,7 +86,6 @@ __all__ = [
     "propagate_reference",
     "sdp_solve",
     "slice_generator",
-    "spectral_norm",
 ]
 
 __version__ = "0.1.0"

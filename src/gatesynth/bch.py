@@ -21,14 +21,10 @@ from gatesynth.polymat import PolyMatrix, pm_commutator
 GradedOp = dict[int, PolyMatrix]
 
 
-def _require_piecewise(spec: ProblemSpec):
-    if not isinstance(spec.control, PiecewiseControl):
-        raise ValueError("operation requires a piecewise-constant control")
-
-
 def slice_generator(spec: ProblemSpec, index: int) -> PolyMatrix:
     """Generator of slice ``index`` (1-based): (T/m) * -i(H0 + x_i Hc)."""
-    _require_piecewise(spec)
+    if not isinstance(spec.control, PiecewiseControl):
+        raise ValueError("operation requires a piecewise-constant control")
     m = spec.m
     if not 1 <= index <= m:
         raise ValueError(f"slice index {index} outside 1..{m}")
@@ -99,7 +95,6 @@ def build_sigma(spec: ProblemSpec, n: int) -> PolyMatrix:
     is prepended with slice i+1 on the left, matching the product order where
     later slices are applied last.
     """
-    _require_piecewise(spec)
     if not 1 <= n <= 4:
         raise ValueError(f"truncation grade {n} outside 1..4")
     acc: GradedOp = {1: slice_generator(spec, 1)}
@@ -113,7 +108,6 @@ def gbchd_eq12(spec: ProblemSpec, n: int) -> PolyMatrix:
 
     Kept as a literal transcription that the fold is checked against.
     """
-    _require_piecewise(spec)
     if not 1 <= n <= 3:
         raise ValueError(f"order {n} outside the printed range 1..3")
     m = spec.m

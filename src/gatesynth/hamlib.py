@@ -1,33 +1,28 @@
 """Model Hamiltonian pairs used by the benchmarks.
 
 Two families: a fixed three-level transmon-style system with printed 4-decimal
-entries, and a transverse-field Ising chain on N qubits with open boundaries.
+entries, and a transverse-field Ising chain on N qubits with unit coupling and
+open boundaries.  A pair is not validated here: every use builds a
+``ProblemSpec``, which checks the operators.  A chain with another coupling is
+a problem file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-
-from gatesynth.magnus import hermitian_pair
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class SystemPair:
+class SystemPair(NamedTuple):
     """A drift operator and a control operator of equal dimension."""
 
     h0: np.ndarray
     hc: np.ndarray
-    label: str = field(default="")
-
-    def __post_init__(self):
-        h0, hc = hermitian_pair(self.h0, self.hc)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "hc", hc)
+    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -55,14 +50,14 @@ def _lift(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return out
 
 
-def build_ising(n: int, coupling: float = 1.0) -> SystemPair:
-    """Ising chain: drift -J sum_i Z_i Z_{i+1} (open ends), drive sum_i X_i."""
+def build_ising(n: int) -> SystemPair:
+    """Ising chain: drift -sum_i Z_i Z_{i+1} (open ends), drive sum_i X_i."""
     if not 2 <= n <= 7:
         raise ValueError(f"qubit count {n} outside supported range 2..7")
     dim = 2**n
     h0 = np.zeros((dim, dim))
     for i in range(n - 1):
-        h0 -= coupling * _lift(PAULI_Z, i, n) @ _lift(PAULI_Z, i + 1, n)
+        h0 -= _lift(PAULI_Z, i, n) @ _lift(PAULI_Z, i + 1, n)
     hc = np.zeros((dim, dim))
     for i in range(n):
         hc += _lift(PAULI_X, i, n)

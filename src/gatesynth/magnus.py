@@ -25,27 +25,6 @@ from gatesynth.polymat import PolyMatrix
 HERMITICITY_TOL = 1e-12
 
 
-def hermitian_pair(h0, hc) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only complex copies of a drift and a control operator.
-
-    Both must be square, of equal shape, finite and Hermitian.
-    """
-    h0 = np.array(h0, dtype=complex)
-    hc = np.array(hc, dtype=complex)
-    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-        raise ValueError("h0 must be square")
-    if hc.shape != h0.shape:
-        raise ValueError("h0 and hc must have equal shape")
-    for name, h in (("h0", h0), ("hc", hc)):
-        if not np.isfinite(h).all():
-            raise ValueError(f"{name} has non-finite entries")
-        defect = np.linalg.norm(h - h.conj().T)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
-        h.setflags(write=False)
-    return h0, hc
-
-
 @dataclass(frozen=True)
 class PolyControl:
     """Envelope E(t) = sum_k x_k t^k with m monomial basis functions."""
@@ -72,8 +51,9 @@ class PiecewiseControl:
 class ProblemSpec:
     """Driven two-operator system over a fixed horizon.
 
-    ``h0`` and ``hc`` must be finite and Hermitian of equal dimension;
-    ``horizon`` is the total evolution time, finite and positive.
+    ``h0`` and ``hc`` must be square, finite and Hermitian of equal shape,
+    and are kept as read-only complex copies; ``horizon`` is the total
+    evolution time, finite and positive.
     """
 
     h0: np.ndarray
@@ -83,7 +63,19 @@ class ProblemSpec:
     label: str = field(default="")
 
     def __post_init__(self):
-        h0, hc = hermitian_pair(self.h0, self.hc)
+        h0 = np.array(self.h0, dtype=complex)
+        hc = np.array(self.hc, dtype=complex)
+        if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+            raise ValueError("h0 must be square")
+        if hc.shape != h0.shape:
+            raise ValueError("h0 and hc must have equal shape")
+        for name, h in (("h0", h0), ("hc", hc)):
+            if not np.isfinite(h).all():
+                raise ValueError(f"{name} has non-finite entries")
+            defect = np.linalg.norm(h - h.conj().T)
+            if defect > HERMITICITY_TOL:
+                raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
+            h.setflags(write=False)
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and positive")
         object.__setattr__(self, "h0", h0)
@@ -99,11 +91,6 @@ class ProblemSpec:
 
     def is_piecewise(self) -> bool:
         return isinstance(self.control, PiecewiseControl)
-
-
-def _require_poly(spec: ProblemSpec):
-    if not isinstance(spec.control, PolyControl):
-        raise ValueError("operation requires a polynomial control envelope")
 
 
 def _nested_commutator(ops, word: tuple[int, ...], memo: dict) -> np.ndarray | None:
@@ -160,7 +147,8 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
     formed once per term, and the choices whose commutators vanish are
     skipped.
     """
-    _require_poly(spec)
+    if not isinstance(spec.control, PolyControl):
+        raise ValueError("operation requires a polynomial control envelope")
     if not 1 <= k <= 3:
         raise ValueError(f"order {k} outside the implemented range 1..3")
     m = spec.m
@@ -194,7 +182,6 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
 
 def build_lambda(spec: ProblemSpec, n: int) -> PolyMatrix:
     """Truncated generator: sum of the first n Magnus terms, n in 1..3."""
-    _require_poly(spec)
     if not 1 <= n <= 3:
         raise ValueError(f"truncation order {n} outside 1..3")
     total = magnus_term(spec, 1)

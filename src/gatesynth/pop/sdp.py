@@ -157,10 +157,6 @@ class SDPProblem:
     def n_constraints(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_sizes)
-
 
 @dataclass
 class SDPSolution:
@@ -433,7 +429,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     "suspected_infeasible"; the final iterate is always attached.
     """
     nblk = len(prob.block_sizes)
-    ntot = prob.total_dim
+    ntot = sum(prob.block_sizes)
 
     # the solve runs on unit-norm constraints; y is mapped back at the end
     ops = prob._ops
@@ -457,38 +453,26 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     x = [pair[0] for pair in pairs]
     z = [pair[1] for pair in pairs]
 
-    def residuals():
-        rp = b - _apply_forward(a_blocks, x)
-        ady = _apply_adjoint(transposes, y)
-        rd = [c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
-        return rp, rd
-
-    def current_values():
-        pv = sum(float(np.vdot(c_blocks[k], x[k])) for k in range(nblk))
-        return pv, float(b @ y)
-
     ended_by = "max_iterations"
     best = None
     halved_at = mu_at = np.inf  # quality and mu when patience was last reset
     patience = 0
     for it in range(1, MAX_ITER + 1):
-        rp, rd = residuals()
-        pv, dv = current_values()
+        # rp, rd and y are rebound here and by each step, never written in
+        # place, so the snapshot of the best iterate may keep them
+        rp = b - _apply_forward(a_blocks, x)
+        ady = _apply_adjoint(transposes, y)
+        rd = [c_blocks[k] - z[k] - ady[k] for k in range(nblk)]
+        pv = sum(float(np.vdot(c_blocks[k], x[k])) for k in range(nblk))
+        dv = float(b @ y)
         mu = sum(float(np.vdot(x[k], z[k])) for k in range(nblk)) / ntot
         gap_rel = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
         rp_norm = _norm(rp) / (1.0 + b_norm)
         rd_norm = max(_norm(rd[k]) / (1.0 + c_norms[k]) for k in range(nblk))
         quality = max(gap_rel, rp_norm, rd_norm)
         if best is None or quality < best[0]:
-            best = (
-                quality,
-                gap_rel,
-                rp_norm,
-                rd_norm,
-                [xk.copy() for xk in x],
-                y,  # rebound by each step, never written in place
-                [zk.copy() for zk in z],
-            )
+            best = (quality, gap_rel, rp_norm, rd_norm, pv, dv, rp, rd,
+                    [xk.copy() for xk in x], y, [zk.copy() for zk in z])
         # patience runs out only when neither the quality nor mu has halved
         # in five iterations: above the base order the relative gap can sit
         # near 1 for several iterations while mu still falls fast
@@ -578,7 +562,7 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
             ended_by = "stall"
             break
 
-    _, gap_rel, rp_norm, rd_norm, x, y, z = best
+    _, gap_rel, rp_norm, rd_norm, pv, dv, rp, rd, x, y, z = best
     if ended_by == "infeasible":
         status = "suspected_infeasible"
     elif gap_rel <= TOL and rp_norm <= 10 * TOL and rd_norm <= 10 * TOL:
@@ -590,14 +574,12 @@ def sdp_solve(prob: SDPProblem) -> SDPSolution:
     else:
         status = "numerical_failure"
 
-    pv, dv = current_values()
-    rp, rd = residuals()
     # residuals are reported against the caller's (unnormalized) constraints
     return SDPSolution(
         status=status,
         primal_value=pv,
         dual_value=dv,
-        gap=abs(pv - dv) / (1.0 + abs(pv) + abs(dv)),
+        gap=gap_rel,
         y=y / norms,
         x_blocks=x,
         z_blocks=z,

@@ -1,8 +1,9 @@
 """Command-line interface for synthesis runs and benchmarks.
 
 Each subcommand declares only the flags it reads.  ``--problem`` replaces
-the system flags, and ``--qubits`` and ``--coupling`` size only the Ising
-chain; a system flag the run would ignore is a configuration error.
+the system flags, and ``--qubits`` sizes only the Ising chain (coupling
+J = 1; another J is a problem file); a system flag the run would ignore is a
+configuration error.
 
 Exit codes: 0 on success, 2 on configuration errors (a target the oracle
 cannot propagate or integrate included), 3 when at least one trial in a
@@ -50,7 +51,6 @@ class _SystemFlag(argparse.Action):
 FLAGS = {
     "--system": dict(choices=("ibmq3", "ising"), default="ibmq3", action=_SystemFlag),
     "--qubits": dict(type=int, default=2, action=_SystemFlag),
-    "--coupling": dict(type=float, default=1.0, action=_SystemFlag),
     "--horizon": dict(type=float, default=0.5, action=_SystemFlag),
     "--control-dim": dict(type=int, default=3, action=_SystemFlag),
     "--problem": dict(default=None, help="JSON problem file; replaces the system flags"),
@@ -67,7 +67,7 @@ FLAGS = {
     "--max-qubits": dict(type=int, default=6),
     "--out": dict(default=None),
 }
-SYSTEM = ("--system", "--qubits", "--coupling", "--horizon", "--control-dim", "--control")
+SYSTEM = ("--system", "--qubits", "--horizon", "--control-dim", "--control")
 SOLVE = ("--order", "--seed", "--relax-order", "--ball")
 BATCH = ("--trials", "--format", "--quiet")
 
@@ -104,17 +104,15 @@ def _check_system_flags(args):
     given = tuple(dict.fromkeys(args.system_flags))
     if getattr(args, "problem", None) is not None and given:
         raise ValueError(f"--problem replaces the system flags; drop {', '.join(given)}")
-    ising_only = [flag for flag in given if flag in ("--qubits", "--coupling")]
-    if getattr(args, "system", None) == "ibmq3" and ising_only:
-        raise ValueError(f"--system ibmq3 does not read {', '.join(ising_only)}")
+    if getattr(args, "system", None) == "ibmq3" and "--qubits" in given:
+        raise ValueError("--system ibmq3 does not read --qubits")
 
 
 def _spec(args) -> ProblemSpec:
     """The run's problem: the ``--problem`` file, else the system flags."""
     if args.problem is not None:
         return load_problem(args.problem)
-    return make_spec(args.system, args.qubits, args.coupling, args.control,
-                     args.control_dim, args.horizon)
+    return make_spec(args.system, args.qubits, args.control, args.control_dim, args.horizon)
 
 
 def _handle_synth(args) -> int:
@@ -158,7 +156,6 @@ def _handle_bench_fidelity(args) -> int:
     cfg = BenchConfig(
         system=args.system,
         qubits=args.qubits,
-        coupling=args.coupling,
         control=args.control,
         control_dim=args.control_dim,
         order=_order(args, piecewise),
@@ -174,7 +171,6 @@ def _handle_bench_fidelity(args) -> int:
 
 def _handle_bench_timing(args) -> int:
     cfg = BenchConfig(
-        coupling=args.coupling,
         control_dim=args.control_dim,
         order=args.order,
         horizon=args.horizon,
@@ -216,7 +212,7 @@ COMMANDS = {
     "bench-fidelity": ("planted-target recovery batch",
                        (*SYSTEM, *SOLVE, *BATCH, "--out"), {}, _handle_bench_fidelity),
     "bench-timing": ("build/solve timing over Ising sizes",
-                     ("--coupling", "--horizon", "--control-dim", *SOLVE, *BATCH,
+                     ("--horizon", "--control-dim", *SOLVE, *BATCH,
                       "--min-qubits", "--max-qubits", "--out"),
                      {"order": 3, "trials": 5}, _handle_bench_timing),
     "target-gen": ("emit planted targets as JSON",

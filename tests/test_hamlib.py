@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gatesynth.hamlib import SystemPair, build_ising, ibmq3
+from gatesynth.hamlib import build_ising, ibmq3
 
 
 def test_ibmq3_drift_entries():
@@ -33,7 +33,7 @@ def test_ibmq3_noncommuting():
 
 
 def test_ising_n2_drift():
-    sys = build_ising(2, coupling=1.0)
+    sys = build_ising(2)
     assert np.allclose(sys.h0, -np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
@@ -64,26 +64,8 @@ def test_ising_dimension_scaling():
         assert build_ising(n).dim == 2**n
 
 
-def test_ising_coupling_scales_drift():
-    a = build_ising(3, coupling=1.0)
-    b = build_ising(3, coupling=2.5)
-    assert np.allclose(b.h0, 2.5 * a.h0)
-    assert np.allclose(b.hc, a.hc)
-
-
 def test_ising_rejects_bad_sizes():
     with pytest.raises(ValueError):
         build_ising(1)
     with pytest.raises(ValueError):
         build_ising(8)
-
-
-def test_system_pair_rejects_nonhermitian():
-    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 0.0]])):
-        with pytest.raises(ValueError):
-            SystemPair(bad, np.eye(2))
-
-
-def test_system_pair_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        SystemPair(np.eye(2), np.eye(3))

@@ -17,7 +17,6 @@ from gatesynth.numerics import (
     cf4_propagate,
     expm_antihermitian,
     propagate_reference,
-    spectral_norm,
 )
 from gatesynth.workbench.targets import trial_rng
 
@@ -116,10 +115,16 @@ def ode_propagate(spec, x):
     return sol.y[:, -1].reshape(d, d)
 
 
-@pytest.mark.parametrize("qubits", [pytest.param(None, id="ibmq3"), 2, 3])
-def test_propagate_reference_ising_matches_ode(qubits):
+@pytest.mark.parametrize("qubits, horizon", [
+    pytest.param(None, 0.5, id="ibmq3"), pytest.param(2, 0.5, id="2"),
+    pytest.param(3, 0.5, id="3"),
+    # at T = 2 trial 0 agrees only at 256 against 512 steps on ibmq3 and at
+    # 512 against 1024 on Ising N=3, past the first doubling
+    pytest.param(None, 2.0, id="ibmq3-T2"), pytest.param(3, 2.0, id="3-T2"),
+])
+def test_propagate_reference_ising_matches_ode(qubits, horizon):
     pair = ibmq3() if qubits is None else build_ising(qubits)
-    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+    spec = ProblemSpec(pair.h0, pair.hc, horizon, PolyControl(3))
     x = trial_rng(0, 0).uniform(-1.0, 1.0, 3)
     u = propagate_reference(spec, x)
     assert np.linalg.norm(u - ode_propagate(spec, x)) < 1e-9
@@ -137,12 +142,46 @@ def test_propagate_piecewise_exact_product():
 
 
 def test_propagate_detects_coarse_grids(monkeypatch):
-    # at 1 step the doubling defect for this drive is far above tolerance
-    monkeypatch.setattr(numerics, "DEFAULT_STEPS", 1)
+    # from 4 steps the doubling defect for this drive falls below tolerance
+    # only at 64 against 128 steps (8.1e-12; 1.3e-10 at 32 against 64)
+    monkeypatch.setattr(numerics, "DEFAULT_STEPS", 4)
+    calls = []
+
+    def record(spec, x, steps):
+        calls.append(steps)
+        return cf4_propagate(spec, x, steps)
+
+    monkeypatch.setattr(numerics, "cf4_propagate", record)
     spec = ibmq_spec(horizon=0.5, m=3)
     x = np.array([0.9, 0.9, 0.9])
-    with pytest.raises(PropagationError):
-        propagate_reference(spec, x)
+    u = propagate_reference(spec, x)
+    assert calls == [4, 8, 16, 32, 64, 128]
+    assert np.array_equal(u, cf4_propagate(spec, x, 128))
+
+
+def test_propagate_raises_when_steps_never_agree(monkeypatch):
+    # each result of this stepper differs from the last by 1 in every entry
+    calls = []
+
+    def drifting(spec, x, steps):
+        calls.append(steps)
+        return np.full((spec.dim, spec.dim), float(len(calls)), dtype=complex)
+
+    monkeypatch.setattr(numerics, "cf4_propagate", drifting)
+    with pytest.raises(PropagationError, match="defect 3.000e[+]00 .* steps=4096 against 8192"):
+        propagate_reference(ibmq_spec(), np.zeros(3))
+    assert calls == [128 * 2**k for k in range(numerics.MAX_DOUBLINGS + 1)]
+
+
+@pytest.mark.parametrize("qubits", [pytest.param(None, id="ibmq3"), 3])
+def test_propagate_reference_short_horizon_first_pair(qubits):
+    # at T = 0.5 every planted draw agrees at 128 against 256 steps, so the
+    # oracle returns the bytes of the 256-step product
+    pair = ibmq3() if qubits is None else build_ising(qubits)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+    for trial in range(5):
+        x = trial_rng(0, trial).uniform(-1.0, 1.0, 3)
+        assert np.array_equal(propagate_reference(spec, x), cf4_propagate(spec, x, 256))
 
 
 @pytest.mark.parametrize("slices", [3, 5, 7, 256])
@@ -176,30 +215,6 @@ def test_propagate_rejects_bad_shape():
     spec = ibmq_spec(m=3)
     with pytest.raises(ValueError):
         propagate_reference(spec, [0.1, 0.2])
-
-
-# -- spectral norm ---------------------------------------------------------------
-
-
-def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([0.0, 0.5159, 1.0])) == pytest.approx(1.0)
-
-
-def test_spectral_norm_flip():
-    sx = np.array([[0, 1], [1, 0]])
-    assert spectral_norm(sx) == pytest.approx(1.0)
-
-
-def test_spectral_norm_vs_svd():
-    for _ in range(10):
-        m = RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5))
-        assert spectral_norm(m) == pytest.approx(
-            np.linalg.norm(m, 2), rel=1e-9, abs=1e-9
-        )
-
-
-def test_spectral_norm_zero():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
 # -- action integral --------------------------------------------------------------

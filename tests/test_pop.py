@@ -118,6 +118,25 @@ def test_sdp_psd_boundary_2x2():
     assert abs(sol.dual_value - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("make", [certify_ising_relaxation, sdp_psd_boundary_2x2])
+def test_sdp_reported_values_belong_to_returned_iterate(make):
+    # the values, gap and residuals are those of x_blocks, y and z_blocks,
+    # recomputed here from the problem's public blocks
+    prob = make()
+    sol = sdp_solve(prob)
+    pv, dv = sol.primal_value, sol.dual_value
+    assert pv == sum(float(np.vdot(c, x)) for c, x in zip(prob.c_blocks, sol.x_blocks))
+    assert dv == pytest.approx(prob.b @ sol.y, rel=1e-12)
+    assert sol.gap == abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
+    rp = prob.b - sum(a @ x.ravel() for a, x in zip(prob.a_blocks, sol.x_blocks))
+    b_norm = np.linalg.norm(prob.b)
+    assert abs(sol.primal_residual - np.linalg.norm(rp)) <= 1e-12 * (1.0 + b_norm)
+    rd = max(np.linalg.norm(c - z - (a.T @ sol.y).reshape(c.shape))
+             for c, z, a in zip(prob.c_blocks, sol.z_blocks, prob.a_blocks))
+    c_norm = max(np.linalg.norm(c) for c in prob.c_blocks)
+    assert abs(sol.dual_residual - rd) <= 1e-12 * (1.0 + c_norm)
+
+
 def test_sdp_identity_cost_3x3():
     sol = sdp_solve(sdp_identity_cost_3x3())
     assert sol.status == "optimal"

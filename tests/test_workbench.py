@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatesynth import numerics
 from gatesynth.hamlib import ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
-from gatesynth.numerics import action_integral, spectral_norm
+from gatesynth.numerics import action_integral
 from gatesynth.workbench import bench, cli
 from gatesynth.workbench.bench import (
     BenchConfig,
@@ -83,7 +84,7 @@ def test_action_stays_below_ceiling_at_default_horizon():
     # corner-point bound: T * max ||H0 + e*Hc||_2 over e in {-1,1} stays
     # below pi, so no draw can be rejected at T = 0.5
     spec = poly_spec()
-    corner = max(spectral_norm(spec.h0 + e * spec.hc) for e in (-1.0, 1.0))
+    corner = max(np.linalg.norm(spec.h0 + e * spec.hc, 2) for e in (-1.0, 1.0))
     assert spec.horizon * corner < np.pi
     for trial in range(200):
         x = trial_rng(0, trial).uniform(-1.0, 1.0, spec.m)
@@ -194,22 +195,8 @@ def test_bench_config_validation():
         BenchConfig(relax_order=0)
 
 
-def test_trial_record_validation():
-    kw = dict(trial=0, seed=0, status="polished", objective=0.0, gap=0.0,
-              build_ms=1.0, solve_ms=1.0, total_ms=2.0,
-              x_star=np.zeros(3), x_hat=np.zeros(3))
-    with pytest.raises(ValueError):
-        TrialRecord(infid_gen=1.5, infid_prop=0.0, **kw)
-    with pytest.raises(ValueError):
-        TrialRecord(infid_gen=0.0, infid_prop=-0.1, **kw)
-    kw["build_ms"] = -1.0
-    with pytest.raises(ValueError):
-        TrialRecord(infid_gen=0.0, infid_prop=0.0, **kw)
-
-
 def test_make_spec_ising():
-    spec = make_spec(system="ising", qubits=3, coupling=1.0, control="poly",
-                     control_dim=2, horizon=1.0)
+    spec = make_spec(system="ising", qubits=3, control="poly", control_dim=2, horizon=1.0)
     assert spec.dim == 8
     assert spec.m == 2
 
@@ -222,12 +209,12 @@ def test_fidelity_bench_records_and_summary():
     assert summary["failed"] == 0
     for r in records:
         assert r.ok
-        assert 0.0 <= r.infid_prop <= 1.0
+        assert 0.0 <= r.infid_gen <= 1.0 and 0.0 <= r.infid_prop <= 1.0
         assert r.gap >= -1e-8
         # generator-exponential and reference-propagation scores agree to
         # within the expansion defect at this horizon and order
         assert abs(r.infid_gen - r.infid_prop) <= 1e-4
-        assert r.total_ms >= r.solve_ms
+        assert r.total_ms >= r.solve_ms >= 0.0 and r.build_ms >= 0.0
 
 
 def test_fidelity_bench_deterministic_modulo_timing():
@@ -334,16 +321,17 @@ def test_timing_bench_rejects_bad_range():
 
 
 def test_cli_rejects_unknown_command(capsys):
-    # a flag the subcommand does not read is as unknown as the command
+    # a flag the subcommand does not read is as unknown as the command; the
+    # Ising coupling is fixed at J = 1, so no command reads --coupling
     for argv in (["optimize-everything"], ["gbchd-report"], ["synth-pw"],
-                 ["target-gen", "--ball", "1"],
+                 ["target-gen", "--ball", "1"], ["synth", "--coupling", "2"],
                  ["bench-timing", "--system", "ibmq3"], ["target-gen", "--order", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
 
 
-SYSTEM = {"--system", "--qubits", "--coupling", "--horizon", "--control-dim", "--control"}
+SYSTEM = {"--system", "--qubits", "--horizon", "--control-dim", "--control"}
 SOLVE = {"--order", "--seed", "--relax-order", "--ball"}
 BATCH = {"--trials", "--format", "--quiet"}
 
@@ -361,16 +349,16 @@ def test_cli_flag_sets():
     assert flags == {
         "synth": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
         "bench-fidelity": SYSTEM | SOLVE | BATCH | {"--out"},
-        "bench-timing": {"--coupling", "--horizon", "--control-dim"} | SOLVE | BATCH
+        "bench-timing": {"--horizon", "--control-dim"} | SOLVE | BATCH
         | {"--min-qubits", "--max-qubits", "--out"},
         "target-gen": SYSTEM | {"--problem", "--seed", "--trials", "--out"},
     }
-    assert sum(len(f) for f in flags.values()) == 50
+    assert sum(len(f) for f in flags.values()) == 46
 
 
 def test_readme_flag_table_matches_parser():
     # each README table row names its commands, then their flags; "system
-    # flags" stands for the six system flags
+    # flags" stands for the five system flags
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index("| subcommand | flags |") + 2
     table = {}
@@ -395,11 +383,25 @@ def test_cli_target_gen_deterministic(tmp_path):
     assert len(data[0]["x_star"]) == 3
 
 
-def test_cli_target_gen_oracle_failure_exit_code(tmp_path, capsys):
-    # at T = 2 a planted ibmq3 draw fails the oracle's step-doubling check,
-    # which the run reports on one line and exit code 2, with no traceback
+def test_cli_target_gen_long_horizon(tmp_path):
+    # at T = 2 an ibmq3 draw needs 512 oracle steps; the oracle refines to them
     out = tmp_path / "targets.json"
-    assert main(["target-gen", "--horizon", "2", "--trials", "3", "--out", str(out)]) == 2
+    assert main(["target-gen", "--horizon", "2", "--trials", "3", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 3
+
+
+def test_cli_target_gen_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # an oracle whose step doubling never converges fails the run, which
+    # reports it on one line and exit code 2, with no traceback
+    calls = []
+
+    def drifting(spec, x, steps):
+        calls.append(steps)
+        return np.full((spec.dim, spec.dim), float(len(calls)), dtype=complex)
+
+    monkeypatch.setattr(numerics, "cf4_propagate", drifting)
+    out = tmp_path / "targets.json"
+    assert main(["target-gen", "--trials", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: step-doubling defect")
     assert not out.exists()
@@ -418,12 +420,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["synth", "--problem", str(bad)], "error:"),
         (["target-gen", "--problem", str(huge_t), "--out", str(out)], "T does not fit"),
         (["target-gen", "--problem", str(huge_h0), "--out", str(out)], "H0 has an entry that does not fit"),
-        (["synth", "--system", "ising", "--qubits", "2", "--coupling", "nan"], "non-finite"),
         (["synth", "--trial", "-1", "--out", str(out)], "--trial must be non-negative"),
         (["synth", "--control", "piecewise", "--trial", "-1", "--out", str(out)],
          "--trial must be non-negative"),
-        (["target-gen", "--qubits", "5", "--coupling", "3", "--out", str(out)],
-         "--qubits, --coupling"),
+        (["target-gen", "--qubits", "5", "--out", str(out)], "does not read --qubits"),
         (["bench-fidelity", "--trials", "1", "--ball", "-1", "--out", str(out)], "radius"),
         # the order-3 generator has entry degree 2: its objective needs order 2
         (["synth", "--relax-order", "1", "--out", str(out)], "order 1 too small"),
