@@ -174,7 +174,13 @@ def magnus_term(spec: ProblemSpec, k: int) -> PolyMatrix:
             it = iter(powers)
             power, denom = _simplex_weight(tuple(next(it) if c else 0 for c in choice))
             e = tuple(powers.count(i) for i in range(m))
-            weights[e] = weights.get(e, 0j) + spec.horizon**power / denom
+            try:
+                weight = spec.horizon**power / denom
+            except OverflowError:
+                raise ValueError(
+                    f"horizon {spec.horizon:g} overflows a float at power {power}"
+                ) from None
+            weights[e] = weights.get(e, 0j) + weight
         for e, w in weights.items():
             coeffs[e] = coeffs[e] + w * lie if e in coeffs else w * lie
     return PolyMatrix._adopt(m, spec.dim, coeffs)

@@ -2,16 +2,13 @@
 
 from gatesynth.workbench.bench import (
     BenchConfig,
-    TimingRecord,
     TrialRecord,
     build_bench_generator,
     make_spec,
     records_csv,
     run_fidelity_bench,
-    run_timing_bench,
     run_trial,
     summarize_fidelity,
-    summarize_timing,
 )
 from gatesynth.workbench.problemfile import (
     ProblemFileError,
@@ -31,7 +28,6 @@ __all__ = [
     "PlantedTarget",
     "ProblemFileError",
     "TargetGenerationError",
-    "TimingRecord",
     "TrialRecord",
     "build_bench_generator",
     "gen_target",
@@ -41,9 +37,7 @@ __all__ = [
     "parse_problem",
     "records_csv",
     "run_fidelity_bench",
-    "run_timing_bench",
     "run_trial",
     "summarize_fidelity",
-    "summarize_timing",
     "trial_rng",
 ]

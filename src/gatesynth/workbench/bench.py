@@ -1,4 +1,4 @@
-"""Benchmark drivers: planted-target recovery and build/solve timing scans.
+"""Planted-target recovery benchmark.
 
 Per-trial failures are captured in the record's status column instead of
 aborting the batch, so distribution summaries stay honest.  All randomness
@@ -20,9 +20,8 @@ from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_l
 from gatesynth.numerics import expm_antihermitian, propagate_reference
 from gatesynth.objective import build_objective, infidelity
 from gatesynth.polymat import PolyMatrix, pm_eval
-from gatesynth.pop import minimize_global, moment_relax, relaxation_setup, sdp_solve
-from gatesynth.pop.sdp import BOUND_STATUSES
-from gatesynth.workbench.targets import gen_target, trial_rng
+from gatesynth.pop import minimize_global
+from gatesynth.workbench.targets import gen_target
 
 OK_STATUSES = ("polished", "uncertified")
 
@@ -83,15 +82,6 @@ class TrialRecord:
     @property
     def ok(self) -> bool:
         return self.status in OK_STATUSES
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    qubits: int
-    rep: int
-    status: str
-    build_ms: float
-    solve_ms: float
 
 
 def make_spec(system: str, qubits: int, control: str, control_dim: int,
@@ -250,88 +240,6 @@ def summarize_fidelity(records) -> dict:
         "max_gap": float(max(finite_gaps)) if finite_gaps else float("nan"),
         "statuses": statuses,
     }
-
-
-def run_timing_bench(cfg: BenchConfig, n_min: int = 2, n_max: int = 6,
-                     progress=None):
-    """Build/solve timing scan over Ising chain sizes.
-
-    cfg.trials plays the role of repetitions per size.  The planted control
-    vector for repetition r is identical across sizes (same trial stream), so
-    size-to-size comparisons see the same control instances.  Targets come
-    from the symbolic generator itself, which keeps the solve phase free of
-    propagation cost.
-
-    The build phase covers the symbolic generator and objective assembly.
-    For a polynomial envelope its symbolic part (the scalar envelope
-    integrals) does not depend on N; only the commutators of H0 and Hc and
-    the Frobenius products grow with the matrix dimension 2^N.  The solve
-    phase covers the moment relaxation and its interior-point solve at the
-    base order; the relaxed problem depends only on the objective's
-    coefficients, never on N, so this is the phase whose cost stays flat as
-    the system grows.
-    Polishing is excluded here (the fidelity bench reports it) because its
-    work varies with the start point, not size.
-    """
-    if not 2 <= n_min <= n_max <= 7:
-        raise ValueError("qubit range must satisfy 2 <= min <= max <= 7")
-    specs = []
-    for qubits in range(n_min, n_max + 1):
-        spec = make_spec("ising", qubits, "poly", cfg.control_dim, cfg.horizon)
-        # warm caches (allocator pools, BLAS thread spin-up) per size so the
-        # first timed repetition is not systematically slower
-        warm = build_bench_generator(spec, cfg.order)
-        check_relax_order(warm, cfg.relax_order)
-        build_objective(warm, pm_eval(warm, np.zeros(spec.m)))
-        specs.append((qubits, spec))
-    records = []
-    # each repetition visits every size, so a slow spell of the host lands
-    # on all sizes alike rather than on one size's whole run
-    for rep in range(cfg.trials):
-        x_star = trial_rng(cfg.base_seed, rep).uniform(-1.0, 1.0, cfg.control_dim)
-        for qubits, spec in specs:
-            t0 = time.perf_counter()
-            generator = build_bench_generator(spec, cfg.order)
-            omega = pm_eval(generator, x_star)
-            objective = build_objective(generator, omega)
-            build_ms = 1e3 * (time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            try:
-                scaled, _, radius, order = relaxation_setup(
-                    objective, cfg.radius, cfg.relax_order)
-                prob, _ = moment_relax(scaled, radius, order)
-                sol = sdp_solve(prob)
-                status = sol.status
-            except Exception as exc:  # same per-trial isolation as fidelity
-                status = f"error:{type(exc).__name__}"
-            solve_ms = 1e3 * (time.perf_counter() - t0)
-            rec = TimingRecord(qubits, rep, status, build_ms, solve_ms)
-            records.append(rec)
-            if progress is not None:
-                progress(rec)
-    records.sort(key=lambda r: (r.qubits, r.rep))
-    summary = summarize_timing(records)
-    return records, summary
-
-
-def summarize_timing(records) -> dict:
-    per_size = []
-    for qubits in sorted({r.qubits for r in records}):
-        rows = [r for r in records if r.qubits == qubits]
-        build = np.array([r.build_ms for r in rows])
-        solve = np.array([r.solve_ms for r in rows])
-        per_size.append({
-            "qubits": qubits,
-            "reps": len(rows),
-            "build_ms_mean": float(build.mean()),
-            "build_ms_std": float(build.std()),
-            "build_ms_min": float(build.min()),
-            "solve_ms_mean": float(solve.mean()),
-            "solve_ms_std": float(solve.std()),
-            "solve_ms_min": float(solve.min()),
-        })
-    return {"sizes": per_size,
-            "failed": sum(r.status not in BOUND_STATUSES for r in records)}
 
 
 def _csv_cells(record) -> dict:

@@ -1,4 +1,5 @@
-"""Command-line interface for synthesis runs and benchmarks.
+"""Command-line interface: one synthesis run, a planted-target recovery batch,
+and planted targets as JSON.
 
 Each subcommand declares only the flags it reads.  ``--problem`` replaces
 the system flags, and ``--qubits`` sizes only the Ising chain (coupling
@@ -25,7 +26,6 @@ from gatesynth.workbench.bench import (
     records_csv,
     records_to_json,
     run_fidelity_bench,
-    run_timing_bench,
     run_trial,
 )
 from gatesynth.workbench.problemfile import (
@@ -63,8 +63,6 @@ FLAGS = {
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--quiet": dict(action="store_true"),
     "--control": dict(choices=("poly", "piecewise"), default="poly", action=_SystemFlag),
-    "--min-qubits": dict(type=int, default=2),
-    "--max-qubits": dict(type=int, default=6),
     "--out": dict(default=None),
 }
 SYSTEM = ("--system", "--qubits", "--horizon", "--control-dim", "--control")
@@ -136,21 +134,6 @@ def _handle_synth(args) -> int:
     return EXIT_OK if record.ok else EXIT_TRIAL
 
 
-def _emit_batch(args, records, summary) -> int:
-    summary_json = json_ready(summary)
-    if args.format == "json":
-        body = json.dumps(
-            {"records": records_to_json(records), "summary": summary_json},
-            indent=2, sort_keys=True, allow_nan=False,
-        )
-    else:
-        body = records_csv(records)
-    _emit(body, args.out)
-    stream = sys.stdout if args.out else sys.stderr
-    print(json.dumps(summary_json, sort_keys=True, allow_nan=False), file=stream)
-    return EXIT_TRIAL if summary["failed"] else EXIT_OK
-
-
 def _handle_bench_fidelity(args) -> int:
     piecewise = args.control == "piecewise"
     cfg = BenchConfig(
@@ -166,24 +149,18 @@ def _handle_bench_fidelity(args) -> int:
         radius=args.ball,
     )
     records, summary = run_fidelity_bench(cfg, progress=_progress_printer(args.quiet))
-    return _emit_batch(args, records, summary)
-
-
-def _handle_bench_timing(args) -> int:
-    cfg = BenchConfig(
-        control_dim=args.control_dim,
-        order=args.order,
-        horizon=args.horizon,
-        trials=args.trials,
-        base_seed=args.seed,
-        relax_order=args.relax_order,
-        radius=args.ball,
-    )
-    records, summary = run_timing_bench(
-        cfg, n_min=args.min_qubits, n_max=args.max_qubits,
-        progress=_progress_printer(args.quiet),
-    )
-    return _emit_batch(args, records, summary)
+    summary_json = json_ready(summary)
+    if args.format == "json":
+        body = json.dumps(
+            {"records": records_to_json(records), "summary": summary_json},
+            indent=2, sort_keys=True, allow_nan=False,
+        )
+    else:
+        body = records_csv(records)
+    _emit(body, args.out)
+    stream = sys.stdout if args.out else sys.stderr
+    print(json.dumps(summary_json, sort_keys=True, allow_nan=False), file=stream)
+    return EXIT_TRIAL if summary["failed"] else EXIT_OK
 
 
 def _handle_target_gen(args) -> int:
@@ -211,10 +188,6 @@ COMMANDS = {
               (*SYSTEM, "--problem", *SOLVE, "--trial", "--out"), {}, _handle_synth),
     "bench-fidelity": ("planted-target recovery batch",
                        (*SYSTEM, *SOLVE, *BATCH, "--out"), {}, _handle_bench_fidelity),
-    "bench-timing": ("build/solve timing over Ising sizes",
-                     ("--horizon", "--control-dim", *SOLVE, *BATCH,
-                      "--min-qubits", "--max-qubits", "--out"),
-                     {"order": 3, "trials": 5}, _handle_bench_timing),
     "target-gen": ("emit planted targets as JSON",
                    (*SYSTEM, "--problem", "--seed", "--trials", "--out"), {"trials": 1},
                    _handle_target_gen),

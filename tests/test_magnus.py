@@ -427,3 +427,12 @@ def test_lambda_rejects_bad_order():
         build_lambda(ibmq_spec(), 0)
     with pytest.raises(ValueError):
         build_lambda(ibmq_spec(), 4)
+
+
+def test_lambda_rejects_horizon_whose_weight_overflows():
+    # the order-3 weights reach T^7 at m = 3, past the float range at T = 1e50;
+    # the order-1 weights stop at T^3 and still fit
+    spec = ibmq_spec(horizon=1e50)
+    with pytest.raises(ValueError, match="horizon 1e\\+50 overflows a float at power 7"):
+        build_lambda(spec, 3)
+    assert np.isfinite(build_lambda(spec, 1).coeffs[(0, 0, 1)]).all()

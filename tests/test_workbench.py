@@ -18,14 +18,12 @@ from gatesynth.numerics import action_integral
 from gatesynth.workbench import bench, cli
 from gatesynth.workbench.bench import (
     BenchConfig,
-    TimingRecord,
     TrialRecord,
     check_sdp_budget,
     make_spec,
     records_csv,
     records_to_json,
     run_fidelity_bench,
-    run_timing_bench,
 )
 from gatesynth.workbench.cli import build_parser, main
 from gatesynth.workbench.problemfile import (
@@ -254,18 +252,6 @@ def test_fidelity_csv_shape():
     assert len(lines[1].split(",")) == len(header)
 
 
-def test_timing_bench_row_counts():
-    cfg = BenchConfig(system="ising", trials=2, horizon=0.5)
-    records, summary = run_timing_bench(cfg, n_min=2, n_max=3)
-    assert [(r.qubits, r.rep) for r in records] == [(2, 0), (2, 1), (3, 0), (3, 1)]
-    assert summary["failed"] == 0
-    for r in records:
-        assert r.build_ms > 0
-        assert r.solve_ms > 0
-    body = records_csv(records)
-    assert body.split("\n")[0] == "qubits,rep,status,build_ms,solve_ms"
-
-
 def reference_fidelity_csv(records) -> str:
     """The per-type fidelity writer that ``records_csv`` replaced."""
     m = len(records[0].x_star)
@@ -285,17 +271,6 @@ def reference_fidelity_csv(records) -> str:
     return buf.getvalue()
 
 
-def reference_timing_csv(records) -> str:
-    """The per-type timing writer that ``records_csv`` replaced."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["qubits", "rep", "status", "build_ms", "solve_ms"])
-    for r in records:
-        writer.writerow([r.qubits, r.rep, r.status,
-                         f"{r.build_ms:.3f}", f"{r.solve_ms:.3f}"])
-    return buf.getvalue()
-
-
 def test_records_csv_matches_per_type_writers():
     x = np.array([1 / 3, -0.25, 1e-17])
     trials = [
@@ -304,28 +279,18 @@ def test_records_csv_matches_per_type_writers():
         bench._failed_record(1, 7, "error:PropagationError", 3, 0.25, 99.9999, x),
     ]
     assert records_csv(trials) == reference_fidelity_csv(trials)
-    timings = [TimingRecord(2, 0, "optimal", 1 / 7, 1234.5678),
-               TimingRecord(3, 1, "error:LinAlgError", 0.0, 2.5e-4)]
-    assert records_csv(timings) == reference_timing_csv(timings)
-
-
-def test_timing_bench_rejects_bad_range():
-    cfg = BenchConfig(system="ising", trials=1)
-    with pytest.raises(ValueError):
-        run_timing_bench(cfg, n_min=1, n_max=3)
-    with pytest.raises(ValueError):
-        run_timing_bench(cfg, n_min=4, n_max=2)
 
 
 # --------------------------------------------------------------------- cli
 
 
 def test_cli_rejects_unknown_command(capsys):
-    # a flag the subcommand does not read is as unknown as the command; the
-    # Ising coupling is fixed at J = 1, so no command reads --coupling
+    # retired commands are unknown, and a flag the subcommand does not read is
+    # as unknown as the command; the Ising coupling is fixed at J = 1, so no
+    # command reads --coupling
     for argv in (["optimize-everything"], ["gbchd-report"], ["synth-pw"],
                  ["target-gen", "--ball", "1"], ["synth", "--coupling", "2"],
-                 ["bench-timing", "--system", "ibmq3"], ["target-gen", "--order", "0"]):
+                 ["bench-timing"], ["target-gen", "--order", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -349,11 +314,9 @@ def test_cli_flag_sets():
     assert flags == {
         "synth": SYSTEM | SOLVE | {"--problem", "--trial", "--out"},
         "bench-fidelity": SYSTEM | SOLVE | BATCH | {"--out"},
-        "bench-timing": {"--horizon", "--control-dim"} | SOLVE | BATCH
-        | {"--min-qubits", "--max-qubits", "--out"},
         "target-gen": SYSTEM | {"--problem", "--seed", "--trials", "--out"},
     }
-    assert sum(len(f) for f in flags.values()) == 46
+    assert sum(len(f) for f in flags.values()) == 34
 
 
 def test_readme_flag_table_matches_parser():
@@ -429,8 +392,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["synth", "--relax-order", "1", "--out", str(out)], "order 1 too small"),
         (["bench-fidelity", "--trials", "1", "--relax-order", "1", "--out", str(out)],
          "order 1 too small"),
-        (["bench-timing", "--max-qubits", "2", "--trials", "1", "--relax-order", "1",
-          "--out", str(out)], "order 1 too small"),
+        # T^7 of the order-3 generator's weights does not fit in a float
+        (["synth", "--horizon", "1e50", "--out", str(out)], "horizon 1e+50 overflows"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
@@ -469,7 +432,6 @@ def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monk
         ["synth", "--control", "piecewise", "--control-dim", "9"],
         ["synth", "--control-dim", "7", "--relax-order", "4"],
         ["bench-fidelity", "--control-dim", "16", "--trials", "1"],
-        ["bench-timing", "--control-dim", "16", "--max-qubits", "2", "--trials", "1"],
     ):
         assert main([*argv, "--out", str(out)]) == 2
         assert "budget" in capsys.readouterr().err
