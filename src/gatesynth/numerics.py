@@ -170,5 +170,7 @@ def action_integral(spec: ProblemSpec, x) -> float:
 
     out = quad(integrand, 0.0, spec.horizon, epsabs=1e-8, epsrel=0, full_output=1)
     if len(out) == 4:
-        raise QuadratureError(f"action integral over [0, {spec.horizon}]: {out[3]}")
+        # QUADPACK's message spans lines; the CLI prints the error on one
+        message = " ".join(out[3].split())
+        raise QuadratureError(f"action integral over [0, {spec.horizon}]: {message}")
     return float(out[0])

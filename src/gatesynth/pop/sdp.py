@@ -20,12 +20,13 @@ What the solver derives from the constraint blocks alone (the normalised
 blocks, their transposes, the Schur slabs and the block-0 row norms) is
 built with the problem and shared, read-only, by every problem made from the
 same blocks with another right-hand side; a moment relaxation's structure is
-such a problem.  Buffers allocated once per solve hold the slab of W (x) W
-(which, once spent, takes T^T and the rows that U updates), the slab
-products T = A (W (x) W)[:, cells] and then U = A[rows, cells] T^T, the
-Schur matrix, the Schur accumulator that its lifted copy and then its
-Cholesky factor are written over, and per block the (X_k, Z_k) pair and the
-two step-length congruences, each a (2, s_k, s_k) stack for one eigensolve.
+such a problem.  Buffers allocated once per solve hold the Schur matrix,
+the Schur accumulator that its lifted copy and then its Cholesky factor are
+written over, and per block the (X_k, Z_k) pair and the two step-length
+congruences, each a (2, s_k, s_k) stack for one eigensolve.  The rest of the
+Schur workspace is O(p) plus a constant: a slab's products T = A (W (x)
+W)[:, cells] and U = A[rows, cells] T^T are formed in fixed-size chunks of
+cells and of rows, and only T^T is held whole.
 
 The eigensolves call numpy's LAPACK gufuncs, the ones under
 ``np.linalg.eigh`` and ``eigvalsh``, directly.  Where np.linalg raises
@@ -56,6 +57,8 @@ BOUND_STATUSES = ("optimal", "stalled", "max_iterations")
 STEP_FRACTION = 0.98
 # entries of W (x) W that one Schur slab holds (2 MiB of float64)
 _SLAB_ENTRIES = 1 << 18
+# entries that one chunk of a slab's W (x) W columns, T or U holds (512 KiB)
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _read_only(*arrays):
@@ -311,46 +314,76 @@ def _schur_assembler(a_blocks, slabs, acc: np.ndarray):
 
     W (x) W is symmetric, so the rows of M that a slab's cells touch gain
     U = A[rows, cells] T^T with T = A (W (x) W)[:, cells]; the slab's column
-    for cell (i, j) is the outer product of W[:, i] and W[:, j].  Two flat
-    buffers serve every slab: the slab buffer holds those columns, then T^T
-    once T is formed, then the rows of the accumulator that U updates; the
-    other holds T, then U.  They and the returned matrix are shared by every
-    call, so each call overwrites the matrix the previous one returned.  The
-    C-contiguous (p, p) accumulator ``acc`` is the caller's, and is dead once
-    the call returns: the solver lends it the buffer its Cholesky factor is
-    later written over.
+    for cell (i, j) is the outer product of W[:, i] and W[:, j].  A slab's
+    columns and T are formed in chunks of cells, as many as _CHUNK_ENTRIES
+    doubles hold but at least 50, and U and its update in chunks of rows,
+    at most _CHUNK_ENTRIES doubles (or one row).  Every entry of T, U and
+    the accumulator sums the same terms in the same order as an unchunked
+    slab would.  The row pieces of each slab's CSR submatrix are cut here,
+    once per assembler.
+
+    Two flat buffers serve every slab.  The front one holds T^T, whose rows
+    for a cell chunk are written over that chunk's columns, spent by then,
+    and after T^T the accumulator rows that a U chunk updates; the back one
+    holds a T chunk, then a U chunk.  Both are O(p) plus a constant.  They
+    and the returned matrix are shared by every call, so each call
+    overwrites the matrix the previous one returned.  The C-contiguous
+    (p, p) accumulator ``acc`` is the caller's, and is dead once the call
+    returns: the solver lends it the buffer its Cholesky factor is later
+    written over.
     """
     p = a_blocks[0].shape[0]
-    shapes = [
-        (a.shape[1], cells.size, rows.size)
-        for a, sl in zip(a_blocks, slabs) for cells, _, rows, _ in sl
-    ]
-    slab = np.empty(max(max(cols * n, n * p, r * p) for cols, n, r in shapes))
-    other = np.empty(max(p * max(n, r) for _, n, r in shapes))
+    height = max(1, _CHUNK_ENTRIES // p)
+    plan, front_size, back_size = [], 0, 0
+    for a, block_slabs in zip(a_blocks, slabs):
+        cols = a.shape[1]
+        # at least 50 cells, so that einsum's inner loop, which runs over a
+        # chunk's cells, stays long
+        width = max(50, _CHUNK_ENTRIES // max(cols, p))
+        pieces = []
+        for i, j, rows, sub in block_slabs:
+            n = i.size
+            cell_chunks = [(lo, i[lo:lo + width], j[lo:lo + width])
+                           for lo in range(0, n, width)]
+            row_chunks = ([(rows, sub)] if rows.size <= height else
+                          [(rows[lo:lo + height], sub[lo:lo + height])
+                           for lo in range(0, rows.size, height)])
+            pieces.append((n, cell_chunks, row_chunks))
+            r = row_chunks[0][0].size
+            front_size = max(front_size, (n + r) * p,
+                             *(lo * p + cols * ci.size for lo, ci, _ in cell_chunks))
+            back_size = max(back_size, p * cell_chunks[0][1].size, r * p)
+        plan.append((a, pieces))
+    front, back = np.empty(front_size), np.empty(back_size)
     m = np.empty((p, p))
 
     def assemble(w_blocks):
         acc.fill(0.0)
-        for a, block_slabs, w in zip(a_blocks, slabs, w_blocks):
+        for (a, pieces), w in zip(plan, w_blocks):
             s = w.shape[0]
-            for i, j, rows, sub in block_slabs:
-                n, r = i.size, rows.size
-                kron_cols = slab[: s * s * n]
-                # one product per entry, faster than a broadcast multiply;
-                # only the sign of a zero product can differ, and the sums
-                # in T start from +0, which hides it
-                np.einsum("ac,bc->abc", np.take(w, i, axis=1), np.take(w, j, axis=1),
-                          out=kron_cols.reshape(s, s, n))
-                t, tt = other[: p * n], slab[: n * p]
-                _matvecs(a, kron_cols, t)
-                np.copyto(tt.reshape(n, p), t.reshape(p, n).T)
-                u, gathered = other[: r * p], slab[: r * p].reshape(r, p)
-                _matvecs(sub, tt, u)
-                # acc[rows] += U without a temporary; the rows are in range,
-                # and mode="clip" lets take write straight into the buffer
-                np.take(acc, rows, axis=0, out=gathered, mode="clip")
-                gathered += u.reshape(r, p)
-                acc[rows] = gathered
+            for n, cell_chunks, row_chunks in pieces:
+                tt = front[: n * p].reshape(n, p)
+                for lo, i, j in cell_chunks:
+                    c = i.size
+                    kron_cols = front[lo * p: lo * p + s * s * c]
+                    # one product per entry, faster than a broadcast multiply;
+                    # only the sign of a zero product can differ, and the sums
+                    # in T start from +0, which hides it
+                    np.einsum("ac,bc->abc", np.take(w, i, axis=1), np.take(w, j, axis=1),
+                              out=kron_cols.reshape(s, s, c))
+                    t = back[: p * c]
+                    _matvecs(a, kron_cols, t)
+                    np.copyto(tt[lo: lo + c], t.reshape(p, c).T)
+                for rows, sub in row_chunks:
+                    r = rows.size
+                    u, gathered = back[: r * p], front[n * p: (n + r) * p].reshape(r, p)
+                    _matvecs(sub, tt, u)
+                    # acc[rows] += U without a temporary; the rows are in
+                    # range, and mode="clip" lets take write straight into
+                    # the buffer
+                    np.take(acc, rows, axis=0, out=gathered, mode="clip")
+                    gathered += u.reshape(r, p)
+                    acc[rows] = gathered
         np.add(acc, acc.T, out=m)
         return np.multiply(m, 0.5, out=m)
 

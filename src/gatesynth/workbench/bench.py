@@ -17,7 +17,12 @@ import numpy as np
 from gatesynth.bch import build_sigma
 from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_lambda
-from gatesynth.numerics import expm_antihermitian, propagate_reference
+from gatesynth.numerics import (
+    PropagationError,
+    QuadratureError,
+    expm_antihermitian,
+    propagate_reference,
+)
 from gatesynth.objective import build_objective, infidelity
 from gatesynth.polymat import PolyMatrix, pm_eval
 from gatesynth.pop import minimize_global
@@ -121,14 +126,14 @@ def check_sdp_budget(m: int, order: int, relax_order: int | None):
     relaxation order r the SDP has p = C(m + 2r, 2r) - 1 constraints.
     sdp_solve keeps two p x p float64 matrices (the Schur matrix, and the
     Schur accumulator that its lifted copy and then its Cholesky factor are
-    written over) and two Schur slab buffers, each up to p x (the largest
-    slab's cells or rows), 0.67 p^2 at m = 10, order 2.  One solve there
-    (p = 1000) peaked at 3.46 p^2 doubles under tracemalloc; 6 are planned,
-    a margin of 1.7, so the budget admits p <= 4729.
+    written over); the rest of its Schur workspace, the slab chunks, is O(p)
+    plus a constant.  One solve at m = 10, order 2 (p = 1000) peaked at
+    2.42 p^2 doubles under tracemalloc; 5 are planned, a margin of 2.07, so
+    the budget admits p <= 5181.
     """
     r = relax_order if relax_order is not None else max(1, order - 1)
     p = comb(m + 2 * r, 2 * r) - 1
-    need = 6 * 8 * p * p
+    need = 5 * 8 * p * p
     if need > MEMORY_BUDGET:
         raise ValueError(
             f"{m} controls at relaxation order {r} give {p} SDP constraints, "
@@ -157,7 +162,12 @@ def _failed_record(trial, seed, status, m, build_ms, total_ms, x_star=None):
 
 def run_trial(spec: ProblemSpec, generator: PolyMatrix, cfg: BenchConfig,
               trial: int) -> TrialRecord:
-    """One planted-target synthesis trial; exceptions become a failed row."""
+    """One planted-target synthesis trial; exceptions become a failed row.
+
+    A target the oracle cannot draw (``PropagationError`` or
+    ``QuadratureError`` from ``gen_target``) is a configuration error, and
+    is raised instead.
+    """
     m = spec.m
     t_start = time.perf_counter()
     build_ms = 0.0
@@ -193,6 +203,8 @@ def run_trial(spec: ProblemSpec, generator: PolyMatrix, cfg: BenchConfig,
             x_hat=result.x.copy(),
         )
     except Exception as exc:  # per-trial isolation keeps the batch honest
+        if x_star is None and isinstance(exc, (PropagationError, QuadratureError)):
+            raise
         total_ms = 1e3 * (time.perf_counter() - t_start)
         return _failed_record(trial, cfg.base_seed, f"error:{type(exc).__name__}",
                               m, build_ms, total_ms, x_star)

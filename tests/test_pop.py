@@ -493,18 +493,21 @@ def schur_allocating(a_blocks, slabs, w_blocks):
 def test_schur_buffers_reused_bit_identical(monkeypatch):
     # one assembler's buffers serve a whole solve; at 50 entries both blocks
     # end on a short slab, so each call writes a shorter prefix of the slab
-    # buffer than the call before it
+    # buffer than the call before it.  At 25 chunk entries each slab's 6
+    # rows are split into chunks of 4 and 2
     monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", 50)
     prob = sdp_dense_random()
     slabs = schur_slabs(prob)
     assert all(sl[-1][0].size < sl[0][0].size for sl in slabs)
     rng = np.random.default_rng(9)
     w1, w2 = ([random_spd(rng, s) for s in prob.block_sizes] for _ in range(2))
-    shared = schur_assembler(prob, slabs)
-    for ws in (w1, w2, w1):
-        got = shared(ws).copy()
-        assert np.array_equal(got, schur_assembler(prob, slabs)(ws))
-        assert np.array_equal(got, schur_allocating(prob.a_blocks, slabs, ws))
+    for chunk_entries in (sdp_mod._CHUNK_ENTRIES, 25):
+        monkeypatch.setattr(sdp_mod, "_CHUNK_ENTRIES", chunk_entries)
+        shared = schur_assembler(prob, slabs)
+        for ws in (w1, w2, w1):
+            got = shared(ws).copy()
+            assert np.array_equal(got, schur_assembler(prob, slabs)(ws))
+            assert np.array_equal(got, schur_allocating(prob.a_blocks, slabs, ws))
 
 
 def moment_relaxation(m, order):
@@ -515,19 +518,30 @@ def moment_relaxation(m, order):
 
 
 SCHUR_REFERENCE_CASES = {
-    # case: (problem, slab entries, slabs of block 0)
-    "moment_m7_order2": (lambda: moment_relaxation(7, 2), sdp_mod._SLAB_ENTRIES, 7),
-    "moment_m4_order3": (lambda: moment_relaxation(4, 3), sdp_mod._SLAB_ENTRIES, 6),
-    "dense_random_50": (sdp_dense_random, 50, 13),
+    # case: (problem, slab entries, chunk entries, slabs of block 0).  At 25
+    # chunk entries every U chunk holds at most 4 rows, and the moment
+    # blocks' slabs (202 and 213 cells) are formed in chunks of 50 cells
+    "moment_m7_order2": (lambda: moment_relaxation(7, 2), sdp_mod._SLAB_ENTRIES,
+                         sdp_mod._CHUNK_ENTRIES, 7),
+    "moment_m4_order3": (lambda: moment_relaxation(4, 3), sdp_mod._SLAB_ENTRIES,
+                         sdp_mod._CHUNK_ENTRIES, 6),
+    "dense_random_50": (sdp_dense_random, 50, sdp_mod._CHUNK_ENTRIES, 13),
+    "moment_m7_order2_chunks_25": (lambda: moment_relaxation(7, 2),
+                                   sdp_mod._SLAB_ENTRIES, 25, 7),
+    "moment_m4_order3_chunks_25": (lambda: moment_relaxation(4, 3),
+                                   sdp_mod._SLAB_ENTRIES, 25, 6),
+    "dense_random_50_chunks_25": (sdp_dense_random, 50, 25, 13),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCHUR_REFERENCE_CASES))
 def test_schur_assembler_matches_scipy_reference_bytes(case, monkeypatch):
     # the csr_matvecs assembler writes the bytes of scipy's @ with fresh
-    # arrays per slab, on every call of one assembler
-    make, slab_entries, block0_slabs = SCHUR_REFERENCE_CASES[case]
+    # arrays per slab, on every call of one assembler, however its chunks
+    # split the slabs
+    make, slab_entries, chunk_entries, block0_slabs = SCHUR_REFERENCE_CASES[case]
     monkeypatch.setattr(sdp_mod, "_SLAB_ENTRIES", slab_entries)
+    monkeypatch.setattr(sdp_mod, "_CHUNK_ENTRIES", chunk_entries)
     prob = make()
     slabs = schur_slabs(prob)
     assert len(slabs[0]) == block0_slabs
@@ -590,11 +604,32 @@ def test_sdp_solve_matches_reference_path(make, monkeypatch):
     assert_same_solution(sdp_solve(prob), want)
 
 
+def test_schur_workspace_linear_in_p():
+    # beyond the p x p matrix it returns, the assembler's workspace is O(p)
+    # plus a constant: 411 p doubles at p = 494, where the two slab buffers
+    # it kept before chunking took 1.07 p^2 and 0.75 p^2 (921 p)
+    obj, _ = planted_instance(0, m=8, horizon=0.5)
+    scaled, _, radius, order = relaxation_setup(obj)
+    prob = moment_relax(scaled, radius, order)[0]
+    p = prob.n_constraints
+    assert (p, order) == (494, 2)
+    ws = [random_spd(np.random.default_rng(3), s) for s in prob.block_sizes]
+    acc = np.empty((p, p), order="F").T
+    tracemalloc.start()
+    try:
+        sdp_mod._schur_assembler(prob._ops.a_blocks, prob._ops.slabs, acc)(ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * p * p + 8 * 512 * p
+
+
 def test_sdp_solve_peak_memory():
     # a solve holds the Schur matrix, the accumulator its lifted copy and
-    # Cholesky factor are written over, and two slab buffers (0.5 p^2 each
-    # here).  At p = 494 it peaked at 5.05 p^2 doubles when the assembler
-    # kept an accumulator of its own, and at 4.05 p^2 without it
+    # Cholesky factor are written over, and an O(p) Schur workspace.  At
+    # p = 494 it peaked at 5.05 p^2 doubles when the assembler kept an
+    # accumulator of its own, at 4.05 p^2 without it, and at 3.04 p^2 with
+    # chunked slabs
     obj, _ = planted_instance(0, m=8, horizon=0.5)
     scaled, _, radius, order = relaxation_setup(obj)
     prob = moment_relax(scaled, radius, order)[0]
@@ -606,7 +641,7 @@ def test_sdp_solve_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 8 * p * p
+    assert peak <= 3.5 * 8 * p * p
 
 
 def test_sdp_stop_reason(monkeypatch):

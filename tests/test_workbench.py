@@ -353,9 +353,8 @@ def test_cli_target_gen_long_horizon(tmp_path):
     assert len(json.loads(out.read_text())) == 3
 
 
-def test_cli_target_gen_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # an oracle whose step doubling never converges fails the run, which
-    # reports it on one line and exit code 2, with no traceback
+def never_converging(monkeypatch):
+    """Make the oracle's step doubling drift forever, so it raises PropagationError."""
     calls = []
 
     def drifting(spec, x, steps):
@@ -363,10 +362,53 @@ def test_cli_target_gen_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
         return np.full((spec.dim, spec.dim), float(len(calls)), dtype=complex)
 
     monkeypatch.setattr(numerics, "cf4_propagate", drifting)
+
+
+def test_cli_target_gen_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # an oracle whose step doubling never converges fails the run, which
+    # reports it on one line and exit code 2, with no traceback
+    never_converging(monkeypatch)
     out = tmp_path / "targets.json"
     assert main(["target-gen", "--trials", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: step-doubling defect")
+    assert not out.exists()
+
+
+# a target the oracle cannot draw: QUADPACK fails on the action integral at
+# T = 1e10 (QuadratureError), or the propagation never converges
+# (PropagationError)
+UNDRAWABLE_TARGETS = {
+    "quadrature": (["--horizon", "1e10"], "error: action integral"),
+    "propagation": ([], "error: step-doubling defect"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDRAWABLE_TARGETS))
+def test_cli_synth_undrawable_target_exit_code(case, tmp_path, capsys, monkeypatch):
+    # a configuration error, as in target-gen: one line and exit code 2,
+    # not a failed trial
+    flags, message = UNDRAWABLE_TARGETS[case]
+    if case == "propagation":
+        never_converging(monkeypatch)
+    out = tmp_path / "result.json"
+    assert main(["synth", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(UNDRAWABLE_TARGETS))
+def test_cli_bench_fidelity_undrawable_target_exit_code(case, tmp_path, capsys,
+                                                        monkeypatch):
+    flags, message = UNDRAWABLE_TARGETS[case]
+    if case == "propagation":
+        never_converging(monkeypatch)
+    out = tmp_path / "records.csv"
+    argv = ["bench-fidelity", *flags, "--trials", "2", "--quiet", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
     assert not out.exists()
 
 
@@ -401,18 +443,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 def test_sdp_budget_bounds_control_dim():
-    # p = C(m + 2r, 2r) - 1 constraints at relaxation order r; 6 p^2 doubles
-    # fit the 1 GiB budget up to p = 4729
-    check_sdp_budget(15, 3, None)       # order-3 Magnus, r = 2: p = 3875
-    check_sdp_budget(8, 4, None)        # grade-4 BCH, r = 3: p = 3002
+    # p = C(m + 2r, 2r) - 1 constraints at relaxation order r; 5 p^2 doubles
+    # fit the 1 GiB budget up to p = 5181
+    check_sdp_budget(16, 3, None)       # order-3 Magnus, r = 2: p = 4844
+    check_sdp_budget(9, 4, None)        # grade-4 BCH, r = 3: p = 5004
     check_sdp_budget(9, 3, None)        # grade 3 at m = 9, r = 2: p = 714
-    check_sdp_budget(16, 3, 1)          # an explicit order replaces the base one
-    check_sdp_budget(95, 2, None)       # order-2 Magnus, r = 1: p = 4655
-    for m, order, relax_order in ((16, 3, None), (9, 4, None), (7, 3, 4), (96, 2, None)):
+    check_sdp_budget(17, 3, 1)          # an explicit order replaces the base one
+    check_sdp_budget(100, 2, None)      # order-2 Magnus, r = 1: p = 5150
+    for m, order, relax_order in ((17, 3, None), (10, 4, None), (7, 3, 4), (101, 2, None)):
         with pytest.raises(ValueError, match="budget"):
             check_sdp_budget(m, order, relax_order)
     with pytest.raises(ValueError, match="budget"):
-        BenchConfig(control_dim=16)
+        BenchConfig(control_dim=17)
 
 
 def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monkeypatch):
@@ -424,14 +466,14 @@ def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monk
     monkeypatch.setattr(bench, "build_lambda", no_build)
     monkeypatch.setattr(bench, "build_sigma", no_build)
     prob = tmp_path / "prob.json"
-    prob.write_text(json.dumps(problem_dict(m=16)))
+    prob.write_text(json.dumps(problem_dict(m=17)))
     out = tmp_path / "out.json"
     for argv in (
-        ["synth", "--control-dim", "16"],
+        ["synth", "--control-dim", "17"],
         ["synth", "--problem", str(prob)],
-        ["synth", "--control", "piecewise", "--control-dim", "9"],
+        ["synth", "--control", "piecewise", "--control-dim", "10"],
         ["synth", "--control-dim", "7", "--relax-order", "4"],
-        ["bench-fidelity", "--control-dim", "16", "--trials", "1"],
+        ["bench-fidelity", "--control-dim", "17", "--trials", "1"],
     ):
         assert main([*argv, "--out", str(out)]) == 2
         assert "budget" in capsys.readouterr().err
