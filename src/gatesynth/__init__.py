@@ -1,11 +1,5 @@
 """Gate synthesis by global polynomial optimization over truncated generators."""
 
-from gatesynth.bch import (
-    bch_compose,
-    build_sigma,
-    gbchd_eq12,
-    slice_generator,
-)
 from gatesynth.hamlib import SystemPair, build_ising, ibmq3
 from gatesynth.magnus import (
     PiecewiseControl,
@@ -64,15 +58,12 @@ __all__ = [
     "SystemPair",
     "action_integral",
     "ball_scan_minimum",
-    "bch_compose",
     "build_ising",
     "build_lambda",
     "build_objective",
-    "build_sigma",
     "cf4_propagate",
     "expm_antihermitian",
     "frobenius_sq",
-    "gbchd_eq12",
     "ibmq3",
     "infidelity",
     "magnus_term",
@@ -85,7 +76,6 @@ __all__ = [
     "propagate_piecewise",
     "propagate_reference",
     "sdp_solve",
-    "slice_generator",
 ]
 
 __version__ = "0.1.0"

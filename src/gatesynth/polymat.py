@@ -6,9 +6,8 @@ check; there is no ring object, and no time variable, since the Magnus terms
 are built with their envelope integrals already in closed form.
 
 ``PolyMatrix`` holds the generators: dense complex numpy coefficient
-matrices, with the ``+``, ``-``, ``@``, scaling and commutators the Magnus
-and BCH builds need, which keeps products of large (2^N dimensional)
-operator families cheap.  ``Polynomial`` holds one thing, the objective
+matrices, with ``+``, ``-``, ``@``, scaling and commutators, which keeps
+products of large (2^N dimensional) operator families cheap.  ``Polynomial`` holds one thing, the objective
 ||G(x) - omega||_F^2 that :func:`frobenius_sq` forms: a real polynomial in
 real controls, so a complex coefficient is an error.  It is only scaled and
 evaluated, so it keeps scalar ``*``, evaluation through one monomial table

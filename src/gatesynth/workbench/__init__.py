@@ -3,7 +3,6 @@
 from gatesynth.workbench.bench import (
     BenchConfig,
     TrialRecord,
-    build_bench_generator,
     make_spec,
     records_csv,
     run_fidelity_bench,
@@ -29,7 +28,6 @@ __all__ = [
     "ProblemFileError",
     "TargetGenerationError",
     "TrialRecord",
-    "build_bench_generator",
     "gen_target",
     "load_problem",
     "make_spec",

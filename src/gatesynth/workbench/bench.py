@@ -14,7 +14,6 @@ from math import comb
 
 import numpy as np
 
-from gatesynth.bch import build_sigma
 from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import (
@@ -97,13 +96,6 @@ def make_spec(system: str, qubits: int, control: str, control_dim: int,
     return ProblemSpec(pair.h0, pair.hc, horizon, model(control_dim), label=pair.label)
 
 
-def build_bench_generator(spec: ProblemSpec, order: int) -> PolyMatrix:
-    """Symbolic single-exponential generator for the configured control model."""
-    if spec.is_piecewise():
-        return build_sigma(spec, order)
-    return build_lambda(spec, order)
-
-
 def check_relax_order(generator: PolyMatrix, relax_order: int | None):
     """Reject a relaxation order below the base order of the generator's objective.
 
@@ -120,16 +112,17 @@ def check_relax_order(generator: PolyMatrix, relax_order: int | None):
 def check_sdp_budget(m: int, order: int, relax_order: int | None):
     """Reject a run whose SDP would outgrow ``MEMORY_BUDGET``, before any build.
 
-    A nested commutator of Hc with itself vanishes, so an order-n generator
-    (Magnus order or BCH grade) has degree at most max(1, n - 1) in the m
-    controls; that is also the base relaxation order of its objective.  At
+    A nested commutator of Hc with itself vanishes, so a generator of Magnus
+    order n has degree at most max(1, n - 1) in the m controls, for either
+    control model; that is also the base relaxation order of its objective.  At
     relaxation order r the SDP has p = C(m + 2r, 2r) - 1 constraints.
     sdp_solve keeps two p x p float64 matrices (the Schur matrix, and the
     Schur accumulator that its lifted copy and then its Cholesky factor are
     written over); the rest of its Schur workspace, the slab chunks, is O(p)
     plus a constant.  One solve at m = 10, order 2 (p = 1000) peaked at
     2.42 p^2 doubles under tracemalloc; 5 are planned, a margin of 2.07, so
-    the budget admits p <= 5181.
+    the budget admits p <= 5181: at the base order, up to 100 controls at
+    Magnus order 2, 16 at order 3 and 9 at order 4.
     """
     r = relax_order if relax_order is not None else max(1, order - 1)
     p = comb(m + 2 * r, 2 * r) - 1
@@ -218,7 +211,7 @@ def run_fidelity_bench(cfg: BenchConfig, progress=None):
     """
     spec = make_spec(cfg.system, cfg.qubits, cfg.control, cfg.control_dim, cfg.horizon)
     t0 = time.perf_counter()
-    generator = build_bench_generator(spec, cfg.order)
+    generator = build_lambda(spec, cfg.order)
     generator_build_ms = 1e3 * (time.perf_counter() - t0)
     check_relax_order(generator, cfg.relax_order)
     records = []

@@ -15,11 +15,10 @@ import argparse
 import json
 import sys
 
-from gatesynth.magnus import ProblemSpec
+from gatesynth.magnus import ProblemSpec, build_lambda
 from gatesynth.numerics import PropagationError, QuadratureError, action_integral
 from gatesynth.workbench.bench import (
     BenchConfig,
-    build_bench_generator,
     check_relax_order,
     json_ready,
     make_spec,
@@ -91,7 +90,7 @@ def _progress_printer(quiet: bool):
 
 
 def _order(args, piecewise: bool) -> int:
-    """``--order``, else grade 4 for piecewise and Magnus order 3 for poly."""
+    """``--order``, else Magnus order 4 for piecewise and 3 for poly."""
     if args.order is not None:
         return args.order
     return 4 if piecewise else 3
@@ -123,7 +122,7 @@ def _handle_synth(args) -> int:
     cfg = BenchConfig(control="piecewise" if piecewise else "poly", control_dim=spec.m,
                       order=order, horizon=spec.horizon, trials=1, base_seed=args.seed,
                       relax_order=args.relax_order, radius=args.ball)
-    generator = build_bench_generator(spec, order)
+    generator = build_lambda(spec, order)
     check_relax_order(generator, args.relax_order)
     record = run_trial(spec, generator, cfg, args.trial)
     payload = records_to_json([record])[0]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gatesynth.bch import bch_compose, build_sigma, gbchd_eq12
 from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import (
     PiecewiseControl,
@@ -26,7 +25,7 @@ from gatesynth.numerics import (
     propagate_reference,
 )
 from gatesynth.objective import build_objective, principal_log
-from gatesynth.polymat import PolyMatrix, pm_eval
+from gatesynth.polymat import pm_eval
 from gatesynth.pop import (
     ball_scan_minimum,
     minimize_global,
@@ -37,6 +36,8 @@ from gatesynth.pop import (
 from gatesynth.pop.sdp import BOUND_STATUSES
 from gatesynth.workbench.bench import BenchConfig, run_fidelity_bench
 from gatesynth.workbench.targets import gen_target, trial_rng
+
+from gbchd import gbchd_eq12
 
 
 def report(criterion, ok, detail):
@@ -88,7 +89,7 @@ def planted_log_runs():
 @pytest.fixture(scope="module")
 def piecewise_interp_runs():
     spec = piecewise_spec()
-    sigma = build_sigma(spec, 4)
+    sigma = build_lambda(spec, 4)
     runs = []
     for trial in range(3):
         x_star = trial_rng(303, trial).uniform(-1.0, 1.0, 3)
@@ -167,13 +168,14 @@ def test_criterion_4_expansion_defect_scaling():
 
 def test_criterion_5_composition_error_scaling():
     rng = np.random.default_rng(55)
-    origin = np.array([0.0])
+    first_off = np.array([0.0, 1.0])
     floor = 2.0 ** 4.5
 
     def grade4_error(a, b):
-        s4 = bch_compose(PolyMatrix.constant(1, a), PolyMatrix.constant(1, b), 4)
+        # two unit slices run b, then a: H0 = i b and Hc = i (a - b) at x = (0, 1)
+        spec = ProblemSpec(1j * b, 1j * (a - b), 2.0, PiecewiseControl(2))
         truth = principal_log(expm_antihermitian(a) @ expm_antihermitian(b))
-        return np.linalg.norm(pm_eval(s4, origin) - truth, 2)
+        return np.linalg.norm(pm_eval(build_lambda(spec, 4), first_off) - truth, 2)
 
     ratios = []
     for _ in range(20):
@@ -193,22 +195,23 @@ def test_criterion_5_composition_error_scaling():
 
 
 def test_criterion_6_product_log_adjudication():
-    # the fold and the explicit expansion differ at grade 3; the exact
-    # logarithm of the slice product decides which one is right
+    # the Magnus series of the slice envelope and the explicit expansion
+    # differ at order 3; the exact logarithm of the slice product decides
+    # which one is right
     spec = piecewise_spec(m=2)
-    fold = build_sigma(spec, 3)
+    series = build_lambda(spec, 3)
     explicit = gbchd_eq12(spec, 3)
     rng = np.random.default_rng(20260816)
     errors = []
     for _ in range(8):
         x = rng.uniform(-1.0, 1.0, size=spec.m)
         z_true = principal_log(propagate_piecewise(spec, x))
-        errors.append([np.linalg.norm(pm_eval(g, x) - z_true) for g in (fold, explicit)])
-    med_fold, med_explicit = np.median(errors, axis=0)
-    ok = bool(med_explicit >= 10.0 * med_fold)
+        errors.append([np.linalg.norm(pm_eval(g, x) - z_true) for g in (series, explicit)])
+    med_series, med_explicit = np.median(errors, axis=0)
+    ok = bool(med_explicit >= 10.0 * med_series)
     report(6, ok,
-           f"median |Sigma - log U|_F over 8 controls: fold {med_fold:.3e}, "
-           f"explicit {med_explicit:.3e}, {med_explicit / med_fold:.1f}x (need >= 10x)")
+           f"median |Sigma - log U|_F over 8 controls: Magnus {med_series:.3e}, "
+           f"explicit {med_explicit:.3e}, {med_explicit / med_series:.1f}x (need >= 10x)")
 
 
 def test_criterion_7_certificate_validity(interp_runs, planted_log_runs,
@@ -295,7 +298,7 @@ def test_criterion_9_property_suites():
     spec_c = poly_spec(0.5)
     lam = build_lambda(spec_c, 3)
     spec_p = piecewise_spec()
-    sigma = build_sigma(spec_p, 4)
+    sigma = build_lambda(spec_p, 4)
     worst_ah = 0.0
     for gen in (lam, sigma):
         for _ in range(100):

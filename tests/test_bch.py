@@ -1,25 +1,31 @@
-"""Tests for the graded BCH composition layer."""
+"""Tests for the piecewise-constant generator: the Magnus series of the
+slice-indicator envelope, which is the BCH logarithm of the slice product."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from gatesynth.bch import (
-    bch_compose,
-    build_sigma,
-    gbchd_eq12,
-    slice_generator,
-)
-from gatesynth.hamlib import ibmq3
-from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec
-from gatesynth.polymat import PolyMatrix, pm_eval
+from gatesynth.hamlib import build_ising, ibmq3
+from gatesynth.magnus import PiecewiseControl, ProblemSpec, build_lambda
+from gatesynth.polymat import pm_commutator, pm_eval
+
+from gbchd import gbchd_eq12, slice_generator
 
 RNG = np.random.default_rng(31337)
+# the control that runs a two-slice problem on its constant drive, then on
+# its full drive: see two_slice_spec
+FIRST_OFF = np.array([0.0, 1.0])
 
 
 def pw_spec(horizon=0.5, m=3):
     sys = ibmq3()
     return ProblemSpec(sys.h0, sys.hc, horizon, PiecewiseControl(m), label="ibmq3")
+
+
+def two_slice_spec(a, b, h=1.0):
+    """Two slices of width h whose generators at FIRST_OFF are b, then a:
+    H0 = i b / h and Hc = i (a - b) / h, so Sigma(FIRST_OFF) = log(e^a e^b)."""
+    return ProblemSpec(1j * b / h, 1j * (a - b) / h, 2 * h, PiecewiseControl(2))
 
 
 def random_antihermitian(d, cap):
@@ -28,61 +34,52 @@ def random_antihermitian(d, cap):
     return m * (cap / np.linalg.norm(m, 2))
 
 
-def as_const(mat):
-    return PolyMatrix.constant(0, mat)
+def log_series(gens, n):
+    """Grades 1..n of log(e^{gens[-1]} ... e^{gens[0]}), exactly: the
+    coefficients of eps^1..eps^n of log(prod e^{eps g}) in truncated
+    power-series arithmetic, each a matrix."""
+    eye = np.eye(gens[0].shape[0], dtype=complex)
+
+    def mul(p, q):
+        return [sum(p[i] @ q[j - i] for i in range(j + 1)) for j in range(n + 1)]
+
+    product = [eye] + [np.zeros_like(eye)] * n
+    for g in gens:
+        factor = [eye]
+        for j in range(1, n + 1):
+            factor.append(factor[-1] @ g / j)
+        product = mul(factor, product)
+    x = [np.zeros_like(eye)] + product[1:]
+    log, power = [np.zeros_like(eye)] * (n + 1), x
+    for j in range(1, n + 1):
+        log = [acc + (-1) ** (j + 1) * p / j for acc, p in zip(log, power)]
+        power = mul(power, x)
+    return log[1:]
 
 
-# -- slice generators -----------------------------------------------------------
-
-
-def test_slice_generator_affine():
-    spec = pw_spec(horizon=0.6, m=3)
-    a2 = slice_generator(spec, 2)
-    assert set(a2.coeffs) == {(0, 0, 0), (0, 1, 0)}
-    assert np.allclose(a2.coeffs[(0, 0, 0)], -1j * 0.2 * np.asarray(spec.h0))
-    assert np.allclose(a2.coeffs[(0, 1, 0)], -1j * 0.2 * np.asarray(spec.hc))
-    assert a2.max_entry_degree() == 1
-
-
-def test_slice_generator_index_bounds():
-    spec = pw_spec(m=2)
-    with pytest.raises(ValueError):
-        slice_generator(spec, 0)
-    with pytest.raises(ValueError):
-        slice_generator(spec, 3)
-
-
-def test_slice_generator_rejects_poly_control():
-    sys = ibmq3()
-    spec = ProblemSpec(sys.h0, sys.hc, 0.5, PolyControl(3))
-    with pytest.raises(ValueError):
-        slice_generator(spec, 1)
-
-
-# -- pairwise composition ---------------------------------------------------------
+# -- two slices: the BCH series of a product of two exponentials ----------------
 
 
 def test_bch_commuting_inputs():
-    x = as_const(np.diag([1j, -1j, 0.5j]))
-    y = as_const(np.diag([0.2j, 0.1j, -0.3j]))
+    x = np.diag([1j, -1j, 0.5j])
+    y = np.diag([0.2j, 0.1j, -0.3j])
+    spec = two_slice_spec(x, y)
     for n in (1, 2, 3, 4):
-        z = bch_compose(x, y, n)
-        assert np.allclose(pm_eval(z, []), pm_eval(x, []) + pm_eval(y, []))
+        assert np.allclose(pm_eval(build_lambda(spec, n), FIRST_OFF), x + y)
 
 
 def test_bch_zero_second_factor():
-    x = as_const(random_antihermitian(3, 0.5))
-    y = as_const(np.zeros((3, 3)))
-    z = bch_compose(x, y, 4)
-    assert np.allclose(pm_eval(z, []), pm_eval(x, []))
+    x = random_antihermitian(3, 0.5)
+    spec = two_slice_spec(x, np.zeros((3, 3)))
+    assert np.allclose(pm_eval(build_lambda(spec, 4), FIRST_OFF), x)
 
 
 def test_bch_grade2_closed_form():
     xm = random_antihermitian(3, 0.3)
     ym = random_antihermitian(3, 0.3)
-    z = bch_compose(as_const(xm), as_const(ym), 2)
+    z = build_lambda(two_slice_spec(xm, ym), 2)
     expect = xm + ym + 0.5 * (xm @ ym - ym @ xm)
-    assert np.allclose(pm_eval(z, []), expect, atol=1e-13)
+    assert np.allclose(pm_eval(z, FIRST_OFF), expect, atol=1e-13)
 
 
 def test_bch_remainder_fifth_order():
@@ -93,33 +90,25 @@ def test_bch_remainder_fifth_order():
         ym = random_antihermitian(3, 0.1)
         errs = []
         for s in (1.0, 0.5):
-            zm = pm_eval(bch_compose(as_const(s * xm), as_const(s * ym), 4), [])
+            zm = pm_eval(build_lambda(two_slice_spec(s * xm, s * ym), 4), FIRST_OFF)
             exact = logm(expm(s * xm) @ expm(s * ym))
             errs.append(np.linalg.norm(zm - exact))
         assert errs[0] / errs[1] >= 2**4.5
 
 
 def test_bch_rejects_bad_grade():
-    x = as_const(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        bch_compose(x, x, 0)
-    with pytest.raises(ValueError):
-        bch_compose(x, x, 5)
+    spec = pw_spec(m=2)
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            build_lambda(spec, n)
 
 
-def test_bch_rejects_mismatched_operands():
-    x = as_const(np.zeros((2, 2)))
-    y = as_const(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        bch_compose(x, y, 2)
-
-
-# -- folded multi-slice generator ----------------------------------------------------
+# -- the piecewise generator Sigma ----------------------------------------------------
 
 
 def test_sigma_single_slice():
     spec = pw_spec(horizon=0.5, m=1)
-    sigma = build_sigma(spec, 4)
+    sigma = build_lambda(spec, 4)
     x = np.array([0.7])
     expect = -1j * 0.5 * (np.asarray(spec.h0) + 0.7 * np.asarray(spec.hc))
     assert np.allclose(pm_eval(sigma, x), expect, atol=1e-13)
@@ -128,7 +117,7 @@ def test_sigma_single_slice():
 def test_sigma_two_slices_grade2_closed_form():
     spec = pw_spec(horizon=0.5, m=2)
     dt = 0.25
-    sigma = build_sigma(spec, 2)
+    sigma = build_lambda(spec, 2)
     h0 = np.asarray(spec.h0)
     hc = np.asarray(spec.hc)
     k = h0 @ hc - hc @ h0
@@ -141,7 +130,7 @@ def test_sigma_two_slices_grade2_closed_form():
 
 def test_sigma_two_slices_matches_numeric_log():
     spec = pw_spec(horizon=0.2, m=2)
-    sigma = build_sigma(spec, 4)
+    sigma = build_lambda(spec, 4)
     x = np.array([0.4, -0.3])
     dt = 0.1
     h0 = np.asarray(spec.h0)
@@ -153,7 +142,7 @@ def test_sigma_two_slices_matches_numeric_log():
 
 def test_sigma_equal_slices_collapse():
     spec = pw_spec(horizon=0.5, m=3)
-    sigma = build_sigma(spec, 4)
+    sigma = build_lambda(spec, 4)
     for xv in (0.35, -0.6):
         x = np.full(3, xv)
         expect = -1j * 0.5 * (np.asarray(spec.h0) + xv * np.asarray(spec.hc))
@@ -161,13 +150,13 @@ def test_sigma_equal_slices_collapse():
 
 
 def test_sigma_fold_remainder_scaling():
-    # all slice generators scale linearly with the horizon, so the grade-4
-    # fold residual against the exact product log drops ~2^5 under T-halving
+    # all slice generators scale linearly with the horizon, so the order-4
+    # residual against the exact product log drops ~2^5 under T-halving
     x = np.array([0.5, -0.7, 0.3])
     errs = []
     for horizon in (0.4, 0.2):
         spec = pw_spec(horizon=horizon, m=3)
-        sigma = build_sigma(spec, 4)
+        sigma = build_lambda(spec, 4)
         dt = horizon / 3
         h0 = np.asarray(spec.h0)
         hc = np.asarray(spec.hc)
@@ -181,7 +170,7 @@ def test_sigma_fold_remainder_scaling():
 def test_sigma_antihermitian_at_random_points():
     spec = pw_spec(horizon=0.5, m=3)
     for n in (2, 3, 4):
-        sigma = build_sigma(spec, n)
+        sigma = build_lambda(spec, n)
         for _ in range(100):
             x = RNG.uniform(-1, 1, size=3)
             g = pm_eval(sigma, x)
@@ -189,30 +178,46 @@ def test_sigma_antihermitian_at_random_points():
 
 
 def test_sigma_degree_bound():
+    # words of Hc alone vanish, so order n reaches degree n - 1 only
     spec = pw_spec(m=3)
     for n in (1, 2, 3, 4):
-        assert build_sigma(spec, n).max_entry_degree() <= n
+        assert build_lambda(spec, n).max_entry_degree() == max(1, n - 1)
 
 
-def test_sigma_rejects_poly_control():
-    sys = ibmq3()
-    spec = ProblemSpec(sys.h0, sys.hc, 0.5, PolyControl(3))
-    with pytest.raises(ValueError):
-        build_sigma(spec, 2)
+@pytest.mark.parametrize("system", ["ibmq3", "ising3"])
+def test_sigma_matches_log_series(system):
+    # grade j of log(e^{A_m} ... e^{A_1}) is the eps^j coefficient when every
+    # slice generator A_i is scaled by eps; Sigma at order n is grades 1..n,
+    # and the explicit expansion shares grades 1 and 2
+    pair = ibmq3() if system == "ibmq3" else build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(3))
+    sigmas = {n: build_lambda(spec, n) for n in (1, 2, 3, 4)}
+    explicit = {n: gbchd_eq12(spec, n) for n in (1, 2)}
+    dt = spec.horizon / spec.m
+    for _ in range(5):
+        x = RNG.uniform(-1, 1, size=spec.m)
+        gens = [-1j * dt * (spec.h0 + xi * spec.hc) for xi in x]
+        grades = log_series(gens, 4)
+        scale = np.linalg.norm(grades[0])
+        for n, sigma in sigmas.items():
+            exact = sum(grades[:n])
+            assert np.linalg.norm(pm_eval(sigma, x) - exact) <= 1e-15 * scale
+            if n in explicit:
+                assert np.linalg.norm(pm_eval(explicit[n], x) - exact) <= 1e-15 * scale
 
 
-# -- explicit multi-factor expansion ---------------------------------------------------
+# -- the explicit multi-factor expansion ---------------------------------------------
 
 
 def test_eq12_order1_matches_fold():
     spec = pw_spec(m=3)
-    diff = gbchd_eq12(spec, 1) - build_sigma(spec, 1)
+    diff = gbchd_eq12(spec, 1) - build_lambda(spec, 1)
     assert diff.is_zero()
 
 
 def test_eq12_order2_matches_fold_exactly():
     spec = pw_spec(m=3)
-    diff = gbchd_eq12(spec, 2) - build_sigma(spec, 2)
+    diff = gbchd_eq12(spec, 2) - build_lambda(spec, 2)
     worst = max(
         (float(np.abs(mat).max()) for mat in diff.coeffs.values()), default=0.0
     )
@@ -220,14 +225,12 @@ def test_eq12_order2_matches_fold_exactly():
 
 
 def test_eq12_order3_coefficient_gap():
-    # third-order parts differ: the explicit form carries 1/6 where the fold
+    # third-order parts differ: the explicit form carries 1/6 where the series
     # carries the pairwise 1/12, so the gap is the 1/12 combination itself
     spec = pw_spec(horizon=0.5, m=2)
     a1 = slice_generator(spec, 1)
     a2 = slice_generator(spec, 2)
-    from gatesynth.polymat import pm_commutator
-
-    gap = build_sigma(spec, 3) - gbchd_eq12(spec, 3)
+    gap = build_lambda(spec, 3) - gbchd_eq12(spec, 3)
     expect = (
         pm_commutator(a1, pm_commutator(a1, a2))
         + pm_commutator(a2, pm_commutator(a2, a1))

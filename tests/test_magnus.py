@@ -19,6 +19,7 @@ from gatesynth.magnus import (
 from gatesynth.numerics import action_integral, propagate_reference
 from gatesynth.objective import principal_log
 from gatesynth.polymat import PolyMatrix, pm_eval
+from gatesynth.workbench.targets import trial_rng
 
 RNG = np.random.default_rng(4242)
 
@@ -184,7 +185,7 @@ def simplex_gauss(f, horizon, k, nodes=8):
 
 
 @pytest.mark.parametrize("system", ["ibmq3", "ising2"])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_term_matches_simplex_gauss_rule(system, k):
     pair = ibmq3() if system == "ibmq3" else build_ising(2)
     horizon = 0.5
@@ -196,16 +197,8 @@ def test_term_matches_simplex_gauss_rule(system, k):
     def a_at(t):
         return -1j * (h0 + (x[0] + x[1] * t + x[2] * t**2) * hc)
 
-    def comm(p, q):
-        return p @ q - q @ p
-
     def integrand(*ts):
-        a = [a_at(t) for t in ts]
-        if k == 1:
-            return a[0]
-        if k == 2:
-            return 0.5 * comm(a[0], a[1])
-        return (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1]))) / 6.0
+        return per_choice_integrand([a_at(t) for t in ts])
 
     expect = simplex_gauss(integrand, horizon, k)
     got = pm_eval(magnus_term(spec, k), x)
@@ -213,7 +206,9 @@ def test_term_matches_simplex_gauss_rule(system, k):
 
 
 def per_choice_integrand(a):
-    """Order-k Magnus integrand at k fixed operators, four commutators a call."""
+    """Order-k Magnus integrand at k fixed operators, every commutator formed
+    afresh; order 4 as written by Blanes, Casas, Oteo & Ros (2009), with
+    left-nested words."""
 
     def comm(p, q):
         return p @ q - q @ p
@@ -222,7 +217,11 @@ def per_choice_integrand(a):
         return a[0]
     if len(a) == 2:
         return 0.5 * comm(a[0], a[1])
-    return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
+    if len(a) == 3:
+        return (1.0 / 6.0) * (comm(a[0], comm(a[1], a[2])) - comm(a[2], comm(a[0], a[1])))
+    a1, a2, a3, a4 = a
+    return (1.0 / 12.0) * (comm(comm(comm(a1, a2), a3), a4) + comm(a1, comm(comm(a2, a3), a4))
+                           + comm(a1, comm(a2, comm(a3, a4))) + comm(a2, comm(a3, comm(a4, a1))))
 
 
 def per_choice_lie(ops, choice):
@@ -325,13 +324,13 @@ def test_term_forms_each_nonzero_word_once(system, monkeypatch):
 
 def test_degree_bounds():
     spec = ibmq_spec(m=3)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         assert magnus_term(spec, k).max_entry_degree() <= k
 
 
-def test_magnus_rejects_order_4():
+def test_magnus_rejects_order_5():
     with pytest.raises(ValueError):
-        magnus_term(ibmq_spec(), 4)
+        magnus_term(ibmq_spec(), 5)
 
 
 # -- assembled truncations -----------------------------------------------------------
@@ -415,18 +414,29 @@ def test_lambda3_defect_fifth_order_at_fixed_controls():
     assert 22.0 < r2 < 45.0
 
 
-def test_lambda_rejects_piecewise():
-    sys = ibmq3()
-    spec = ProblemSpec(sys.h0, sys.hc, 0.5, PiecewiseControl(2))
-    with pytest.raises(ValueError):
-        build_lambda(spec, 2)
+@pytest.mark.parametrize("system", ["ibmq3", "ising3"])
+def test_lambda4_degree_3_and_defect_below_order_3(system):
+    # the all-Gc words vanish, so order 4 adds degree 3; against the
+    # oracle's logarithm it cuts the truncation defect at every control drawn
+    pair = ibmq3() if system == "ibmq3" else build_ising(3)
+    spec = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(3))
+    lams = {n: build_lambda(spec, n) for n in (3, 4)}
+    assert lams[4].max_entry_degree() == 3
+    defects = []
+    for trial in range(8):
+        x = trial_rng(0, trial).uniform(-1.0, 1.0, 3)
+        log_u = principal_log(propagate_reference(spec, x))
+        defects.append([np.linalg.norm(pm_eval(lams[n], x) - log_u) for n in (3, 4)])
+    d3, d4 = np.array(defects).T
+    assert (d4 < d3).all()
+    assert np.median(d4) <= 0.5 * np.median(d3)
 
 
 def test_lambda_rejects_bad_order():
     with pytest.raises(ValueError):
         build_lambda(ibmq_spec(), 0)
     with pytest.raises(ValueError):
-        build_lambda(ibmq_spec(), 4)
+        build_lambda(ibmq_spec(), 5)
 
 
 def test_lambda_rejects_horizon_whose_weight_overflows():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gatesynth.bch import build_sigma
 from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import (
     PiecewiseControl,
@@ -362,13 +361,13 @@ def test_builds_match_validating_constructor(monkeypatch, qubits, m):
     poly = ProblemSpec(pair.h0, pair.hc, 0.5, PolyControl(m))
     piecewise = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(m))
     omega = pm_eval(build_lambda(poly, 3), RNG.uniform(-1, 1, m))
-    fast = [build_lambda(poly, 3), build_sigma(piecewise, 4)]
+    fast = [build_lambda(poly, 3), build_lambda(piecewise, 4)]
     fast_obj = build_objective(fast[0], omega)
     # the same builds with every arithmetic result through the public constructor
     monkeypatch.setattr(
         PolyMatrix, "_adopt", classmethod(lambda cls, controls, dim, coeffs: cls(controls, dim, coeffs))
     )
-    slow = [build_lambda(poly, 3), build_sigma(piecewise, 4)]
+    slow = [build_lambda(poly, 3), build_lambda(piecewise, 4)]
     slow_obj = build_objective(slow[0], omega)
     for f, s in zip(fast, slow):
         assert same_bytes(f, s)

@@ -14,7 +14,6 @@ import pytest
 from scipy import sparse
 
 import gatesynth
-from gatesynth.bch import build_sigma
 from gatesynth.hamlib import build_ising, ibmq3
 from gatesynth.magnus import PiecewiseControl, PolyControl, ProblemSpec, build_lambda
 from gatesynth.numerics import expm_antihermitian
@@ -904,10 +903,10 @@ def test_polish_hessian_matches_finite_differences():
 
 
 def _piecewise_objective(seed):
-    """Planted objective of the grade-4 BCH generator on 3 slices (degree 6)."""
+    """Planted objective of the order-4 generator on 3 slices (degree 6)."""
     pair = ibmq3()
     spec = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(3), label="ibmq3")
-    sigma = build_sigma(spec, 4)
+    sigma = build_lambda(spec, 4)
     xstar = np.random.default_rng(seed).uniform(-1, 1, 3)
     return build_objective(sigma, principal_log(expm_antihermitian(pm_eval(sigma, xstar))))
 
@@ -1148,11 +1147,11 @@ def test_solve_above_base_order_keeps_going_while_mu_falls():
 
 
 def _piecewise_trial(trial):
-    # one planted-pw3 instance (ibmq3, three slices, grade-4 generator, base
+    # one planted-pw3 instance (ibmq3, three slices, order-4 generator, base
     # seed 0): its objective and order-3 moment relaxation
     pair = ibmq3()
     spec = ProblemSpec(pair.h0, pair.hc, 0.5, PiecewiseControl(3), label=pair.label)
-    sigma = build_sigma(spec, 4)
+    sigma = build_lambda(spec, 4)
     obj = build_objective(sigma, gen_target(spec, 0, trial).generator)
     scaled, _, radius, order = relaxation_setup(obj)
     assert order == 3

@@ -436,6 +436,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "order 1 too small"),
         # T^7 of the order-3 generator's weights does not fit in a float
         (["synth", "--horizon", "1e50", "--out", str(out)], "horizon 1e+50 overflows"),
+        # nor does (T/3)^4 of the piecewise order-4 generator's slice weights
+        (["synth", "--control", "piecewise", "--horizon", "1e100", "--out", str(out)],
+         "horizon 1e+100 overflows"),
     ):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
@@ -446,8 +449,8 @@ def test_sdp_budget_bounds_control_dim():
     # p = C(m + 2r, 2r) - 1 constraints at relaxation order r; 5 p^2 doubles
     # fit the 1 GiB budget up to p = 5181
     check_sdp_budget(16, 3, None)       # order-3 Magnus, r = 2: p = 4844
-    check_sdp_budget(9, 4, None)        # grade-4 BCH, r = 3: p = 5004
-    check_sdp_budget(9, 3, None)        # grade 3 at m = 9, r = 2: p = 714
+    check_sdp_budget(9, 4, None)        # order-4 Magnus, r = 3: p = 5004
+    check_sdp_budget(9, 3, None)        # order 3 at m = 9, r = 2: p = 714
     check_sdp_budget(17, 3, 1)          # an explicit order replaces the base one
     check_sdp_budget(100, 2, None)      # order-2 Magnus, r = 1: p = 5150
     for m, order, relax_order in ((17, 3, None), (10, 4, None), (7, 3, 4), (101, 2, None)):
@@ -462,9 +465,7 @@ def test_cli_rejects_control_dim_past_budget_before_build(tmp_path, capsys, monk
         raise AssertionError("built past the memory budget")
 
     for module in (bench, cli):
-        monkeypatch.setattr(module, "build_bench_generator", no_build)
-    monkeypatch.setattr(bench, "build_lambda", no_build)
-    monkeypatch.setattr(bench, "build_sigma", no_build)
+        monkeypatch.setattr(module, "build_lambda", no_build)
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(problem_dict(m=17)))
     out = tmp_path / "out.json"
